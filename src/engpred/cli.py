@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,19 @@ from .envelope import (
 from .errors import DataError, EngpredError, NumericError
 from .metrics import evaluate_predictions
 from .model import ALL_KINDS, ModelConfig
-from .records import read_metas, read_records, write_events, write_records
+from .records import (
+    event_to_json,
+    meta_to_json,
+    open_input,
+    read_json,
+    read_jsonl,
+    read_metas,
+    read_records,
+    typed_value,
+    write_json,
+    write_jsonl,
+    write_records,
+)
 from .serialize import read_manifest
 from .synth import SynthConfig, analytic_correlation_targets, generate_events, generate_features
 from .trainer import TrainConfig, compare_modes, train
@@ -43,27 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-    except OSError as exc:
-        raise DataError(f"cannot open {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON in {what} {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{what} {path} must hold a JSON object")
-    return payload
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def cmd_synth(args) -> int:
-    payload = _load_json(args.config, "synth config") if args.config else {}
+    payload = read_json(args.config, "synth config") if args.config else {}
     overrides = {
         "seed": args.seed,
         "n_videos": args.n_videos,
@@ -80,25 +72,11 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_events(cfg)
-    with open(out / "events.jsonl", "w", encoding="utf-8") as f:
-        write_events(f, corpus.events)
-    with open(out / "metas.jsonl", "w", encoding="utf-8") as f:
-        for meta in corpus.metas:
-            f.write(
-                json.dumps(
-                    {
-                        "video_id": meta.video_id,
-                        "duration_s": meta.duration_s,
-                        "frame_rate": meta.frame_rate,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-            f.write("\n")
-    with open(out / "truth_records.jsonl", "w", encoding="utf-8") as f:
-        write_records(f, corpus.truth_records)
+    write_jsonl(out / "events.jsonl", corpus.events, event_to_json)
+    write_jsonl(out / "metas.jsonl", corpus.metas, meta_to_json)
+    write_records(out / "truth_records.jsonl", corpus.truth_records)
     generate_features(corpus.truth, cfg, out_dir=out)
-    _dump_json(
+    write_json(
         out / "synth_summary.json",
         {
             "config": cfg.to_dict(),
@@ -111,20 +89,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    try:
-        with open(args.metas, "r", encoding="utf-8") as f:
-            metas = read_metas(f)
-    except OSError as exc:
-        raise DataError(f"cannot open metas {args.metas}: {exc}") from exc
+    metas = read_metas(args.metas)
     if args.shards < 1:
         raise DataError("--shards must be >= 1")
     shards = [CorpusAggregator(metas, ecr_threshold_s=args.ecr_threshold) for _ in range(args.shards)]
     failures = 0
-    try:
-        stream = open(args.events, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open events {args.events}: {exc}") from exc
-    with stream:
+    with open_input(args.events, "events") as stream:
         for i, item in enumerate(parse_events(stream)):
             if isinstance(item, ParseFailure):
                 failures += 1
@@ -146,33 +116,23 @@ def cmd_aggregate(args) -> int:
         min_views=args.min_views,
         duration_range_s=(args.duration_min, args.duration_max),
     )
-    with open(args.out, "w", encoding="utf-8") as f:
-        write_records(f, records)
+    write_records(args.out, records)
     print(f"aggregated {len(records)} videos ({failures} malformed lines skipped)")
     return EXIT_OK
 
 
-def _read_records_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return read_records(f)
-    except OSError as exc:
-        raise DataError(f"cannot open records {path}: {exc}") from exc
-
-
 def cmd_fit_norm(args) -> int:
-    records = _read_records_file(args.records)
+    records = read_records(args.records)
     env = fit_envelope(
         records,
         quantile_tau=args.quantile_tau,
         bin_width_s=args.bin_width,
         min_bin_count=args.min_bin_count,
     )
-    _dump_json(Path(args.out_envelope), env.to_dict())
+    write_json(args.out_envelope, env.to_dict())
     if args.out_records:
         annotated = annotate_nawp(records, env)
-        with open(args.out_records, "w", encoding="utf-8") as f:
-            write_records(f, annotated)
+        write_records(args.out_records, annotated)
     print(
         f"fitted ceiling {env.slope_a:.6f}*d + {env.intercept_b:.6f} "
         f"over {env.fit_stats.bins_used} bins"
@@ -181,16 +141,12 @@ def cmd_fit_norm(args) -> int:
 
 
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-_MODEL_KEYS = set(ModelConfig.__dataclass_fields__)
 
 
 def _train_configs(args) -> tuple[TrainConfig, ModelConfig]:
-    payload = _load_json(args.config, "train config") if args.config else {}
+    payload = read_json(args.config, "train config") if args.config else {}
     train_payload = {k: v for k, v in payload.items() if k in _TRAIN_KEYS}
-    model_payload = {k: v for k, v in payload.items() if k in _MODEL_KEYS and k not in _TRAIN_KEYS}
-    unknown = [k for k in payload if k not in _TRAIN_KEYS | _MODEL_KEYS]
-    if unknown:
-        raise DataError(f"unknown train config keys {unknown}")
+    model_payload = {k: v for k, v in payload.items() if k not in _TRAIN_KEYS}
     flag_overrides = {
         "seed": args.seed,
         "mode": args.mode,
@@ -216,9 +172,7 @@ def _train_configs(args) -> tuple[TrainConfig, ModelConfig]:
         model_payload["features"] = kinds
     if args.ecr_causal_mask:
         model_payload["ecr_causal_mask"] = True
-    return TrainConfig.from_dict(train_payload), ModelConfig.from_dict(
-        {**ModelConfig().to_dict(), **model_payload}
-    )
+    return TrainConfig.from_dict(train_payload), ModelConfig.from_dict(model_payload)
 
 
 def cmd_train(args) -> int:
@@ -250,23 +204,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        with open(args.predictions, "r", encoding="utf-8") as f:
-            pred_rows = [json.loads(line) for line in f if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot open predictions {args.predictions}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid predictions JSON: {exc}") from exc
     manifest = read_manifest(args.manifest)
     labels = {row["video_id"]: row for row in manifest}
     ids, pred_nawp, pred_ecr, truth_nawp, truth_ecr, durations = [], [], [], [], [], []
-    for row in pred_rows:
-        vid = row.get("video_id")
+    for line_no, row in read_jsonl(args.predictions, "predictions"):
+        where = f"predictions line {line_no}"
+        vid = typed_value(row.get("video_id"), str, f"{where}: video_id")
         if vid not in labels:
             raise DataError(f"prediction for unknown video {vid!r}")
         ids.append(vid)
-        pred_nawp.append(float(row["nawp_hat"]))
-        pred_ecr.append(float(row["ecr_hat"]))
+        pred_nawp.append(typed_value(row.get("nawp_hat"), float, f"{where}: nawp_hat"))
+        pred_ecr.append(typed_value(row.get("ecr_hat"), float, f"{where}: ecr_hat"))
         truth_nawp.append(float(labels[vid]["nawp_label"]))
         truth_ecr.append(float(labels[vid]["ecr_label"]))
         durations.append(float(labels[vid]["duration_s"]))
@@ -280,7 +228,7 @@ def cmd_eval(args) -> int:
         k_percent=args.topk_percent,
         group_width_s=args.group_width,
     )
-    _dump_json(Path(args.out), report.to_dict())
+    write_json(args.out, report.to_dict())
     print(
         f"evaluated {report.n} videos: "
         f"srcc nawp={report.nawp.srcc:.4f}, ecr={report.ecr.srcc:.4f}"
@@ -289,7 +237,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = _read_records_file(args.records)
+    records = read_records(args.records)
     if not records:
         raise DataError("no records to report on")
     nawp_values = [r.nawp for r in records]
@@ -300,7 +248,7 @@ def cmd_report(args) -> int:
         "ecr": distribution_report([r.ecr for r in records], args.bins, metric_name="ecr").to_dict(),
         "correlation": metric_correlation(records),
     }
-    _dump_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(
         f"nawp bimodality={payload['nawp']['bimodality_coefficient']:.4f}, "
         f"ecr bimodality={payload['ecr']['bimodality_coefficient']:.4f}"

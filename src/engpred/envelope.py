@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, FitError, NumericError
 from .metrics import plcc, srcc
-from .records import VideoRecord
+from .records import JsonFields, VideoRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,7 +26,7 @@ class FitStats:
 
 
 @dataclass(frozen=True, slots=True)
-class EnvelopeModel:
+class EnvelopeModel(JsonFields):
     """Fitted watch-time ceiling f_max(d) = slope_a * d + intercept_b."""
 
     slope_a: float
@@ -37,35 +37,6 @@ class EnvelopeModel:
 
     def f_max(self, duration_s: float) -> float:
         return self.slope_a * duration_s + self.intercept_b
-
-    def to_dict(self) -> dict:
-        return {
-            "slope_a": self.slope_a,
-            "intercept_b": self.intercept_b,
-            "quantile_tau": self.quantile_tau,
-            "bin_width_s": self.bin_width_s,
-            "fit_stats": {
-                "bins_used": self.fit_stats.bins_used,
-                "residual_rmse": self.fit_stats.residual_rmse,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EnvelopeModel":
-        try:
-            stats = payload.get("fit_stats", {})
-            return cls(
-                slope_a=float(payload["slope_a"]),
-                intercept_b=float(payload["intercept_b"]),
-                quantile_tau=float(payload.get("quantile_tau", 0.97)),
-                bin_width_s=float(payload.get("bin_width_s", 1.0)),
-                fit_stats=FitStats(
-                    bins_used=int(stats.get("bins_used", 0)),
-                    residual_rmse=float(stats.get("residual_rmse", 0.0)),
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid envelope payload: {exc}") from exc
 
 
 def fit_envelope(
@@ -146,21 +117,13 @@ def annotate_nawp(records: Iterable[VideoRecord], env: EnvelopeModel) -> list[Vi
 
 
 @dataclass(frozen=True, slots=True)
-class DistributionReport:
+class DistributionReport(JsonFields):
     """Equal-width histogram plus the bimodality coefficient."""
 
     metric_name: str
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
     bimodality_coefficient: float
-
-    def to_dict(self) -> dict:
-        return {
-            "metric_name": self.metric_name,
-            "bin_edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "bimodality_coefficient": self.bimodality_coefficient,
-        }
 
 
 def bimodality_coefficient(values) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
+from .records import JsonFields
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -154,21 +155,13 @@ def grouped_srcc(pred, truth, durations, group_width_s: float) -> dict:
 
 
 @dataclass
-class MetricBlock:
+class MetricBlock(JsonFields):
     """SRCC/PLCC/RMSE/top-K RMSE for one predicted metric."""
 
     srcc: float
     plcc: float
     rmse: float
     rmse_topk: float
-
-    def to_dict(self) -> dict:
-        return {
-            "srcc": self.srcc,
-            "plcc": self.plcc,
-            "rmse": self.rmse,
-            "rmse_topk": self.rmse_topk,
-        }
 
 
 @dataclass

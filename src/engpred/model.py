@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
+from .records import JsonFields
 
 VISUAL_KINDS = ("semantic", "distortion", "action", "aesthetic", "caption_mid")
 TEXT_KIND = "text"
@@ -36,7 +37,7 @@ def _default_feature_dims() -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonFields):
     d_model: int = 256
     feature_dims: Mapping[str, int] = field(default_factory=_default_feature_dims)
     frames_per_clip: int = 16
@@ -84,36 +85,6 @@ class ModelConfig:
     def ecr_clip_count(self, frame_rate: float, n_clips: int) -> int:
         window = math.floor(self.ecr_window_s * frame_rate / self.frames_per_clip)
         return min(n_clips, max(1, window))
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "feature_dims": {k: self.feature_dims[k] for k in ALL_KINDS if k in self.feature_dims},
-            "frames_per_clip": self.frames_per_clip,
-            "max_clips": self.max_clips,
-            "features": list(self.features),
-            "ecr_window_s": self.ecr_window_s,
-            "duration_as_input": self.duration_as_input,
-            "ecr_causal_mask": self.ecr_causal_mask,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        cfg = cls(
-            d_model=int(payload.get("d_model", 256)),
-            feature_dims={
-                str(k): int(v)
-                for k, v in payload.get("feature_dims", _default_feature_dims()).items()
-            },
-            frames_per_clip=int(payload.get("frames_per_clip", 16)),
-            max_clips=int(payload.get("max_clips", 225)),
-            features=tuple(payload.get("features", list(ALL_KINDS))),
-            ecr_window_s=float(payload.get("ecr_window_s", 5.0)),
-            duration_as_input=bool(payload.get("duration_as_input", False)),
-            ecr_causal_mask=bool(payload.get("ecr_causal_mask", False)),
-        )
-        cfg.validate()
-        return cfg
 
 
 @dataclass

@@ -1,17 +1,163 @@
-"""Core record types and their JSON-lines encodings.
+"""Core record types, their JSON-lines encodings, and the package's JSON I/O.
 
 JSONL field order is fixed so that repeated runs produce byte-identical
-output files.
+output files. Every JSON and JSONL artifact is written through
+``atomic_write`` (by ``write_json`` or ``write_jsonl``), so a failed write
+leaves the previous file in place, and every JSONL file except the event
+stream is read by ``read_jsonl``. Config dataclasses take their JSON schema
+from their fields (``JsonFields``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+import os
+import types
+from collections.abc import Mapping
+from contextlib import contextmanager, suppress
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from pathlib import Path
+from typing import IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from .errors import DataError
+
+
+def typed_value(value: Any, tp: Any, where: str) -> Any:
+    """``value`` checked against the annotation ``tp``; JSON lists become tuples.
+
+    Integers are accepted for float fields and converted; bools are never
+    numbers. Nested dataclasses are built from JSON objects.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return _from_fields(tp, value, where)
+    if origin in (Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return typed_value(value, inner, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        item_types = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
+        if len(item_types) == len(value):
+            return tuple(
+                typed_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, item_types))
+            )
+    elif origin in (dict, Mapping) and isinstance(value, dict):
+        key_type, value_type = args
+        return {
+            typed_value(k, key_type, where): typed_value(v, value_type, f"{where}[{k!r}]")
+            for k, v in value.items()
+        }
+    elif tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            return float(value)
+    elif tp in (int, str, bool) and isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise DataError(f"{where} must be {tp if origin else tp.__name__}, got {value!r}")
+
+
+def _from_fields(cls: type, payload: Any, where: str) -> Any:
+    """Dataclass ``cls`` built from a JSON object whose keys are its fields."""
+    if not isinstance(payload, dict):
+        raise DataError(f"{where} must be a JSON object, got {payload!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = [k for k in payload if k not in known]
+    if unknown:
+        raise DataError(f"unknown {where} keys {unknown}")
+    missing = [
+        name
+        for name, f in known.items()
+        if name not in payload and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise DataError(f"{where} is missing keys {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{k: typed_value(v, hints[k], f"{where}.{k}") for k, v in payload.items()})
+
+
+class JsonFields:
+    """Mixin for dataclasses whose fields are their JSON schema."""
+
+    __slots__ = ()
+
+    def validate(self) -> None:
+        """Check values beyond their types; raises DataError."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Any):
+        """Reject unknown keys and wrong-typed values, then validate."""
+        obj = _from_fields(cls, payload, cls.__name__)
+        obj.validate()
+        return obj
+
+
+@contextmanager
+def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
+    """Write to a temporary file beside ``path``; replace ``path`` only on success."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _compact_json(obj: Any) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def write_json(path: Path | str, obj: Any) -> None:
+    """Pretty JSON with sorted keys and a trailing newline."""
+    with atomic_write(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] = _compact_json) -> None:
+    """One encoded row per line."""
+    with atomic_write(path) as f:
+        for row in rows:
+            f.write(encode(row))
+            f.write("\n")
+
+
+def open_input(path: Path | str, what: str) -> IO[str]:
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc}") from exc
+
+
+def _json_object(text: str, where: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise DataError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: not a JSON object")
+    return obj
+
+
+def read_json(path: Path | str, what: str) -> dict:
+    """A file holding one JSON object."""
+    with open_input(path, what) as f:
+        return _json_object(f.read(), f"{what} {path}")
+
+
+def read_jsonl(path: Path | str, what: str) -> list[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line; anything else raises DataError."""
+    with open_input(path, what) as f:
+        return [
+            (line_no, _json_object(line, f"{what} line {line_no}"))
+            for line_no, line in enumerate(f, start=1)
+            if line.strip()
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +215,7 @@ class VideoRecord:
 
 
 # Fixed key order for diff-stable JSONL output.
-_RECORD_KEYS = ("video_id", "duration_s", "views", "awt_s", "awp", "ecr", "like_rate", "nawp")
+_RECORD_KEYS = tuple(f.name for f in fields(VideoRecord))
 
 
 def record_to_json(record: VideoRecord) -> str:
@@ -77,36 +223,29 @@ def record_to_json(record: VideoRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def record_from_json(line: str) -> VideoRecord:
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid record JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError("record line is not a JSON object")
-    try:
-        return VideoRecord(
-            video_id=str(payload["video_id"]),
-            duration_s=float(payload["duration_s"]),
-            views=int(payload["views"]),
-            awt_s=float(payload["awt_s"]),
-            awp=float(payload["awp"]),
-            ecr=float(payload["ecr"]),
-            like_rate=None if payload.get("like_rate") is None else float(payload["like_rate"]),
-            nawp=None if payload.get("nawp") is None else float(payload["nawp"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid record fields: {exc}") from exc
+def write_records(path: Path | str, records: Iterable[VideoRecord]) -> None:
+    write_jsonl(path, records, record_to_json)
 
 
-def write_records(f: IO[str], records: Iterable[VideoRecord]) -> None:
-    for record in records:
-        f.write(record_to_json(record))
-        f.write("\n")
-
-
-def read_records(f: IO[str]) -> list[VideoRecord]:
-    return [record_from_json(line) for line in f if line.strip()]
+def read_records(path: Path | str) -> list[VideoRecord]:
+    records = []
+    for line_no, payload in read_jsonl(path, "records"):
+        try:
+            records.append(
+                VideoRecord(
+                    video_id=str(payload["video_id"]),
+                    duration_s=float(payload["duration_s"]),
+                    views=int(payload["views"]),
+                    awt_s=float(payload["awt_s"]),
+                    awp=float(payload["awp"]),
+                    ecr=float(payload["ecr"]),
+                    like_rate=None if payload.get("like_rate") is None else float(payload["like_rate"]),
+                    nawp=None if payload.get("nawp") is None else float(payload["nawp"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"records line {line_no}: invalid fields: {exc}") from exc
+    return records
 
 
 def meta_to_json(meta: VideoMeta) -> str:
@@ -118,20 +257,17 @@ def meta_to_json(meta: VideoMeta) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def read_metas(f: IO[str]) -> dict[str, VideoMeta]:
+def read_metas(path: Path | str) -> dict[str, VideoMeta]:
     """Load a meta table keyed by video_id; duplicate ids are an error."""
     metas: dict[str, VideoMeta] = {}
-    for line_no, line in enumerate(f, start=1):
-        if not line.strip():
-            continue
+    for line_no, payload in read_jsonl(path, "metas"):
         try:
-            payload = json.loads(line)
             meta = VideoMeta(
                 video_id=str(payload["video_id"]),
                 duration_s=float(payload["duration_s"]),
                 frame_rate=float(payload["frame_rate"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"meta line {line_no}: {exc}") from exc
         meta.validate()
         if meta.video_id in metas:

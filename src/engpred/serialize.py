@@ -12,7 +12,6 @@ u32 n_clips | f64 frame_rate`` followed by named arrays until EOF.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
@@ -20,6 +19,7 @@ from typing import IO, TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
+from .records import atomic_write, read_jsonl
 
 if TYPE_CHECKING:
     from .model import FeatureBundle
@@ -79,7 +79,7 @@ def read_named_arrays(f: IO[bytes]) -> dict[str, np.ndarray]:
 
 
 def save_weights(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         _write_u32(f, FORMAT_VERSION)
         write_named_arrays(f, arrays)
@@ -99,7 +99,7 @@ def load_weights(path: Path | str) -> dict[str, np.ndarray]:
 def save_bundle(path: Path | str, bundle: "FeatureBundle") -> None:
     from .model import TEXT_KIND
 
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(FEATURES_MAGIC)
         _write_u32(f, FORMAT_VERSION)
         encoded = bundle.video_id.encode("utf-8")
@@ -152,33 +152,13 @@ MANIFEST_REQUIRED_KEYS = (
 )
 
 
-def write_manifest(path: Path | str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, separators=(",", ":")))
-            f.write("\n")
-
-
 def read_manifest(path: Path | str) -> list[dict]:
     rows = []
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open manifest {path}: {exc}") from exc
-    with f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"manifest line {line_no}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(row, dict):
-                raise DataError(f"manifest line {line_no}: not a JSON object")
-            missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in row]
-            if missing:
-                raise DataError(f"manifest line {line_no}: missing keys {missing}")
-            rows.append(row)
+    for line_no, row in read_jsonl(path, "manifest"):
+        missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in row]
+        if missing:
+            raise DataError(f"manifest line {line_no}: missing keys {missing}")
+        rows.append(row)
     if not rows:
         raise DataError(f"manifest {path} is empty")
     return rows

@@ -26,12 +26,12 @@ import numpy as np
 from .errors import DataError
 from .metrics import plcc, srcc
 from .model import VISUAL_KINDS, FeatureBundle
-from .records import VideoMeta, VideoRecord, WatchEvent
-from .serialize import save_bundle, write_manifest
+from .records import JsonFields, VideoMeta, VideoRecord, WatchEvent, write_jsonl
+from .serialize import save_bundle
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonFields):
     n_videos: int = 500
     views_per_video: int = 300
     duration_min_s: float = 10.0
@@ -83,51 +83,6 @@ class SynthConfig:
             raise DataError("skip_mean_s must be positive")
         if self.text_vocab < self.text_bands or self.text_bands < 1:
             raise DataError("text_vocab must cover at least one word per band")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_videos": self.n_videos,
-            "views_per_video": self.views_per_video,
-            "duration_min_s": self.duration_min_s,
-            "duration_max_s": self.duration_max_s,
-            "frame_rate": self.frame_rate,
-            "frames_per_clip": self.frames_per_clip,
-            "mixture_weights": list(self.mixture_weights),
-            "mixture_means": list(self.mixture_means),
-            "mixture_sigmas": list(self.mixture_sigmas),
-            "envelope_a": self.envelope_a,
-            "envelope_b": self.envelope_b,
-            "envelope_tau": self.envelope_tau,
-            "engaged_ref_p": self.engaged_ref_p,
-            "engaged_halfwidth": self.engaged_halfwidth,
-            "skip_mean_s": self.skip_mean_s,
-            "coupling": self.coupling,
-            "theta_jitter_max": self.theta_jitter_max,
-            "ecr_threshold_s": self.ecr_threshold_s,
-            "feature_noise": self.feature_noise,
-            "feature_dim": self.feature_dim,
-            "text_dim": self.text_dim,
-            "text_vocab": self.text_vocab,
-            "text_bands": self.text_bands,
-            "text_tokens_per_video": self.text_tokens_per_video,
-            "like_base": self.like_base,
-            "like_slope": self.like_slope,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SynthConfig":
-        kwargs = {}
-        valid = set(cls.__dataclass_fields__)
-        for key, value in payload.items():
-            if key not in valid:
-                raise DataError(f"unknown synth config key {key!r}")
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
 
 
 def _normal_cdf(x: float) -> float:
@@ -391,7 +346,7 @@ def generate_features(
             }
         )
     if base is not None:
-        write_manifest(base / "manifest.jsonl", rows)
+        write_jsonl(base / "manifest.jsonl", rows)
     return rows, bundles
 
 

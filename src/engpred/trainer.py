@@ -29,6 +29,7 @@ from .model import (
     init_params,
 )
 from .optim import AdamState, adam_step, cosine_lr
+from .records import JsonFields, write_json, write_jsonl
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
 
 MODES = ("joint", "nawp_only", "ecr_only")
@@ -38,7 +39,7 @@ _TARGET_LABEL_KEYS = {"nawp": "nawp_label", "awt": "awt_label", "awp": "awp_labe
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonFields):
     batch_size: int = 8
     iterations: int = 3000
     lr_max: float = 1e-4
@@ -63,30 +64,6 @@ class TrainConfig:
             raise DataError(f"target must be one of {TARGETS}")
         if self.eval_interval < 1:
             raise DataError("eval_interval must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "lr_max": self.lr_max,
-            "lr_min": self.lr_min,
-            "seed": self.seed,
-            "mode": self.mode,
-            "target": self.target,
-            "duration_as_input": self.duration_as_input,
-            "split_ratio": self.split_ratio,
-            "eval_interval": self.eval_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        valid = set(cls.__dataclass_fields__)
-        unknown = [k for k in payload if k not in valid]
-        if unknown:
-            raise DataError(f"unknown train config keys {unknown}")
-        cfg = cls(**payload)
-        cfg.validate()
-        return cfg
 
 
 def split_dataset(ids, split_ratio: float, seed: int) -> tuple[list[str], list[str]]:
@@ -419,14 +396,8 @@ def train(
             model_cfg,
             label_scale,
         )
-        with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as f:
-            for row in log_rows:
-                f.write(json.dumps(row, separators=(",", ":")))
-                f.write("\n")
-        with open(out_dir / "test_predictions.jsonl", "w", encoding="utf-8") as f:
-            for row in predictions:
-                f.write(json.dumps(row, separators=(",", ":")))
-                f.write("\n")
+        write_jsonl(out_dir / "train_log.jsonl", log_rows)
+        write_jsonl(out_dir / "test_predictions.jsonl", predictions)
         summary = {
             "iterations": train_cfg.iterations,
             "mode": train_cfg.mode,
@@ -437,9 +408,7 @@ def train(
             "final_srcc_nawp": result.final_srcc_nawp,
             "final_srcc_ecr": result.final_srcc_ecr,
         }
-        with open(out_dir / "train_summary.json", "w", encoding="utf-8") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(out_dir / "train_summary.json", summary)
         result.checkpoint_path = checkpoint_path
     return result
 
@@ -471,7 +440,5 @@ def compare_modes(
         },
     }
     if out_dir is not None:
-        with open(Path(out_dir) / "mode_comparison.json", "w", encoding="utf-8") as f:
-            json.dump(comparison, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(Path(out_dir) / "mode_comparison.json", comparison)
     return comparison

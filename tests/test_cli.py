@@ -68,6 +68,43 @@ class TestDataErrors:
         bad.write_text('{"no_such_knob": 3}')
         assert run_cli("synth", "--out", str(tmp_path / "o"), "--config", str(bad)) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("synth", '{"n_videos": "8"}'),
+            ("train", '{"batch_size": "8"}'),
+            ("train", '{"d_model": "8"}'),
+            ("train", '{"no_such_knob": 3}'),
+        ],
+    )
+    def test_bad_config_values(self, corpus, tmp_path, command, config):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(config)
+        out = ["--out", str(tmp_path / "o")] if command == "synth" else [
+            "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "o")]
+        assert run_cli(command, *out, "--config", str(bad)) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"video_id": "v00000", "ecr_hat": 0.5}',
+            '["v00000", 0.5, 0.5]',
+            '{"video_id": 7, "nawp_hat": 0.5, "ecr_hat": 0.5}',
+            '{"video_id": "v00000", "nawp_hat": "0.5", "ecr_hat": 0.5}',
+        ],
+    )
+    def test_malformed_prediction_row(self, corpus, tmp_path, row):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(row + "\n")
+        code = run_cli(
+            "eval",
+            "--predictions", str(preds),
+            "--manifest", str(corpus / "manifest.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == EXIT_DATA
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNumericErrors:
     def test_degenerate_fit_exits_three(self, tmp_path):

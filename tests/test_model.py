@@ -400,3 +400,20 @@ def test_config_json_round_trip():
     cfg = ModelConfig(d_model=16, features=("semantic", "action", "text"), ecr_causal_mask=True)
     clone = ModelConfig.from_dict(cfg.to_dict())
     assert clone == cfg
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"d_model": "8"},
+        {"d_model": 8.0},
+        {"ecr_window_s": 10**400},
+        {"ecr_causal_mask": 1},
+        {"features": "semantic"},
+        {"feature_dims": {"text": "64"}},
+        {"no_such_key": 1},
+    ],
+)
+def test_config_from_dict_rejects_bad_payloads(payload):
+    with pytest.raises(DataError):
+        ModelConfig.from_dict(payload)

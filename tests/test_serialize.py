@@ -1,17 +1,19 @@
 """Round-trips and validation for the ENGW/ENGF binary containers."""
 
+import json
+
 import numpy as np
 import pytest
 
 from engpred.errors import DataError
 from engpred.model import FeatureBundle
+from engpred.records import write_json, write_jsonl
 from engpred.serialize import (
     load_bundle,
     load_weights,
     read_manifest,
     save_bundle,
     save_weights,
-    write_manifest,
 )
 
 
@@ -126,13 +128,25 @@ class TestManifest:
             }
         ]
         path = tmp_path / "manifest.jsonl"
-        write_manifest(path, rows)
+        write_jsonl(path, rows)
         assert read_manifest(path) == rows
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text('{"video_id": "v0"}\n')
         with pytest.raises(DataError):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [("{broken", "manifest line 2: invalid JSON"), ("[1, 2]", "manifest line 2: not a JSON object")],
+    )
+    def test_bad_line_rejected_with_its_number(self, tmp_path, second_line, message):
+        row = {k: "x" for k in ("video_id", "feature_path")}
+        row.update(duration_s=20.0, frame_rate=16.0, nawp_label=0.4, ecr_label=0.6)
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(row) + "\n" + second_line + "\n")
+        with pytest.raises(DataError, match=message):
             read_manifest(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -144,3 +158,30 @@ class TestManifest:
         path.write_text("")
         with pytest.raises(DataError):
             read_manifest(path)
+
+
+def _rows_failing_after_one():
+    yield {"video_id": "v0"}
+    raise RuntimeError("fails mid-write")
+
+
+class TestAtomicWrites:
+    """A writer that fails part-way leaves the previous file and no temporary file."""
+
+    FAILING_WRITES = {
+        "write_json": lambda path: write_json(path, {"a": 1.0, "b": object()}),
+        "write_jsonl": lambda path: write_jsonl(path, _rows_failing_after_one()),
+        "save_weights": lambda path: save_weights(path, {"a": np.ones(2), "b": object()}),
+        "save_bundle": lambda path: save_bundle(
+            path, FeatureBundle("v0", 1, 16.0, {"semantic": np.ones((1, 2))}, object())
+        ),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+    def test_failed_write_keeps_old_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous contents\n")
+        with pytest.raises((TypeError, RuntimeError)):
+            self.FAILING_WRITES[writer](path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert list(tmp_path.iterdir()) == [path]

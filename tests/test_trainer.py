@@ -7,12 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from engpred.autodiff import Tape
 from engpred.errors import DataError, NumericError
-from engpred.model import ALL_KINDS, ModelConfig, init_params
+from engpred.model import ALL_KINDS, ModelConfig, config_for_bundle, forward, init_params
 from engpred.synth import SynthConfig, generate_events, generate_features
 from engpred.trainer import (
+    MODES,
     TrainConfig,
+    _video_loss_node,
     compare_modes,
+    config_hash,
     load_checkpoint,
     loss_value,
     save_checkpoint,
@@ -106,6 +110,27 @@ class TestLossValue:
         for _ in range(20):
             p, q, r, s = (rng.random(5) for _ in range(4))
             assert loss_value(p, q, r, s) >= 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_trainer_tape_loss(self, mode):
+        """The trainer's summed per-video tape loss is loss_value over the batch."""
+        rows, bundles = generate_features(generate_events(SMALL_SYNTH).truth, SMALL_SYNTH)
+        batch = rows[:5]
+        cfg = config_for_bundle(SMALL_MODEL, bundles[batch[0]["video_id"]])
+        params = init_params(cfg, seed=3)
+        tape_loss, pred_nawp, pred_ecr = 0.0, [], []
+        for row in batch:
+            with Tape():
+                res = forward(bundles[row["video_id"]], params, cfg, duration_s=row["duration_s"])
+                node = _video_loss_node(res, row["nawp_label"], row["ecr_label"], mode, 1.0 / len(batch))
+            tape_loss += float(node.data)
+            pred_nawp.append(res.nawp_hat)
+            pred_ecr.append(res.ecr_hat)
+        truth_nawp = [row["nawp_label"] for row in batch]
+        truth_ecr = [row["ecr_label"] for row in batch]
+        expected = loss_value(pred_nawp, pred_ecr, truth_nawp, truth_ecr, mode=mode)
+        assert expected > 0.0
+        assert abs(tape_loss - expected) <= 1e-12
 
 
 class TestTrainLoop:
@@ -264,6 +289,15 @@ class TestCompareModes:
         assert (out / "ecr_only" / "checkpoint.engw").exists()
 
 
+def test_config_hash_pinned():
+    """Digests of earlier releases: their checkpoints must still resume."""
+    assert config_hash(TrainConfig(), ModelConfig()).hex() == (
+        "6b871d5bb911ed6f80d0a7e9fd11c4148a16de5db33e8a06c596ea35c1321752"
+    )
+    small = config_hash(TrainConfig(batch_size=4, iterations=40, seed=33), ModelConfig(d_model=8, max_clips=64))
+    assert small.hex() == "912772b0027b135872fcea37553bc0bf33859664f6784e6f1c43866d13473098"
+
+
 def test_config_validation():
     with pytest.raises(DataError):
         TrainConfig(mode="bogus").validate()
@@ -271,4 +305,6 @@ def test_config_validation():
         TrainConfig(split_ratio=1.5).validate()
     with pytest.raises(DataError):
         TrainConfig.from_dict({"nonsense": 1})
+    with pytest.raises(DataError):
+        TrainConfig.from_dict({"batch_size": "8"})
     TrainConfig().validate()
