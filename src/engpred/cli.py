@@ -23,7 +23,7 @@ from .errors import DataError, EngpredError, NumericError
 from .metrics import evaluate_predictions
 from .model import ALL_KINDS, ModelConfig
 from .records import (
-    event_to_json,
+    atomic_write,
     meta_to_json,
     open_input,
     read_json,
@@ -31,6 +31,7 @@ from .records import (
     read_metas,
     read_records,
     typed_value,
+    write_events,
     write_json,
     write_jsonl,
     write_records,
@@ -72,7 +73,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_events(cfg)
-    write_jsonl(out / "events.jsonl", corpus.events, event_to_json)
+    with atomic_write(out / "events.jsonl") as f:
+        write_events(f, corpus.events)
     write_jsonl(out / "metas.jsonl", corpus.metas, meta_to_json)
     write_records(out / "truth_records.jsonl", corpus.truth_records)
     generate_features(corpus.truth, cfg, out_dir=out)
@@ -141,10 +143,14 @@ def cmd_fit_norm(args) -> int:
 
 
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
+_MODEL_KEYS = set(ModelConfig.__dataclass_fields__)
 
 
 def _train_configs(args) -> tuple[TrainConfig, ModelConfig]:
     payload = read_json(args.config, "train config") if args.config else {}
+    unknown = [k for k in payload if k not in _TRAIN_KEYS | _MODEL_KEYS]
+    if unknown:
+        raise DataError(f"unknown train config keys {unknown}")
     train_payload = {k: v for k, v in payload.items() if k in _TRAIN_KEYS}
     model_payload = {k: v for k, v in payload.items() if k not in _TRAIN_KEYS}
     flag_overrides = {

@@ -47,7 +47,17 @@ class ModelConfig(JsonFields):
     duration_as_input: bool = False
     ecr_causal_mask: bool = False
 
+    def __post_init__(self) -> None:
+        # Kinds in ALL_KINDS order, whatever order they were given in, so the
+        # config's JSON (and the checkpoint's meta/model_json) is canonical.
+        dims = dict(self.feature_dims)
+        known = {k: dims.pop(k) for k in ALL_KINDS if k in dims}
+        object.__setattr__(self, "feature_dims", {**known, **dims})
+
     def validate(self) -> None:
+        unknown = [k for k in self.feature_dims if k not in ALL_KINDS]
+        if unknown:
+            raise DataError(f"unknown feature kinds in feature_dims {unknown}")
         if self.d_model < 1:
             raise DataError("d_model must be >= 1")
         if self.frames_per_clip < 1:
@@ -305,8 +315,8 @@ def forward(
 
 
 def infer_feature_dims(bundle: FeatureBundle) -> dict[str, int]:
-    """Feature dimensions as carried by a bundle, keyed like ModelConfig."""
-    dims = {kind: int(arr.shape[1]) for kind, arr in bundle.clip_features.items()}
+    """Dimensions of the bundle's arrays of the kinds in ALL_KINDS; others are not model inputs."""
+    dims = {kind: int(arr.shape[1]) for kind, arr in bundle.clip_features.items() if kind in ALL_KINDS}
     dims[TEXT_KIND] = int(bundle.text_tokens.shape[1])
     return dims
 

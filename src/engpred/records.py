@@ -119,12 +119,16 @@ def write_json(path: Path | str, obj: Any) -> None:
         f.write("\n")
 
 
+def _write_lines(f: IO[str], rows: Iterable, encode: Callable[[Any], str]) -> None:
+    for row in rows:
+        f.write(encode(row))
+        f.write("\n")
+
+
 def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] = _compact_json) -> None:
     """One encoded row per line."""
     with atomic_write(path) as f:
-        for row in rows:
-            f.write(encode(row))
-            f.write("\n")
+        _write_lines(f, rows, encode)
 
 
 def open_input(path: Path | str, what: str) -> IO[str]:
@@ -228,6 +232,12 @@ def write_records(path: Path | str, records: Iterable[VideoRecord]) -> None:
 
 
 def read_records(path: Path | str) -> list[VideoRecord]:
+    """Records, one per line.
+
+    Fields are converted one by one, not through ``JsonFields``: a count
+    written as ``3.0``, a numeric video id and extra keys are accepted, so
+    files written by other tools keep loading. ``read_metas`` does the same.
+    """
     records = []
     for line_no, payload in read_jsonl(path, "records"):
         try:
@@ -287,9 +297,8 @@ def event_to_json(event: WatchEvent) -> str:
 
 
 def write_events(f: IO[str], events: Iterable[WatchEvent]) -> None:
-    for event in events:
-        f.write(event_to_json(event))
-        f.write("\n")
+    """The event log's lines, written to an open file so it can be streamed."""
+    _write_lines(f, events, event_to_json)
 
 
 def iter_lines(f: IO[str] | IO[bytes]) -> Iterator[str]:

@@ -75,6 +75,7 @@ class TestDataErrors:
             ("train", '{"batch_size": "8"}'),
             ("train", '{"d_model": "8"}'),
             ("train", '{"no_such_knob": 3}'),
+            ("train", '{"feature_dims": {"optical_flow": 3}}'),
         ],
     )
     def test_bad_config_values(self, corpus, tmp_path, command, config):
@@ -83,6 +84,13 @@ class TestDataErrors:
         out = ["--out", str(tmp_path / "o")] if command == "synth" else [
             "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "o")]
         assert run_cli(command, *out, "--config", str(bad)) == EXIT_DATA
+
+    def test_unknown_train_config_key_names_the_train_config(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"lr": 0.1}')
+        out = ["--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "o")]
+        assert run_cli("train", *out, "--config", str(bad)) == EXIT_DATA
+        assert "unknown train config keys ['lr']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row",

@@ -388,6 +388,19 @@ def test_config_for_bundle_infers_dims():
     assert cfg.feature_dims["text"] == 4
 
 
+def test_config_for_bundle_ignores_arrays_of_other_kinds():
+    bundle = tiny_bundle(dim=4, text_dim=4)
+    bundle.clip_features = {"optical_flow": np.zeros((bundle.n_clips, 3)), **bundle.clip_features}
+    cfg = config_for_bundle(ModelConfig(d_model=8), bundle)
+    assert list(cfg.feature_dims) == list(ALL_KINDS)
+    cfg.validate()
+
+
+def test_config_feature_dims_in_canonical_order():
+    cfg = ModelConfig.from_dict({"feature_dims": {k: 4 for k in reversed(ALL_KINDS)}})
+    assert list(cfg.to_dict()["feature_dims"]) == list(ALL_KINDS)
+
+
 def test_config_validation():
     with pytest.raises(DataError):
         ModelConfig(features=()).validate()
@@ -411,6 +424,7 @@ def test_config_json_round_trip():
         {"ecr_causal_mask": 1},
         {"features": "semantic"},
         {"feature_dims": {"text": "64"}},
+        {"feature_dims": {**{k: 4 for k in ALL_KINDS}, "optical_flow": 3}},
         {"no_such_key": 1},
     ],
 )

@@ -9,7 +9,7 @@ import pytest
 
 from engpred.autodiff import Tape
 from engpred.errors import DataError, NumericError
-from engpred.model import ALL_KINDS, ModelConfig, config_for_bundle, forward, init_params
+from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, config_for_bundle, forward, init_params
 from engpred.synth import SynthConfig, generate_events, generate_features
 from engpred.trainer import (
     MODES,
@@ -296,6 +296,18 @@ def test_config_hash_pinned():
     )
     small = config_hash(TrainConfig(batch_size=4, iterations=40, seed=33), ModelConfig(d_model=8, max_clips=64))
     assert small.hex() == "912772b0027b135872fcea37553bc0bf33859664f6784e6f1c43866d13473098"
+
+
+def test_config_hash_pinned_for_bundle_with_extra_array():
+    """An array of a kind the model does not read leaves the digest unchanged."""
+    rng = np.random.default_rng(0)
+    clip_features = {"optical_flow": rng.normal(size=(3, 3))}
+    for kind in reversed(ALL_KINDS[:-1]):
+        clip_features[kind] = rng.normal(size=(3, 5))
+    bundle = FeatureBundle("v0", 3, 4.0, clip_features, rng.normal(size=(2, 7)))
+    model_cfg = config_for_bundle(ModelConfig(d_model=8, max_clips=64), bundle)
+    digest = config_hash(TrainConfig(batch_size=4, iterations=40, seed=33), model_cfg)
+    assert digest.hex() == "4d22cdcd0a4d557537df70714237235a6139e96d070510b686f823cebba2c618"
 
 
 def test_config_validation():
