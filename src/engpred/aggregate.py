@@ -85,6 +85,9 @@ def parse_events(stream: IO[str] | IO[bytes] | Iterable[str]) -> Iterator[WatchE
         except json.JSONDecodeError as exc:
             yield ParseFailure(line_no, f"invalid JSON: {exc.msg}")
             continue
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            yield ParseFailure(line_no, f"invalid JSON: {exc}")
+            continue
         if not isinstance(payload, dict):
             yield ParseFailure(line_no, "line is not a JSON object")
             continue
@@ -96,7 +99,10 @@ def parse_events(stream: IO[str] | IO[bytes] | Iterable[str]) -> Iterator[WatchE
         if isinstance(watch, bool) or not isinstance(watch, (int, float)):
             yield ParseFailure(line_no, "watch_time_s is not a number")
             continue
-        watch = float(watch)
+        try:
+            watch = float(watch)
+        except OverflowError:  # an integer past the double range
+            watch = math.inf
         if not math.isfinite(watch):
             yield ParseFailure(line_no, "watch_time_s is not finite")
             continue

@@ -5,6 +5,9 @@ Design rules:
   - no implicit broadcasting — shapes must match exactly, with explicit
     row-vector ops (add_rowvec, mul_rowvec) for bias/affine patterns;
   - every op checks its output for NaN/Inf;
+  - ops that run over a packed batch (``attention``, ``segment_mean``) take
+    each segment's rows as ``(start, stop)`` bounds, so one op serves every
+    video of the batch without padding or cross-video terms;
   - ops record onto the thread's active Tape (if any); replaying the tape
     in reverse visits each op exactly once in reverse topological order
     and accumulates gradients into ``.grad``.
@@ -12,6 +15,7 @@ Design rules:
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -89,13 +93,22 @@ class Tape:
         return len(self._ops)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and replay ops in reverse order."""
+        """Seed d(loss)/d(loss) = 1 and replay ops in reverse order.
+
+        Each op's entry and its output's gradient are dropped once the op
+        has run, so intermediate arrays are freed during the pass; only
+        tensors no op produced (parameters and inputs) keep a ``.grad``.
+        The tape is empty afterwards.
+        """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(self._ops):
+        ops = self._ops
+        while ops:
+            out, backward_fn = ops.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
+                out.grad = None
 
 
 def _make(op: str, value: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -126,6 +139,86 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, a.data.T @ g)
 
     return _make("matmul", value, backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an (m, k) matrix, with b added to every row."""
+    _require_shape(x, 2, "linear")
+    _require_shape(w, 2, "linear")
+    _require_shape(b, 1, "linear")
+    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    value = x.data @ w.data
+    value += b.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return _make("linear", value, backward)
+
+
+def _require_bounds(bounds: Sequence[tuple[int, int]], n_rows: int, op: str) -> None:
+    if not bounds:
+        raise ValueError(f"{op} needs at least one segment")
+    for start, stop in bounds:
+        if not 0 <= start < stop <= n_rows:
+            raise ValueError(f"{op} segment [{start}:{stop}] out of range for {n_rows} rows")
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    q_bounds: Sequence[tuple[int, int]],
+    k_bounds: Sequence[tuple[int, int]],
+) -> Tensor:
+    """Scaled dot-product attention in which each segment sees only its own keys.
+
+    Query rows ``q_bounds[s]`` attend to key and value rows ``k_bounds[s]``
+    alone, with scores scaled by 1/sqrt(width of q): for one segment of each
+    this is ``softmax(q kᵀ / √d) v``. The query segments must tile q's rows
+    in order, so every output row belongs to exactly one segment. Only the
+    per-segment score blocks are formed, never a (rows × keys) mask.
+    """
+    for t in (q, k, v):
+        _require_shape(t, 2, "attention")
+    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+        raise ValueError(f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    if len(q_bounds) != len(k_bounds):
+        raise ValueError("attention needs one key segment per query segment")
+    _require_bounds(q_bounds, q.data.shape[0], "attention")
+    _require_bounds(k_bounds, k.data.shape[0], "attention")
+    starts = [start for start, _ in q_bounds]
+    stops = [stop for _, stop in q_bounds]
+    if starts != [0] + stops[:-1] or stops[-1] != q.data.shape[0]:
+        raise ValueError("attention query segments must tile the query rows in order")
+    c = 1.0 / math.sqrt(q.data.shape[1])
+    value = np.empty((q.data.shape[0], v.data.shape[1]))
+    probs = []
+    for (a, b), (lo, hi) in zip(q_bounds, k_bounds):
+        scores = (q.data[a:b] @ k.data[lo:hi].T) * c
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        probs.append(p)
+        value[a:b] = p @ v.data[lo:hi]
+
+    def backward(g: np.ndarray) -> None:
+        gq = np.zeros_like(q.data)
+        gk = np.zeros_like(k.data)
+        gv = np.zeros_like(v.data)
+        for (a, b), (lo, hi), p in zip(q_bounds, k_bounds, probs):
+            gv[lo:hi] += p.T @ g[a:b]
+            dp = g[a:b] @ v.data[lo:hi].T
+            ds = (dp - (dp * p).sum(axis=1, keepdims=True)) * p * c
+            gq[a:b] += ds @ k.data[lo:hi]
+            gk[lo:hi] += ds.T @ q.data[a:b]
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
+
+    return _make("attention", value, backward)
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -244,6 +337,37 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         _accumulate(x, full)
 
     return _make("slice_rows", x.data[start:stop].copy(), backward)
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """Rows ``x[index]`` of a matrix, in the given order; an index may repeat."""
+    _require_shape(x, 2, "gather_rows")
+    index = np.asarray(index, dtype=np.intp)
+    n = x.data.shape[0]
+    if index.ndim != 1 or index.size == 0 or index.min() < 0 or index.max() >= n:
+        raise ValueError(f"gather_rows needs a non-empty 1-d index into {n} rows")
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(x.data)
+        np.add.at(full, index, g)
+        _accumulate(x, full)
+
+    return _make("gather_rows", x.data[index], backward)
+
+
+def segment_mean(x: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
+    """Row s is the mean of rows ``bounds[s] = (start, stop)`` of a matrix."""
+    _require_shape(x, 2, "segment_mean")
+    _require_bounds(bounds, x.data.shape[0], "segment_mean")
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(x.data)
+        for (start, stop), row in zip(bounds, g):
+            full[start:stop] += row / (stop - start)
+        _accumulate(x, full)
+
+    value = np.stack([x.data[start:stop].mean(axis=0) for start, stop in bounds])
+    return _make("segment_mean", value, backward)
 
 
 def relu(x: Tensor) -> Tensor:

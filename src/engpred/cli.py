@@ -221,9 +221,10 @@ def cmd_eval(args) -> int:
         ids.append(vid)
         pred_nawp.append(typed_value(row.get("nawp_hat"), float, f"{where}: nawp_hat"))
         pred_ecr.append(typed_value(row.get("ecr_hat"), float, f"{where}: ecr_hat"))
-        truth_nawp.append(float(labels[vid]["nawp_label"]))
-        truth_ecr.append(float(labels[vid]["ecr_label"]))
-        durations.append(float(labels[vid]["duration_s"]))
+        label = labels[vid]
+        truth_nawp.append(typed_value(label["nawp_label"], float, f"manifest {vid!r}: nawp_label"))
+        truth_ecr.append(typed_value(label["ecr_label"], float, f"manifest {vid!r}: ecr_label"))
+        durations.append(typed_value(label["duration_s"], float, f"manifest {vid!r}: duration_s"))
     report = evaluate_predictions(
         pred_nawp,
         pred_ecr,

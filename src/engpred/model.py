@@ -8,6 +8,10 @@ plus learned position embeddings, pass through 8 pre-norm self-attention
 blocks. Two sigmoid heads read the temporal features: the watch-percentage
 head averages over all clips, the continuation head over the clips covering
 the opening seconds of the video.
+
+``forward_batch`` runs several videos as one pass over their concatenated
+clips, with attention kept inside each video; ``forward`` is its one-video
+case.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def count_parameters(params: dict[str, Tensor]) -> int:
 
 
 def _linear_layer(params, name: str, x: Tensor) -> Tensor:
-    return ad.add_rowvec(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _layer_norm_affine(params, name: str, x: Tensor) -> Tensor:
@@ -198,20 +202,28 @@ def _layer_norm_affine(params, name: str, x: Tensor) -> Tensor:
     )
 
 
-def _self_attention(params, prefix: str, x: Tensor, d_model: int) -> Tensor:
+Bounds = list[tuple[int, int]]
+
+
+def _bounds(lengths) -> Bounds:
+    """Row ranges of consecutive segments of the given lengths."""
+    stops = np.cumsum(lengths).tolist()
+    return [(stop - n, stop) for n, stop in zip(lengths, stops)]
+
+
+def _self_attention(params, prefix: str, x: Tensor, bounds: Bounds) -> Tensor:
     q = _linear_layer(params, f"{prefix}.q", x)
     k = _linear_layer(params, f"{prefix}.k", x)
     v = _linear_layer(params, f"{prefix}.v", x)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_model))
-    ctx = ad.matmul(ad.softmax_rows(scores), v)
-    return _linear_layer(params, f"{prefix}.o", ctx)
+    return _linear_layer(params, f"{prefix}.o", ad.attention(q, k, v, bounds, bounds))
 
 
-def _temporal_stack(params, config: ModelConfig, fused: Tensor, n_clips: int) -> Tensor:
-    x = ad.add(fused, ad.slice_rows(params["pos_embed"], 0, n_clips))
+def _temporal_stack(params, fused: Tensor, bounds: Bounds) -> Tensor:
+    positions = np.concatenate([np.arange(stop - start) for start, stop in bounds])
+    x = ad.add(fused, ad.gather_rows(params["pos_embed"], positions))
     for i in range(TEMPORAL_LAYERS):
         z = _layer_norm_affine(params, f"temporal.{i}.ln1", x)
-        x = ad.add(x, _self_attention(params, f"temporal.{i}.attn", z, config.d_model))
+        x = ad.add(x, _self_attention(params, f"temporal.{i}.attn", z, bounds))
         z = _layer_norm_affine(params, f"temporal.{i}.ln2", x)
         h = ad.relu(_linear_layer(params, f"temporal.{i}.mlp.0", z))
         x = ad.add(x, _linear_layer(params, f"temporal.{i}.mlp.1", h))
@@ -223,45 +235,113 @@ def _head(params, name: str, h: Tensor) -> Tensor:
     return ad.sigmoid(_linear_layer(params, f"{name}.1", hidden))
 
 
-def _fuse_clips(
-    params, config: ModelConfig, bundle: FeatureBundle, duration_s: float | None
-) -> Tensor:
-    projected: dict[str, Tensor] = {}
+def _check_bundle(bundle: FeatureBundle, config: ModelConfig, duration_s: float | None) -> None:
+    bundle.validate()
+    if bundle.n_clips > config.max_clips:
+        raise DataError(
+            f"bundle {bundle.video_id!r} has {bundle.n_clips} clips, "
+            f"model supports {config.max_clips}"
+        )
     for kind in config.visual_kinds:
         if kind not in bundle.clip_features:
             raise DataError(f"bundle {bundle.video_id!r} is missing {kind!r} features")
-        x = Tensor(bundle.clip_features[kind])
-        if x.shape[1] != config.feature_dims[kind]:
+        dim = bundle.clip_features[kind].shape[1]
+        if dim != config.feature_dims[kind]:
             raise DataError(
-                f"bundle {bundle.video_id!r}: {kind} dim {x.shape[1]} != "
+                f"bundle {bundle.video_id!r}: {kind} dim {dim} != "
                 f"configured {config.feature_dims[kind]}"
             )
+    if config.cross_attention_enabled:
+        dim = bundle.text_tokens.shape[1]
+        if dim != config.feature_dims[TEXT_KIND]:
+            raise DataError(
+                f"bundle {bundle.video_id!r}: text dim {dim} != "
+                f"configured {config.feature_dims[TEXT_KIND]}"
+            )
+    if config.duration_as_input and duration_s is None:
+        raise DataError("duration_as_input requires duration_s")
+
+
+def _fuse_clips(params, config: ModelConfig, bundles: list[FeatureBundle], durations) -> Tensor:
+    projected: dict[str, Tensor] = {}
+    for kind in config.visual_kinds:
+        x = Tensor(np.concatenate([b.clip_features[kind] for b in bundles]))
         h = ad.relu(_linear_layer(params, f"proj.{kind}.0", x))
         projected[kind] = _linear_layer(params, f"proj.{kind}.1", h)
     parts = [projected[kind] for kind in config.visual_kinds]
     if config.cross_attention_enabled:
-        text = Tensor(bundle.text_tokens)
-        if text.shape[1] != config.feature_dims[TEXT_KIND]:
-            raise DataError(
-                f"bundle {bundle.video_id!r}: text dim {text.shape[1]} != "
-                f"configured {config.feature_dims[TEXT_KIND]}"
-            )
+        # Each video's clips query that video's text tokens only.
+        text = Tensor(np.concatenate([b.text_tokens for b in bundles]))
         q = _linear_layer(params, "xattn.q", projected["action"])
         k = _linear_layer(params, "xattn.k", text)
         v = _linear_layer(params, "xattn.v", text)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(config.d_model))
-        ctx = ad.matmul(ad.softmax_rows(scores), v)
-        parts.append(_linear_layer(params, "xattn.o", ctx))
+        clip_bounds = _bounds([b.n_clips for b in bundles])
+        text_bounds = _bounds([b.text_tokens.shape[0] for b in bundles])
+        parts.append(_linear_layer(params, "xattn.o", ad.attention(q, k, v, clip_bounds, text_bounds)))
     if config.duration_as_input:
-        if duration_s is None:
-            raise DataError("duration_as_input requires duration_s")
-        parts.append(Tensor(np.full((bundle.n_clips, 1), duration_s / 60.0)))
+        parts.append(
+            Tensor(np.concatenate([np.full((b.n_clips, 1), d / 60.0) for b, d in zip(bundles, durations)]))
+        )
     h = ad.concat(parts, axis=1)
     for i in range(FUSION_LAYERS):
         h = _linear_layer(params, f"fusion.{i}", h)
         if i < FUSION_LAYERS - 1:
             h = ad.relu(h)
     return h
+
+
+@dataclass
+class BatchResult:
+    """Outputs of one pass over a packed batch; rows of ``f1``/``f2`` are clips."""
+
+    nawp_node: Tensor  # (videos, 1)
+    ecr_node: Tensor  # (videos, 1)
+    f1: Tensor  # (clips, 1) watch-percentage head
+    f2: Tensor  # (clips, 1) continuation head
+    n_ecr_clips: list[int]
+
+
+def forward_batch(
+    bundles: list[FeatureBundle],
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    durations: list[float | None] | None = None,
+) -> BatchResult:
+    """Run the network once over the row-concatenated clips of several videos.
+
+    Every layer runs once for the whole batch. Row-wise layers need no
+    padding, and attention is restricted to each video's own rows (its text
+    tokens, for cross-attention), so no video sees another; each video's
+    estimates are means over its own rows. Up to floating-point reduction
+    order, the results equal separate passes over each video.
+    """
+    if durations is None:
+        durations = [None] * len(bundles)
+    for bundle, duration_s in zip(bundles, durations, strict=True):
+        _check_bundle(bundle, config, duration_s)
+    bounds = _bounds([b.n_clips for b in bundles])
+    fused = _fuse_clips(params, config, bundles, durations)
+    temporal = _temporal_stack(params, fused, bounds)
+    f1 = _head(params, "head_nawp", temporal)
+    f2 = _head(params, "head_ecr", temporal)
+    n_ecr = [config.ecr_clip_count(b.frame_rate, b.n_clips) for b in bundles]
+    windows = [(start, start + n) for (start, _), n in zip(bounds, n_ecr)]
+    if config.ecr_causal_mask:
+        # A second temporal pass over the opening clips of every video, so
+        # later clips cannot reach the continuation estimate via attention.
+        rows = np.concatenate([np.arange(start, stop) for start, stop in windows])
+        opening = _bounds(n_ecr)
+        masked = _temporal_stack(params, ad.gather_rows(fused, rows), opening)
+        ecr_node = ad.segment_mean(_head(params, "head_ecr", masked), opening)
+    else:
+        ecr_node = ad.segment_mean(f2, windows)
+    return BatchResult(
+        nawp_node=ad.segment_mean(f1, bounds),
+        ecr_node=ecr_node,
+        f1=f1,
+        f2=f2,
+        n_ecr_clips=n_ecr,
+    )
 
 
 @dataclass
@@ -280,35 +360,16 @@ def forward(
     config: ModelConfig,
     duration_s: float | None = None,
 ) -> ForwardResult:
-    """Run the network on one video's feature bundle."""
-    bundle.validate()
-    if bundle.n_clips > config.max_clips:
-        raise DataError(
-            f"bundle {bundle.video_id!r} has {bundle.n_clips} clips, "
-            f"model supports {config.max_clips}"
-        )
-    fused = _fuse_clips(params, config, bundle, duration_s)
-    temporal = _temporal_stack(params, config, fused, bundle.n_clips)
-    f1 = _head(params, "head_nawp", temporal)
-    f2 = _head(params, "head_ecr", temporal)
-    n_ecr = config.ecr_clip_count(bundle.frame_rate, bundle.n_clips)
-    nawp_node = ad.mean_axis(ad.mean_axis(f1, 0), 0)
-    if config.ecr_causal_mask:
-        # Recompute the temporal stack on the opening clips only, so later
-        # clips cannot leak into the continuation estimate via attention.
-        masked = _temporal_stack(
-            params, config, ad.slice_rows(fused, 0, n_ecr), n_ecr
-        )
-        ecr_source = _head(params, "head_ecr", masked)
-    else:
-        ecr_source = ad.slice_rows(f2, 0, n_ecr)
-    ecr_node = ad.mean_axis(ad.mean_axis(ecr_source, 0), 0)
-    per_clip = [(float(a), float(b)) for a, b in zip(f1.data[:, 0], f2.data[:, 0])]
+    """Run the network on one video's feature bundle (a batch of one)."""
+    out = forward_batch([bundle], params, config, [duration_s])
+    nawp_node = ad.mean_axis(ad.mean_axis(out.nawp_node, 0), 0)
+    ecr_node = ad.mean_axis(ad.mean_axis(out.ecr_node, 0), 0)
+    per_clip = [(float(a), float(b)) for a, b in zip(out.f1.data[:, 0], out.f2.data[:, 0])]
     return ForwardResult(
         nawp_hat=float(nawp_node.data),
         ecr_hat=float(ecr_node.data),
         per_clip=per_clip,
-        n_ecr_clips=n_ecr,
+        n_ecr_clips=out.n_ecr_clips[0],
         nawp_node=nawp_node,
         ecr_node=ecr_node,
     )

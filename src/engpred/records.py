@@ -101,7 +101,11 @@ def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        try:
+            f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+        except OSError as exc:  # e.g. the directory does not exist
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -131,14 +135,19 @@ def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] =
         _write_lines(f, rows, encode)
 
 
-def open_input(path: Path | str, what: str) -> IO[str]:
+def open_input(path: Path | str, what: str) -> IO[bytes]:
+    """The input file opened as bytes; each reader decodes it as UTF-8 itself."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open {what} {path}: {exc}") from exc
 
 
-def _json_object(text: str, where: str) -> dict:
+def _json_object(raw: bytes, where: str) -> dict:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

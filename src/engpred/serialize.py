@@ -12,6 +12,8 @@ u32 n_clips | f64 frame_rate`` followed by named arrays until EOF.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
@@ -33,15 +35,35 @@ def _write_u32(f: IO[bytes], value: int) -> None:
     f.write(struct.pack("<I", value))
 
 
-def _read_exact(f: IO[bytes], n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataError(f"truncated file while reading {what}")
-    return buf
+class _Reader:
+    """Reads a binary file front to back.
 
+    Every length the file declares is checked against the bytes left in it
+    before anything is read, so a corrupt length gives a DataError, never an
+    allocation of that size.
+    """
 
-def _read_u32(f: IO[bytes], what: str) -> int:
-    return struct.unpack("<I", _read_exact(f, 4, what))[0]
+    def __init__(self, f: IO[bytes]) -> None:
+        self.f = f
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def read(self, n: int, what: str) -> bytes:
+        buf = self.f.read(n) if n <= self.left else b""
+        if len(buf) != n:
+            raise DataError(f"truncated file while reading {what}")
+        self.left -= n
+        return buf
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.read(4, what))[0]
+
+    def text(self, what: str) -> str:
+        """A u32 byte length, then that many bytes of UTF-8."""
+        raw = self.read(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{what} is not UTF-8") from exc
 
 
 def write_named_arrays(f: IO[bytes], arrays: dict[str, np.ndarray]) -> None:
@@ -56,26 +78,18 @@ def write_named_arrays(f: IO[bytes], arrays: dict[str, np.ndarray]) -> None:
         f.write(data.tobytes(order="C"))
 
 
-def read_named_arrays(f: IO[bytes]) -> dict[str, np.ndarray]:
+def read_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
-    while True:
-        head = f.read(4)
-        if not head:
-            return arrays
-        if len(head) != 4:
-            raise DataError("truncated file while reading array name length")
-        (name_len,) = struct.unpack("<I", head)
-        name = _read_exact(f, name_len, "array name").decode("utf-8")
-        rank = _read_u32(f, f"rank of {name!r}")
-        dims = tuple(_read_u32(f, f"dims of {name!r}") for _ in range(rank))
-        count = 1
-        for dim in dims:
-            count *= dim
-        payload = _read_exact(f, 8 * count, f"data of {name!r}")
+    while r.left:
+        name = r.text("array name")
+        rank = r.u32(f"rank of {name!r}")
+        dims = tuple(r.u32(f"dims of {name!r}") for _ in range(rank))
+        payload = r.read(8 * math.prod(dims), f"data of {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
         if name in arrays:
             raise DataError(f"duplicate array {name!r}")
         arrays[name] = arr
+    return arrays
 
 
 def save_weights(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
@@ -87,13 +101,14 @@ def save_weights(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
 
 def load_weights(path: Path | str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        r = _Reader(f)
+        magic = r.read(4, "magic")
         if magic != WEIGHTS_MAGIC:
             raise DataError(f"not a weights file (magic {magic!r})")
-        version = _read_u32(f, "version")
+        version = r.u32("version")
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported weights format version {version}")
-        return read_named_arrays(f)
+        return read_named_arrays(r)
 
 
 def save_bundle(path: Path | str, bundle: "FeatureBundle") -> None:
@@ -116,17 +131,17 @@ def load_bundle(path: Path | str) -> "FeatureBundle":
     from .model import TEXT_KIND, FeatureBundle
 
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        r = _Reader(f)
+        magic = r.read(4, "magic")
         if magic != FEATURES_MAGIC:
             raise DataError(f"not a feature bundle (magic {magic!r})")
-        version = _read_u32(f, "version")
+        version = r.u32("version")
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported bundle format version {version}")
-        id_len = _read_u32(f, "video_id length")
-        video_id = _read_exact(f, id_len, "video_id").decode("utf-8")
-        n_clips = _read_u32(f, "n_clips")
-        (frame_rate,) = struct.unpack("<d", _read_exact(f, 8, "frame_rate"))
-        arrays = read_named_arrays(f)
+        video_id = r.text("video_id")
+        n_clips = r.u32("n_clips")
+        (frame_rate,) = struct.unpack("<d", r.read(8, "frame_rate"))
+        arrays = read_named_arrays(r)
     text_key = TEXT_KIND + "_tokens"
     if text_key not in arrays:
         raise DataError(f"bundle {video_id!r} is missing text tokens")

@@ -1,7 +1,9 @@
 """Joint NAWP+ECR training with cosine-annealed Adam, plus ablation modes.
 
-Batches group whole videos; each video runs its own forward/backward pass
-and gradients accumulate, so there is no padding and results are exact.
+Batches group whole videos. A training step packs the batch's clips row-wise
+and records one tape for the whole batch (``model.forward_batch``), with
+attention kept inside each video, so there is no padding and no video sees
+another. Held-out predictions run one video at a time (``model.forward``).
 The batch schedule is a pure function of (seed, step), which lets a resumed
 run reproduce an uninterrupted one bit for bit.
 """
@@ -21,11 +23,12 @@ from .autodiff import Tape, Tensor
 from .errors import DataError, NumericError
 from .metrics import srcc
 from .model import (
+    BatchResult,
     FeatureBundle,
-    ForwardResult,
     ModelConfig,
     config_for_bundle,
     forward,
+    forward_batch,
     init_params,
 )
 from .optim import AdamState, adam_step, cosine_lr
@@ -235,12 +238,14 @@ def _labels_for(rows: list[dict], key: str) -> dict[str, float]:
     return labels
 
 
-def _video_loss_node(res: ForwardResult, y1: float, y2: float, mode: str, inv_batch: float):
+def _batch_loss_node(out: BatchResult, y1, y2, mode: str) -> Tensor:
+    """The tape form of ``loss_value`` over a packed batch's estimates."""
+    inv_batch = 1.0 / out.nawp_node.shape[0]
     terms = []
     if mode in ("joint", "nawp_only"):
-        terms.append(ad.scale(ad.squared_error(res.nawp_node, np.asarray(y1)), inv_batch))
+        terms.append(ad.scale(ad.squared_error(out.nawp_node, np.reshape(y1, (-1, 1))), inv_batch))
     if mode in ("joint", "ecr_only"):
-        terms.append(ad.scale(ad.squared_error(res.ecr_node, np.asarray(y2)), inv_batch))
+        terms.append(ad.scale(ad.squared_error(out.ecr_node, np.reshape(y2, (-1, 1))), inv_batch))
     node = terms[0]
     for extra in terms[1:]:
         node = ad.add(node, extra)
@@ -341,17 +346,14 @@ def train(
     for step in range(start_step, end_step):
         lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
         batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
-        inv_batch = 1.0 / len(batch)
-        batch_loss = 0.0
-        for vid in batch:
-            bundle = cache.get(vid)
-            y1 = y1_raw[vid] / label_scale[0]
-            y2 = y2_raw[vid] / label_scale[1]
-            with Tape() as tape:
-                res = forward(bundle, params, model_cfg, duration_s=durations[vid])
-                node = _video_loss_node(res, y1, y2, train_cfg.mode, inv_batch)
-            tape.backward(node)
-            batch_loss += float(node.data)
+        bundles = [cache.get(vid) for vid in batch]
+        y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
+        y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
+        with Tape() as tape:
+            out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
+            node = _batch_loss_node(out, y1, y2, train_cfg.mode)
+        tape.backward(node)
+        batch_loss = float(node.data)
         if not math.isfinite(batch_loss):
             raise NumericError(f"training loss became non-finite at step {step}")
         grads = {name: p.grad for name, p in params.items()}

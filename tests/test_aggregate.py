@@ -67,6 +67,30 @@ class TestParseEvents:
         assert out[1].line_no == 2
         assert out[2].line_no == 3
 
+    @pytest.mark.parametrize(
+        "watch, message",
+        [
+            ("9" * 400, "watch_time_s is not finite"),  # past the double range
+            ("9" * 5000, "invalid JSON"),  # past the interpreter's int-digit limit
+        ],
+        ids=["400_digits", "5000_digits"],
+    )
+    def test_huge_integer_watch_time_is_a_failure(self, watch, message):
+        lines = [
+            '{"video_id":"v1","watch_time_s":%s}' % watch,
+            '{"video_id":"v1","watch_time_s":2.0}',
+        ]
+        failure, event = parse_events(lines)
+        assert isinstance(failure, ParseFailure) and failure.line_no == 1
+        assert failure.message.startswith(message)
+        assert event == WatchEvent(video_id="v1", watch_time_s=2.0)
+
+    def test_undecodable_bytes_are_a_failure(self):
+        stream = io.BytesIO(b'\xff\xfe\n{"video_id":"v1","watch_time_s":3}\n')
+        failure, event = parse_events(stream)
+        assert isinstance(failure, ParseFailure) and failure.line_no == 1
+        assert event.watch_time_s == 3.0
+
     def test_blank_lines_skipped(self):
         out = list(parse_events(["", '{"video_id":"v1","watch_time_s":1}', "  "]))
         assert len(out) == 1

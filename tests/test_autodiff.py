@@ -135,6 +135,53 @@ class TestPrimitiveGradients:
         check_gradients(lambda: ad.squared_error(ad.matmul(a, b), target), [a, b])
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(_rand(rng, 5, 3))
+        w = Tensor(_rand(rng, 3, 4))
+        b = Tensor(_rand(rng, 4))
+        target = _rand(rng, 5, 4)
+        check_gradients(lambda: ad.squared_error(ad.linear(x, w, b), target), [x, w, b])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_self_attention_segments(self, seed):
+        # Three unequal segments, one of a single row, keys = queries' rows.
+        rng = np.random.default_rng(seed)
+        bounds = [(0, 3), (3, 4), (4, 9)]
+        q, k, v = (Tensor(_rand(rng, 9, 4)) for _ in range(3))
+        target = _rand(rng, 9, 4)
+        check_gradients(lambda: ad.squared_error(ad.attention(q, k, v, bounds, bounds), target), [q, k, v])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cross_attention_segments(self, seed):
+        # Query and key rows split differently, as clips over text tokens.
+        rng = np.random.default_rng(seed)
+        q_bounds = [(0, 1), (1, 5), (5, 7)]
+        k_bounds = [(0, 3), (3, 4), (4, 6)]
+        q = Tensor(_rand(rng, 7, 3))
+        k = Tensor(_rand(rng, 6, 3))
+        v = Tensor(_rand(rng, 6, 2))
+        target = _rand(rng, 7, 2)
+        check_gradients(lambda: ad.squared_error(ad.attention(q, k, v, q_bounds, k_bounds), target), [q, k, v])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gather_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(_rand(rng, 5, 3))
+        index = [4, 0, 1, 0, 2, 1, 0]
+        target = _rand(rng, 7, 3)
+        check_gradients(lambda: ad.squared_error(ad.gather_rows(x, index), target), [x])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_segment_mean(self, seed):
+        # Segments of unequal length, one of a single row, one overlapping.
+        rng = np.random.default_rng(seed)
+        x = Tensor(_rand(rng, 8, 2))
+        bounds = [(0, 3), (3, 4), (4, 8), (4, 6)]
+        target = _rand(rng, 4, 2)
+        check_gradients(lambda: ad.squared_error(ad.segment_mean(x, bounds), target), [x])
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_add_sub_mul(self, seed):
         rng = np.random.default_rng(seed)
         a = Tensor(_rand(rng, 2, 5))
@@ -337,7 +384,82 @@ class TestForwardIdentities:
         np.testing.assert_allclose(out.data, [[0.0, 0.5, 1.0]], atol=1e-12)
 
 
+class TestSegmentOps:
+    def test_linear_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(5)
+        x, w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))
+        out = ad.linear(x, w, b)
+        assert out.data.tobytes() == ad.add_rowvec(ad.matmul(x, w), b).data.tobytes()
+
+    def test_attention_single_segment_is_dense_attention(self):
+        rng = np.random.default_rng(6)
+        q, k, v = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 2)))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 0.5)
+        dense = ad.matmul(ad.softmax_rows(scores), v)
+        out = ad.attention(q, k, v, [(0, 5)], [(0, 3)])
+        np.testing.assert_allclose(out.data, dense.data, rtol=1e-14, atol=1e-15)
+
+    def test_attention_has_no_cross_segment_terms(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(6, 3)) for _ in range(3))
+        bounds = [(0, 2), (2, 6)]
+        base = ad.attention(Tensor(q), Tensor(k), Tensor(v), bounds, bounds).data
+        k2, v2 = k.copy(), v.copy()
+        k2[2:] += 5.0
+        v2[2:] -= 3.0
+        moved = ad.attention(Tensor(q), Tensor(k2), Tensor(v2), bounds, bounds).data
+        assert moved[:2].tobytes() == base[:2].tobytes()
+        assert not np.allclose(moved[2:], base[2:])
+
+    def test_segment_mean_values(self):
+        x = Tensor(np.arange(12.0).reshape(6, 2))
+        out = ad.segment_mean(x, [(0, 1), (1, 6), (2, 4)])
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0], [6.0, 7.0], [5.0, 6.0]])
+
+    @pytest.mark.parametrize(
+        "q_bounds, k_bounds",
+        [
+            ([(0, 2)], [(0, 2)]),  # query rows 2.. belong to no segment
+            ([(0, 2), (3, 4)], [(0, 2), (2, 4)]),  # gap in the query rows
+            ([(0, 4)], [(0, 2), (2, 4)]),  # one key segment too many
+            ([(0, 4)], [(0, 5)]),  # keys out of range
+            ([(0, 2), (2, 4)], [(0, 2), (2, 2)]),  # empty key segment
+        ],
+    )
+    def test_attention_rejects_bad_segments(self, q_bounds, k_bounds):
+        t = Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            ad.attention(t, t, t, q_bounds, k_bounds)
+
+    def test_bad_index_and_bounds_rejected(self):
+        x = Tensor(np.ones((3, 2)))
+        for index in ([3], [-1], []):
+            with pytest.raises(ValueError):
+                ad.gather_rows(x, index)
+        for bounds in ([(0, 4)], [(1, 1)], []):
+            with pytest.raises(ValueError):
+                ad.segment_mean(x, bounds)
+        with pytest.raises(ValueError):
+            ad.linear(x, Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+
+
 class TestTapeMechanics:
+    def test_backward_keeps_only_leaf_gradients(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 3)))
+        b = Tensor(rng.normal(size=3))
+        with Tape() as tape:
+            h = ad.linear(x, w, b)
+            r = ad.relu(h)
+            m = ad.segment_mean(r, [(0, 1), (1, 4)])
+            loss = ad.squared_error(m, np.zeros((2, 3)))
+        tape.backward(loss)
+        assert all(t.grad is None for t in (h, r, m, loss))
+        assert all(t.grad is not None for t in (x, w, b))
+        assert len(tape) == 0
+
+
     def test_no_tape_means_no_gradients(self):
         x = Tensor(np.ones((2, 2)))
         y = ad.relu(x)

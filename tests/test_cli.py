@@ -114,6 +114,84 @@ class TestDataErrors:
         assert not (tmp_path / "report.json").exists()
 
 
+    def test_hostile_event_lines_are_counted(self, corpus, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(
+            (corpus / "events.jsonl").read_bytes()
+            + b'{"video_id":"v00000","watch_time_s":' + b"9" * 400 + b"}\n"
+            + b'{"video_id":"v00000","watch_time_s":' + b"9" * 5000 + b"}\n"
+            + b"\xff\xfe\n"
+        )
+        code = run_cli(
+            "aggregate",
+            "--events", str(events),
+            "--metas", str(corpus / "metas.jsonl"),
+            "--out", str(tmp_path / "r.jsonl"),
+            "--min-views", "1",
+        )
+        assert code == EXIT_OK
+        assert "(3 malformed lines skipped)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("reader", ["metas", "records", "manifest", "predictions"])
+    def test_undecodable_line_names_the_line(self, corpus, tmp_path, capsys, reader):
+        records = tmp_path / "records.jsonl"
+        assert run_cli(
+            "aggregate",
+            "--events", str(corpus / "events.jsonl"),
+            "--metas", str(corpus / "metas.jsonl"),
+            "--out", str(records),
+            "--min-views", "1",
+        ) == EXIT_OK
+        manifest = corpus / "manifest.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"video_id": "v00000", "nawp_hat": 0.5, "ecr_hat": 0.5}\n')
+        source = {"metas": corpus / "metas.jsonl", "records": records,
+                  "manifest": manifest, "predictions": preds}[reader]
+        bad = tmp_path / f"bad_{reader}.jsonl"
+        bad.write_bytes(source.read_bytes().splitlines(keepends=True)[0] + b"\xff\xfe\n")
+        argv = {
+            "metas": ["aggregate", "--events", str(corpus / "events.jsonl"), "--metas", str(bad),
+                      "--out", str(tmp_path / "r2.jsonl")],
+            "records": ["report", "--records", str(bad), "--out", str(tmp_path / "rep.json")],
+            "manifest": ["eval", "--predictions", str(preds), "--manifest", str(bad),
+                         "--out", str(tmp_path / "ev.json")],
+            "predictions": ["eval", "--predictions", str(bad), "--manifest", str(manifest),
+                            "--out", str(tmp_path / "ev.json")],
+        }[reader]
+        capsys.readouterr()
+        assert run_cli(*argv) == EXIT_DATA
+        assert f"{reader} line 2: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["null", '"0.5"', "[0.5]", "true"])
+    def test_non_numeric_manifest_label(self, corpus, tmp_path, capsys, label):
+        rows = [json.loads(l) for l in (corpus / "manifest.jsonl").read_text().splitlines()]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps(row).replace(f'"nawp_label": {json.dumps(row["nawp_label"])}', f'"nawp_label": {label}')
+            + "\n" for row in rows))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"video_id": row["video_id"], "nawp_hat": 0.5, "ecr_hat": 0.5}) + "\n" for row in rows))
+        code = run_cli("eval", "--predictions", str(preds), "--manifest", str(manifest),
+                       "--out", str(tmp_path / "report.json"))
+        assert code == EXIT_DATA
+        assert "nawp_label" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_output_in_missing_directory_names_the_target(self, corpus, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "records.jsonl"
+        code = run_cli(
+            "aggregate",
+            "--events", str(corpus / "events.jsonl"),
+            "--metas", str(corpus / "metas.jsonl"),
+            "--out", str(target),
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err
+        assert ".tmp" not in err
+
+
 class TestNumericErrors:
     def test_degenerate_fit_exits_three(self, tmp_path):
         records = tmp_path / "records.jsonl"

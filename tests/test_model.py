@@ -17,6 +17,7 @@ from engpred.model import (
     config_for_bundle,
     count_parameters,
     forward,
+    forward_batch,
     init_params,
 )
 
@@ -318,6 +319,81 @@ class TestPermutation:
         base = forward(bundle, params, TINY)
         shuffled = forward(self._permuted(bundle, perm), params, TINY)
         assert abs(shuffled.nawp_hat - base.nawp_hat) > 1e-9
+
+
+class TestPackedBatch:
+    """One pass over a packed batch matches separate passes over its videos."""
+
+    # (n_clips, frame_rate): unequal lengths, a 1-clip video, a full-length
+    # one, and ECR windows from 1 clip up to the whole video.
+    LAYOUT = [(5, 16.0), (1, 16.0), (12, 3.0), (7, 30.0), (3, 16.0), (9, 8.0), (2, 1.0), (11, 16.0)]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            replace(TINY, frames_per_clip=16),
+            replace(TINY, frames_per_clip=16, ecr_causal_mask=True),
+            replace(TINY, frames_per_clip=16, duration_as_input=True),
+        ],
+        ids=["default", "ecr_causal_mask", "duration_as_input"],
+    )
+    def test_matches_per_video_tapes(self, cfg):
+        params = init_params(cfg, seed=12)
+        bundles = [
+            tiny_bundle(seed=200 + i, n_clips=n, frame_rate=fps) for i, (n, fps) in enumerate(self.LAYOUT)
+        ]
+        durations = [10.0 + 6.0 * i for i in range(len(bundles))]
+        y1 = np.linspace(0.1, 0.9, len(bundles))
+        y2 = np.linspace(0.8, 0.3, len(bundles))
+        inv = 1.0 / len(bundles)
+
+        with Tape() as tape:
+            out = forward_batch(bundles, params, cfg, durations)
+            loss = ad.add(
+                ad.scale(ad.squared_error(out.nawp_node, y1.reshape(-1, 1)), inv),
+                ad.scale(ad.squared_error(out.ecr_node, y2.reshape(-1, 1)), inv),
+            )
+        tape.backward(loss)
+        packed_grads = {name: p.grad for name, p in params.items()}
+        for p in params.values():
+            p.grad = None
+
+        preds = []
+        for i, bundle in enumerate(bundles):
+            with Tape() as tape:
+                res = forward(bundle, params, cfg, duration_s=durations[i])
+                loss = ad.add(
+                    ad.scale(ad.squared_error(res.nawp_node, np.asarray(y1[i])), inv),
+                    ad.scale(ad.squared_error(res.ecr_node, np.asarray(y2[i])), inv),
+                )
+            tape.backward(loss)
+            preds.append((res.nawp_hat, res.ecr_hat))
+            assert out.n_ecr_clips[i] == res.n_ecr_clips
+
+        preds = np.array(preds)
+        packed = np.hstack([out.nawp_node.data, out.ecr_node.data])
+        assert np.max(np.abs(packed - preds) / np.abs(preds)) <= 1e-12
+        assert {n for n, g in packed_grads.items() if g is not None} == {
+            n for n, p in params.items() if p.grad is not None
+        }
+        scale = max(np.abs(g).max() for g in packed_grads.values() if g is not None)
+        assert scale > 0.0
+        for name, p in params.items():
+            if p.grad is not None:
+                assert np.max(np.abs(packed_grads[name] - p.grad)) <= 1e-12 * scale, name
+
+    def test_forward_is_the_one_video_batch(self):
+        params = init_params(TINY, seed=13)
+        bundle = tiny_bundle(seed=13, n_clips=6)
+        res = forward(bundle, params, TINY)
+        out = forward_batch([bundle], params, TINY)
+        assert res.nawp_hat == float(out.nawp_node.data[0, 0])
+        assert res.ecr_hat == float(out.ecr_node.data[0, 0])
+
+    def test_bad_bundle_in_batch_rejected(self):
+        params = init_params(TINY, seed=0)
+        with pytest.raises(DataError):
+            forward_batch([tiny_bundle(), tiny_bundle(dim=6)], params, TINY)
 
 
 class TestGradientFlow:

@@ -1,6 +1,7 @@
 """Round-trips and validation for the ENGW/ENGF binary containers."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -59,6 +60,53 @@ class TestWeights:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(DataError):
+            load_weights(path)
+
+
+def _u32(*values):
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+class TestCorruptHeaders:
+    """Lengths declared past the end of the file are rejected before any read.
+
+    The reader compares each declared size with the bytes left in the file
+    first, so none of these inputs makes it request a buffer of that size.
+    """
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2**32 - 1, 2**32 - 1), (2**20, 2**11), (2**32 - 1,), (3, 4)],
+        ids=["product_past_int64", "16_GiB", "32_GiB", "96_bytes"],
+    )
+    def test_data_size_past_the_end(self, tmp_path, dims):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(len(dims), *dims) + b"\0" * 64)
+        with pytest.raises(DataError, match="truncated file while reading data of 'a'"):
+            load_weights(path)
+
+    def test_name_length_past_the_end(self, tmp_path):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(2**32 - 1) + b"a" * 64)
+        with pytest.raises(DataError, match="truncated file while reading array name"):
+            load_weights(path)
+
+    def test_video_id_length_past_the_end(self, tmp_path):
+        path = tmp_path / "b.engf"
+        path.write_bytes(b"ENGF" + _u32(1) + _u32(2**31) + b"v" * 64)
+        with pytest.raises(DataError, match="truncated file while reading video_id"):
+            load_bundle(path)
+
+    def test_rank_past_the_end(self, tmp_path):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(2**32 - 1) + _u32(1) * 8)
+        with pytest.raises(DataError, match="truncated file while reading dims of 'a'"):
+            load_weights(path)
+
+    def test_undecodable_name(self, tmp_path):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(2) + b"\xff\xfe" + _u32(1, 1) + b"\0" * 8)
+        with pytest.raises(DataError, match="array name is not UTF-8"):
             load_weights(path)
 
 

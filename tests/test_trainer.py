@@ -9,12 +9,12 @@ import pytest
 
 from engpred.autodiff import Tape
 from engpred.errors import DataError, NumericError
-from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, config_for_bundle, forward, init_params
+from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, config_for_bundle, forward_batch, init_params
 from engpred.synth import SynthConfig, generate_events, generate_features
 from engpred.trainer import (
     MODES,
     TrainConfig,
-    _video_loss_node,
+    _batch_loss_node,
     compare_modes,
     config_hash,
     load_checkpoint,
@@ -113,24 +113,21 @@ class TestLossValue:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_trainer_tape_loss(self, mode):
-        """The trainer's summed per-video tape loss is loss_value over the batch."""
+        """The trainer's tape loss over a packed batch is loss_value over the batch."""
         rows, bundles = generate_features(generate_events(SMALL_SYNTH).truth, SMALL_SYNTH)
-        batch = rows[:5]
+        batch = rows[:8]
         cfg = config_for_bundle(SMALL_MODEL, bundles[batch[0]["video_id"]])
         params = init_params(cfg, seed=3)
-        tape_loss, pred_nawp, pred_ecr = 0.0, [], []
-        for row in batch:
-            with Tape():
-                res = forward(bundles[row["video_id"]], params, cfg, duration_s=row["duration_s"])
-                node = _video_loss_node(res, row["nawp_label"], row["ecr_label"], mode, 1.0 / len(batch))
-            tape_loss += float(node.data)
-            pred_nawp.append(res.nawp_hat)
-            pred_ecr.append(res.ecr_hat)
         truth_nawp = [row["nawp_label"] for row in batch]
         truth_ecr = [row["ecr_label"] for row in batch]
-        expected = loss_value(pred_nawp, pred_ecr, truth_nawp, truth_ecr, mode=mode)
+        with Tape():
+            out = forward_batch(
+                [bundles[row["video_id"]] for row in batch], params, cfg, [row["duration_s"] for row in batch]
+            )
+            node = _batch_loss_node(out, truth_nawp, truth_ecr, mode)
+        expected = loss_value(out.nawp_node.data[:, 0], out.ecr_node.data[:, 0], truth_nawp, truth_ecr, mode=mode)
         assert expected > 0.0
-        assert abs(tape_loss - expected) <= 1e-12
+        assert abs(float(node.data) - expected) <= 1e-12
 
 
 class TestTrainLoop:
