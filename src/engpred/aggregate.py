@@ -3,6 +3,9 @@
 Aggregation is a commutative-monoid reduction (counts, threshold counts,
 error-free watch-time sums), so events can be processed in any order and in
 any sharding: merged shard aggregates are bit-identical to a single pass.
+``engpred aggregate --shards N`` relies on this: it cuts the log into byte
+ranges of whole lines, reduces each in its own worker process and merges the
+shards in range order.
 """
 
 from __future__ import annotations
@@ -218,7 +221,9 @@ class CorpusAggregator:
 
     Each shard owns one aggregator; ``merge`` folds shards together. Events
     referencing unknown video ids are counted and skipped. Filtering happens
-    only in ``finish``, after view counts are complete.
+    only in ``finish``, after view counts are complete. A shard pickled to
+    another process leaves its meta table behind: it can be merged and
+    finished there, but not added to.
     """
 
     def __init__(
@@ -231,6 +236,9 @@ class CorpusAggregator:
         self.accumulators: dict[str, VideoAccumulator] = {}
         self.unknown_events = 0
         self.unknown_ids: set[str] = set()
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "metas": None}
 
     def add(self, event: WatchEvent) -> None:
         meta = self.metas.get(event.video_id)

@@ -8,8 +8,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import os
 import sys
 from pathlib import Path
+from typing import IO, Iterator
 
 from .aggregate import CorpusAggregator, ParseFailure, parse_events
 from .envelope import (
@@ -23,7 +26,10 @@ from .errors import DataError, EngpredError, NumericError
 from .metrics import evaluate_predictions
 from .model import ALL_KINDS, ModelConfig
 from .records import (
+    LineRange,
+    VideoMeta,
     atomic_write,
+    line_ranges,
     meta_to_json,
     open_input,
     read_json,
@@ -90,22 +96,79 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# A range's shard, its parse failures numbered from the range's first line,
+# and the number of lines it holds.
+RangeResult = tuple[CorpusAggregator, list[ParseFailure], int]
+
+
+def aggregate_range(
+    stream: IO[bytes], size: int | None, metas: dict[str, VideoMeta], ecr_threshold_s: float
+) -> RangeResult:
+    """Parse and reduce ``size`` bytes of whole lines from ``stream`` (all of it when None)."""
+    lines = LineRange(stream, size)
+    shard = CorpusAggregator(metas, ecr_threshold_s)
+    add = shard.add
+    failures = []
+    for item in parse_events(lines):
+        if isinstance(item, ParseFailure):
+            failures.append(item)
+        else:
+            add(item)
+    return shard, failures, lines.count
+
+
+def aggregate_file_range(
+    path: str, start: int, end: int, metas: dict[str, VideoMeta], ecr_threshold_s: float
+) -> RangeResult:
+    """``aggregate_range`` over bytes [start, end) of the file at ``path``; runs in a worker."""
+    with open_input(path, "events") as stream:
+        stream.seek(start)
+        return aggregate_range(stream, end - start, metas, ecr_threshold_s)
+
+
+def _pooled_ranges(
+    path: str, ranges: list[tuple[int, int]], metas: dict[str, VideoMeta], ecr_threshold_s: float
+) -> Iterator[RangeResult]:
+    """Each range's result in range order, from one worker process per range."""
+    # The platform's default start method: on Linux (before Python 3.14) that is
+    # fork, and a worker inherits the imported program. Spawn would import numpy
+    # and the caller's main module again in every worker, about 0.4 s per call on
+    # a 300k-event log on 2 CPUs, with 12 MiB more resident per worker.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        pending = [
+            pool.submit(aggregate_file_range, path, start, end, metas, ecr_threshold_s)
+            for start, end in ranges
+        ]
+        while pending:
+            yield pending.pop(0).result()
+
+
 def cmd_aggregate(args) -> int:
     metas = read_metas(args.metas)
     if args.shards < 1:
         raise DataError("--shards must be >= 1")
-    shards = [CorpusAggregator(metas, ecr_threshold_s=args.ecr_threshold) for _ in range(args.shards)]
-    failures = 0
+    agg = CorpusAggregator(metas, ecr_threshold_s=args.ecr_threshold)
+    failures = lines_before = 0
     with open_input(args.events, "events") as stream:
-        for i, item in enumerate(parse_events(stream)):
-            if isinstance(item, ParseFailure):
-                failures += 1
-                print(f"warning: line {item.line_no}: {item.message}", file=sys.stderr)
-                continue
-            shards[i % args.shards].add(item)
-    agg = shards[0]
-    for other in shards[1:]:
-        agg.merge(other)
+        ranges = line_ranges(stream, min(args.shards, available_cpus()))
+        if len(ranges) > 1:
+            parts = _pooled_ranges(str(args.events), ranges, metas, args.ecr_threshold)
+        else:
+            parts = [aggregate_range(stream, None, metas, args.ecr_threshold)]
+        for shard, range_failures, n_lines in parts:
+            agg.merge(shard)
+            for item in range_failures:
+                print(f"warning: line {lines_before + item.line_no}: {item.message}", file=sys.stderr)
+            failures += len(range_failures)
+            lines_before += n_lines
     if agg.unknown_events:
         print(
             f"warning: skipped {agg.unknown_events} events for "
@@ -222,9 +285,9 @@ def cmd_eval(args) -> int:
         pred_nawp.append(typed_value(row.get("nawp_hat"), float, f"{where}: nawp_hat"))
         pred_ecr.append(typed_value(row.get("ecr_hat"), float, f"{where}: ecr_hat"))
         label = labels[vid]
-        truth_nawp.append(typed_value(label["nawp_label"], float, f"manifest {vid!r}: nawp_label"))
-        truth_ecr.append(typed_value(label["ecr_label"], float, f"manifest {vid!r}: ecr_label"))
-        durations.append(typed_value(label["duration_s"], float, f"manifest {vid!r}: duration_s"))
+        truth_nawp.append(label["nawp_label"])
+        truth_ecr.append(label["ecr_label"])
+        durations.append(label["duration_s"])
     report = evaluate_predictions(
         pred_nawp,
         pred_ecr,
@@ -287,7 +350,13 @@ def build_parser() -> _Parser:
     p.add_argument("--duration-min", type=float, default=10.0, dest="duration_min")
     p.add_argument("--duration-max", type=float, default=60.0, dest="duration_max")
     p.add_argument("--ecr-threshold", type=float, default=5.0, dest="ecr_threshold")
-    p.add_argument("--shards", type=int, default=1, help="shard the aggregation then merge")
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="split the log into this many ranges, each reduced in a worker process "
+        "(capped at the CPU count), then merge exactly; outputs do not depend on it",
+    )
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("fit-norm", help="fit the watch-time ceiling")

@@ -317,3 +317,50 @@ def iter_lines(f: IO[str] | IO[bytes]) -> Iterator[str]:
             yield line.decode("utf-8", errors="replace")
         else:
             yield line
+
+
+def line_ranges(f: IO[bytes], n: int) -> list[tuple[int, int]]:
+    """At most ``n`` non-empty byte ranges of whole lines that tile the file ``f``.
+
+    Each cut is moved forward to the next line start, so no range splits a
+    line and none is empty: a line longer than a range swallows the cuts that
+    fall inside it. A stream that is not a regular file (a pipe) has size 0
+    here and gives no ranges.
+    """
+    size = os.fstat(f.fileno()).st_size
+    if size == 0:
+        return []
+    cuts = [0]
+    for k in range(1, n):
+        nominal = size * k // n
+        if nominal <= cuts[-1]:
+            continue
+        f.seek(nominal - 1)
+        f.readline()
+        if cuts[-1] < f.tell() < size:
+            cuts.append(f.tell())
+    f.seek(0)
+    cuts.append(size)
+    return [(start, end) for start, end in zip(cuts, cuts[1:]) if end > start]
+
+
+class LineRange:
+    """The lines of a binary stream from its position on, decoded as UTF-8.
+
+    Reads ``size`` bytes, which must end at a line start, or to the end of
+    the stream when ``size`` is None. ``count`` is the number of lines read
+    so far.
+    """
+
+    def __init__(self, f: IO[bytes], size: int | None = None) -> None:
+        self.f = f
+        self.size = size
+        self.count = 0
+
+    def __iter__(self) -> Iterator[str]:
+        left = math.inf if self.size is None else self.size
+        for self.count, line in enumerate(self.f, start=1):
+            yield line.decode("utf-8", errors="replace")
+            left -= len(line)
+            if left <= 0:
+                return

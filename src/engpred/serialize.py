@@ -21,7 +21,7 @@ from typing import IO, TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .records import atomic_write, read_jsonl
+from .records import atomic_write, read_jsonl, typed_value
 
 if TYPE_CHECKING:
     from .model import FeatureBundle
@@ -157,22 +157,27 @@ def load_bundle(path: Path | str) -> "FeatureBundle":
     return bundle
 
 
-MANIFEST_REQUIRED_KEYS = (
-    "video_id",
-    "duration_s",
-    "frame_rate",
-    "feature_path",
-    "nawp_label",
-    "ecr_label",
-)
+MANIFEST_FIELDS = {
+    "video_id": str,
+    "duration_s": float,
+    "frame_rate": float,
+    "feature_path": str,
+    "nawp_label": float,
+    "ecr_label": float,
+}
+MANIFEST_OPTIONAL_FIELDS = {"awt_label": float, "awp_label": float}
 
 
 def read_manifest(path: Path | str) -> list[dict]:
+    """Manifest rows with their known fields typed; a bad value names its line."""
     rows = []
     for line_no, row in read_jsonl(path, "manifest"):
-        missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in row]
+        missing = [k for k in MANIFEST_FIELDS if k not in row]
         if missing:
             raise DataError(f"manifest line {line_no}: missing keys {missing}")
+        for key, tp in (MANIFEST_FIELDS | MANIFEST_OPTIONAL_FIELDS).items():
+            if key in row:
+                row[key] = typed_value(row[key], tp, f"manifest line {line_no}: {key}")
         rows.append(row)
     if not rows:
         raise DataError(f"manifest {path} is empty")

@@ -229,9 +229,9 @@ class TrainResult:
 def _labels_for(rows: list[dict], key: str) -> dict[str, float]:
     labels = {}
     for row in rows:
-        if key not in row or row[key] is None:
+        if key not in row:
             raise DataError(f"manifest row {row['video_id']!r} is missing {key!r}")
-        value = float(row[key])
+        value = row[key]
         if not math.isfinite(value):
             raise DataError(f"label {key!r} for {row['video_id']!r} is not finite")
         labels[row["video_id"]] = value
@@ -299,7 +299,7 @@ def train(
     rows = read_manifest(manifest_path)
     rows.sort(key=lambda r: r["video_id"])
     ids = [row["video_id"] for row in rows]
-    durations = {row["video_id"]: float(row["duration_s"]) for row in rows}
+    durations = {row["video_id"]: row["duration_s"] for row in rows}
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
     cache = BundleCache(manifest_path.parent, rows)
 

@@ -1,10 +1,14 @@
-"""The benchmark's train workload on tiny inputs, run as part of the tests.
+"""The benchmark's labels and train workloads on tiny inputs, run as part of the tests.
 
 ``benchmarks/run.py --workload train --smoke --trace 1`` trains through the
 CLI, re-predicts every held-out video from the saved checkpoint and requires
 bit-identical floats (``train.checkpoint_round_trip``), and runs a traced
-phase through its span hooks (``trainer.forward`` among them). The run must
-report ``correct: true`` and no failed operation.
+phase through its span hooks (``trainer.forward`` among them).
+``--workload labels`` runs aggregate, fit-norm and report (``--shards 4``) and
+requires records bit-exact against an fsum oracle (``labels.records_bit_exact``),
+the injected parse-failure and unknown-id counts exactly, and the same
+counters in its traced and untraced phases. Each run must report
+``correct: true`` and no failed operation.
 """
 
 import json
@@ -15,8 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_train_workload_smoke():
-    argv = [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", "train",
+def _smoke(workload: str) -> dict:
+    argv = [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
             "--seed", "3", "--seconds", "1", "--trace", "1", "--smoke"]
     out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr[-4000:]
@@ -24,3 +28,12 @@ def test_train_workload_smoke():
     assert result["correct"] is True, out.stdout[-4000:]
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+def test_train_workload_smoke():
+    _smoke("train")
+
+
+def test_labels_workload_smoke():
+    _smoke("labels")

@@ -1,12 +1,24 @@
 """CLI subcommands, exit codes, and pipeline determinism."""
 
+import concurrent.futures
+import contextlib
+import io
 import json
+import pickle
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from engpred import cli
+from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from engpred.records import WatchEvent, line_ranges
 
 
 SYNTH_ARGS = ["--n-videos", "40", "--views", "60", "--seed", "21"]
@@ -178,6 +190,20 @@ class TestDataErrors:
         assert "nawp_label" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("nawp_label", "abc"), ("duration_s", None), ("feature_path", 5)],
+    )
+    def test_bad_manifest_value_stops_train(self, corpus, tmp_path, capsys, key, value):
+        rows = [json.loads(l) for l in (corpus / "manifest.jsonl").read_text().splitlines()]
+        rows[1][key] = value
+        manifest = corpus / f"bad_{key}_manifest.jsonl"
+        manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code = run_cli("train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"),
+                       "--iterations", "1", "--d-model", "8")
+        assert code == EXIT_DATA
+        assert f"manifest line 2: {key} must be" in capsys.readouterr().err
+
     def test_output_in_missing_directory_names_the_target(self, corpus, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "records.jsonl"
         code = run_cli(
@@ -331,6 +357,179 @@ class TestPipeline:
         assert [f.name for f in features_a] == [f.name for f in features_b]
         for fa, fb in zip(features_a, features_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+
+def _inline_executor(calls):
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each task
+    at once, pickling its arguments and result as a worker process would."""
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            calls.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            result = fn(*pickle.loads(pickle.dumps(args)))
+            future.set_result(pickle.loads(pickle.dumps(result)))
+            return future
+
+    return InlineExecutor
+
+
+def _aggregate_outputs(events, metas, out, shards):
+    """``engpred aggregate`` run in-process: (exit code, records bytes, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli("aggregate", "--events", str(events), "--metas", str(metas),
+                       "--out", str(out), "--min-views", "1", "--shards", str(shards))
+    return code, out.read_bytes() if out.exists() else None, stdout.getvalue(), stderr.getvalue()
+
+
+def _hostile_log(corpus):
+    good = (corpus / "events.jsonl").read_bytes().splitlines(keepends=True)[:120]
+    hostile = [
+        b"\n",
+        b"   \t \n",
+        b'{"video_id":"v00001","watch_time_s":3.0}\r\n',
+        b"\xff\xfe\n",
+        b'{"video_id":"v00000","watch_time_s":' + b"9" * 400 + b"}\n",
+        b'{"video_id":"v00000","watch_time_s":' + b"9" * 5000 + b"}\n",
+        b'{"video_id":"nobody","watch_time_s":4.0}\n',
+        b'{"video_id":"v00002","watch_time_s":100000.0}\r\n',
+        b'{"video_id":"v00003","watch_time_s":2.5,"pad":"' + b"x" * 20000 + b'"}\n',
+        b"{broken\n",
+    ]
+    lines = []
+    for i, line in enumerate(good):
+        lines.append(line)
+        if i % 12 == 5:
+            lines.append(hostile[(i // 12) % len(hostile)])
+    lines += hostile
+    return b"".join(lines) + b'{"video_id":"v00004","watch_time_s":7.25}'
+
+
+class TestShardedAggregate:
+    """``--shards N`` cuts the log into byte ranges reduced in worker processes."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_executor(calls))
+        monkeypatch.setattr(cli, "available_cpus", lambda: 8)
+        return calls
+
+    @pytest.mark.parametrize("shards", range(1, 9))
+    def test_hostile_log_identical_for_every_shard_count(self, corpus, tmp_path, cpus, shards):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(_hostile_log(corpus))
+        metas = corpus / "metas.jsonl"
+        single = _aggregate_outputs(events, metas, tmp_path / "one.jsonl", 1)
+        assert single[0] == EXIT_OK
+        assert "malformed lines skipped" in single[2]
+        assert "warning: line " in single[3] and "unknown video ids" in single[3]
+        assert "extreme watch times" in single[3]
+        assert _aggregate_outputs(events, metas, tmp_path / "many.jsonl", shards) == single
+        with open(events, "rb") as f:
+            ranges = line_ranges(f, shards)
+        assert cpus == ([] if shards == 1 else [len(ranges)])
+        if shards == 8:  # the padded line is longer than a range and swallows a cut
+            assert len(ranges) < 8
+
+    def test_worker_processes_match_single_pass(self, corpus, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(_hostile_log(corpus))
+        metas = corpus / "metas.jsonl"
+        single = _aggregate_outputs(events, metas, tmp_path / "one.jsonl", 1)
+        out = tmp_path / "two.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "engpred", "aggregate", "--events", str(events), "--metas", str(metas),
+             "--out", str(out), "--min-views", "1", "--shards", "2"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, out.read_bytes(), proc.stdout, proc.stderr) == single
+
+    def test_workers_capped_at_cpus(self, corpus, tmp_path, cpus, monkeypatch):
+        monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+        code, *_ = _aggregate_outputs(corpus / "events.jsonl", corpus / "metas.jsonl",
+                                      tmp_path / "r.jsonl", 1_000_000)
+        assert code == EXIT_OK
+        assert cpus == [3]
+
+    def test_never_more_ranges_than_lines(self, corpus, tmp_path, cpus):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b'{"video_id":"v00000","watch_time_s":1.0}\n' * 2
+                           + b'{"video_id":"v00000","watch_time_s":1.0}')
+        code, records, *_ = _aggregate_outputs(events, corpus / "metas.jsonl", tmp_path / "r.jsonl", 8)
+        assert code == EXIT_OK
+        assert b'"views":3' in records
+        assert cpus == [3]
+
+    def test_one_shard_starts_no_pool(self, corpus, tmp_path, cpus):
+        code, *_ = _aggregate_outputs(corpus / "events.jsonl", corpus / "metas.jsonl",
+                                      tmp_path / "r.jsonl", 1)
+        assert code == EXIT_OK
+        assert cpus == []
+
+    def test_empty_log(self, corpus, tmp_path, cpus):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b"")
+        code, records, out, _ = _aggregate_outputs(events, corpus / "metas.jsonl", tmp_path / "r.jsonl", 4)
+        assert (code, records, cpus) == (EXIT_OK, b"", [])
+        assert "aggregated 0 videos (0 malformed lines skipped)" in out
+
+
+LOG_PIECES = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from([
+        b"\n", b"\r\n", b" ", b"\xff", b"{", b'"', b"}", b"null", b"[1]", b"-1", b"1e999", b"9" * 400,
+        b'{"video_id":"v00000","watch_time_s":1.5}',
+        b'{"video_id":"v00001","watch_time_s":2,"liked":true}',
+        b'{"video_id":"v00002","watch_time_s":1e6}',
+        b'{"video_id":"zz","watch_time_s":3}',
+        b'{"video_id":"","watch_time_s":3}',
+    ]),
+)
+
+
+class TestArbitraryLogs:
+    @pytest.fixture(scope="class")
+    def metas(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("metas") / "metas.jsonl"
+        path.write_text("".join(
+            json.dumps({"video_id": f"v{i:05d}", "duration_s": 20.0, "frame_rate": 16.0}) + "\n"
+            for i in range(3)))
+        return path
+
+    @given(pieces=st.lists(LOG_PIECES, max_size=14), shards=st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_shards_match_single_pass(self, metas, pieces, shards):
+        log = b"".join(pieces)
+        items = list(parse_events(io.BytesIO(log)))
+        assert all(isinstance(item, (WatchEvent, ParseFailure)) for item in items)
+        line_nos = [item.line_no for item in items if isinstance(item, ParseFailure)]
+        assert line_nos == sorted(set(line_nos))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            events = tmp / "events.jsonl"
+            events.write_bytes(log)
+            with open(events, "rb") as f:
+                ranges = line_ranges(f, shards)
+            assert len(ranges) <= shards
+            assert [start for start, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+            assert all(start < end and (start == 0 or log[start - 1:start] == b"\n")
+                       for start, end in ranges)
+            calls = []
+            with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _inline_executor(calls)), \
+                    mock.patch.object(cli, "available_cpus", lambda: 8):
+                single = _aggregate_outputs(events, metas, tmp / "one.jsonl", 1)
+                assert _aggregate_outputs(events, metas, tmp / "many.jsonl", shards) == single
+            assert calls == ([len(ranges)] if len(ranges) > 1 else [])
 
 
 def test_module_entry_point():
