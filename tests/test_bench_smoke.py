@@ -9,6 +9,10 @@ requires records bit-exact against an fsum oracle (``labels.records_bit_exact``)
 the injected parse-failure and unknown-id counts exactly, and the same
 counters in its traced and untraced phases. Each run must report
 ``correct: true`` and no failed operation.
+
+The labels run's ``outputs_sha256`` counter is pinned to the value written by
+the Shewchuk-partials reducer that the integer-unit sums replaced, so the
+smoke outputs stay byte-identical to it.
 """
 
 import json
@@ -19,7 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _smoke(workload: str) -> dict:
+def _smoke(workload: str) -> tuple[dict, dict]:
+    """The run's final JSON result and its printed ``counters`` line."""
     argv = [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
             "--seed", "3", "--seconds", "1", "--trace", "1", "--smoke"]
     out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
@@ -28,7 +33,8 @@ def _smoke(workload: str) -> dict:
     assert result["correct"] is True, out.stdout[-4000:]
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    return result
+    (counters,) = [line for line in out.stdout.splitlines() if line.startswith("counters: ")]
+    return result, json.loads(counters.removeprefix("counters: "))
 
 
 def test_train_workload_smoke():
@@ -36,4 +42,5 @@ def test_train_workload_smoke():
 
 
 def test_labels_workload_smoke():
-    _smoke("labels")
+    _, counters = _smoke("labels")
+    assert counters["outputs_sha256"] == "c7b5181c264383e1"

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import pickle
@@ -414,6 +415,15 @@ def _hostile_log(corpus):
     return b"".join(lines) + b'{"video_id":"v00004","watch_time_s":7.25}'
 
 
+# sha256 of records.jsonl, stdout and stderr of ``engpred aggregate --min-views 1``
+# over ``_hostile_log``, as written by the Shewchuk-partials reducer this one replaced.
+HOSTILE_LOG_SHA256 = (
+    "7ab2540821397a4886b66124f8479b207fd849e1b39319bd828da550aea8f437",
+    "3ea680f97964902c155a9283e2a8c3da4a0c3f49bdd40c2aa546c3f808ba2f34",
+    "6e226fe079b0329ca1920209e85a858a38b2c099574f88231ea22f6b6b5d93aa",
+)
+
+
 class TestShardedAggregate:
     """``--shards N`` cuts the log into byte ranges reduced in worker processes."""
 
@@ -440,6 +450,14 @@ class TestShardedAggregate:
         assert cpus == ([] if shards == 1 else [len(ranges)])
         if shards == 8:  # the padded line is longer than a range and swallows a cut
             assert len(ranges) < 8
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_hostile_log_outputs_pinned(self, corpus, tmp_path, cpus, shards):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(_hostile_log(corpus))
+        code, records, out, err = _aggregate_outputs(events, corpus / "metas.jsonl", tmp_path / "r.jsonl", shards)
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (records, out.encode(), err.encode()))
+        assert (code, digests) == (EXIT_OK, HOSTILE_LOG_SHA256)
 
     def test_worker_processes_match_single_pass(self, corpus, tmp_path):
         events = tmp_path / "events.jsonl"
