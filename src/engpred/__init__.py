@@ -10,11 +10,8 @@ for end-to-end verification at desk scale.
 
 from .aggregate import (
     CorpusAggregator,
-    ExactSum,
     ParseFailure,
-    VideoAccumulator,
     aggregate_corpus,
-    aggregate_video,
     parse_events,
 )
 from .autodiff import Tape, Tensor
@@ -60,7 +57,6 @@ __all__ = [
     "EngpredError",
     "EnvelopeModel",
     "EvalReport",
-    "ExactSum",
     "FeatureBundle",
     "FitError",
     "ModelConfig",
@@ -71,13 +67,11 @@ __all__ = [
     "Tape",
     "Tensor",
     "TrainConfig",
-    "VideoAccumulator",
     "VideoMeta",
     "VideoRecord",
     "WatchEvent",
     "adam_step",
     "aggregate_corpus",
-    "aggregate_video",
     "annotate_nawp",
     "bimodality_coefficient",
     "compare_modes",

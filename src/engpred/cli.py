@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 from typing import IO, Iterator
 
-from .aggregate import CorpusAggregator, ParseFailure, parse_events
+from .aggregate import (
+    DEFAULT_DURATION_RANGE_S,
+    DEFAULT_ECR_THRESHOLD_S,
+    DEFAULT_MIN_VIEWS,
+    CorpusAggregator,
+    ParseFailure,
+    parse_events,
+)
 from .envelope import (
     EnvelopeModel,
     annotate_nawp,
@@ -169,14 +176,8 @@ def cmd_aggregate(args) -> int:
                 print(f"warning: line {lines_before + item.line_no}: {item.message}", file=sys.stderr)
             failures += len(range_failures)
             lines_before += n_lines
-    if agg.unknown_events:
-        print(
-            f"warning: skipped {agg.unknown_events} events for "
-            f"{len(agg.unknown_ids)} unknown video ids",
-            file=sys.stderr,
-        )
-    for video_id, count in agg.warnings():
-        print(f"warning: video {video_id}: {count} extreme watch times", file=sys.stderr)
+    for text in agg.warnings():
+        print(f"warning: {text}", file=sys.stderr)
     records = agg.finish(
         min_views=args.min_views,
         duration_range_s=(args.duration_min, args.duration_max),
@@ -346,10 +347,10 @@ def build_parser() -> _Parser:
     p.add_argument("--events", required=True)
     p.add_argument("--metas", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-views", type=int, default=2000, dest="min_views")
-    p.add_argument("--duration-min", type=float, default=10.0, dest="duration_min")
-    p.add_argument("--duration-max", type=float, default=60.0, dest="duration_max")
-    p.add_argument("--ecr-threshold", type=float, default=5.0, dest="ecr_threshold")
+    p.add_argument("--min-views", type=int, default=DEFAULT_MIN_VIEWS, dest="min_views")
+    p.add_argument("--duration-min", type=float, default=DEFAULT_DURATION_RANGE_S[0], dest="duration_min")
+    p.add_argument("--duration-max", type=float, default=DEFAULT_DURATION_RANGE_S[1], dest="duration_max")
+    p.add_argument("--ecr-threshold", type=float, default=DEFAULT_ECR_THRESHOLD_S, dest="ecr_threshold")
     p.add_argument(
         "--shards",
         type=int,

@@ -262,7 +262,7 @@ def read_records(path: Path | str) -> list[VideoRecord]:
                     nawp=None if payload.get("nawp") is None else float(payload["nawp"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"records line {line_no}: invalid fields: {exc}") from exc
     return records
 
@@ -286,7 +286,7 @@ def read_metas(path: Path | str) -> dict[str, VideoMeta]:
                 duration_s=float(payload["duration_s"]),
                 frame_rate=float(payload["frame_rate"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"meta line {line_no}: {exc}") from exc
         meta.validate()
         if meta.video_id in metas:
@@ -308,15 +308,6 @@ def event_to_json(event: WatchEvent) -> str:
 def write_events(f: IO[str], events: Iterable[WatchEvent]) -> None:
     """The event log's lines, written to an open file so it can be streamed."""
     _write_lines(f, events, event_to_json)
-
-
-def iter_lines(f: IO[str] | IO[bytes]) -> Iterator[str]:
-    """Yield text lines from a text or binary stream (UTF-8)."""
-    for line in f:
-        if isinstance(line, bytes):
-            yield line.decode("utf-8", errors="replace")
-        else:
-            yield line
 
 
 def line_ranges(f: IO[bytes], n: int) -> list[tuple[int, int]]:
@@ -345,8 +336,9 @@ def line_ranges(f: IO[bytes], n: int) -> list[tuple[int, int]]:
 
 
 class LineRange:
-    """The lines of a binary stream from its position on, decoded as UTF-8.
+    """The event log's lines from the stream's position on, decoded as UTF-8.
 
+    Undecodable bytes become U+FFFD, and ``parse_events`` reports the line.
     Reads ``size`` bytes, which must end at a line start, or to the end of
     the stream when ``size`` is None. ``count`` is the number of lines read
     so far.

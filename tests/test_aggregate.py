@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engpred.aggregate import (
+    DEFAULT_ECR_THRESHOLD_S,
+    UNITS_PER_S,
     CorpusAggregator,
-    ExactSum,
     ParseFailure,
     aggregate_corpus,
-    aggregate_video,
+    exact_units,
     parse_events,
 )
-from engpred.errors import DataError
-from engpred.records import VideoMeta, WatchEvent
+from engpred.records import LineRange, VideoMeta, WatchEvent
 
 
 def _events(video_id, watch_times, liked=None):
@@ -28,6 +28,23 @@ def _events(video_id, watch_times, liked=None):
 
 def _meta(video_id="v1", duration=20.0, rate=30.0):
     return VideoMeta(video_id, duration, rate)
+
+
+def _add_all(agg, events):
+    for event in events:
+        agg.add(event)
+
+
+def _one_video(watch_times, duration=20.0, liked=None, ecr_threshold_s=DEFAULT_ECR_THRESHOLD_S):
+    """The record of video v1, aggregated through ``aggregate_corpus`` with no filter."""
+    (record,) = aggregate_corpus(
+        _events("v1", watch_times, liked),
+        {"v1": _meta("v1", duration)},
+        min_views=1,
+        duration_range_s=(0.0, math.inf),
+        ecr_threshold_s=ecr_threshold_s,
+    )
+    return record
 
 
 def _record_bits(record):
@@ -87,7 +104,7 @@ class TestParseEvents:
 
     def test_undecodable_bytes_are_a_failure(self):
         stream = io.BytesIO(b'\xff\xfe\n{"video_id":"v1","watch_time_s":3}\n')
-        failure, event = parse_events(stream)
+        failure, event = parse_events(LineRange(stream))
         assert isinstance(failure, ParseFailure) and failure.line_no == 1
         assert event.watch_time_s == 3.0
 
@@ -102,58 +119,48 @@ class TestParseEvents:
 
     def test_reads_binary_stream(self):
         stream = io.BytesIO(b'{"video_id":"v1","watch_time_s":3}\n')
-        (event,) = parse_events(stream)
+        (event,) = parse_events(LineRange(stream))
         assert event.video_id == "v1"
 
 
 class TestAggregateVideo:
     def test_hand_counted_example(self):
-        record = aggregate_video(_events("v1", [3, 6, 7, 2]), _meta(duration=20.0))
+        record = _one_video([3, 6, 7, 2], duration=20.0)
         assert record.views == 4
         assert record.awt_s == 4.5
         assert record.awp == 0.225
         assert record.ecr == 0.5
 
     def test_zero_watch_times(self):
-        record = aggregate_video(_events("v1", [0, 0]), _meta(duration=10.0))
+        record = _one_video([0, 0], duration=10.0)
         assert record.awt_s == 0.0
         assert record.awp == 0.0
         assert record.ecr == 0.0
         assert record.views == 2
 
     def test_threshold_is_strict(self):
-        record = aggregate_video(_events("v1", [5.0]), _meta(), ecr_threshold_s=5.0)
+        record = _one_video([5.0], ecr_threshold_s=5.0)
         assert record.ecr == 0.0
 
     def test_threshold_configurable(self):
-        record = aggregate_video(_events("v1", [3, 4]), _meta(), ecr_threshold_s=2.0)
+        record = _one_video([3, 4], ecr_threshold_s=2.0)
         assert record.ecr == 1.0
 
-    def test_empty_events_error(self):
-        with pytest.raises(DataError):
-            aggregate_video([], _meta())
-
-    def test_id_mismatch_error(self):
-        with pytest.raises(DataError):
-            aggregate_video(_events("other", [1.0]), _meta("v1"))
-
     def test_like_rate_present(self):
-        record = aggregate_video(
-            _events("v1", [1, 2, 3], liked=[True, False, None]), _meta()
-        )
+        record = _one_video([1, 2, 3], liked=[True, False, None])
         assert record.like_rate == pytest.approx(1 / 3)
 
     def test_like_rate_absent_without_flags(self):
-        record = aggregate_video(_events("v1", [1, 2]), _meta())
+        record = _one_video([1, 2])
         assert record.like_rate is None
 
     def test_awt_bounded_by_max_watch(self):
         watch = [0.3, 11.0, 2.5, 7.7]
-        record = aggregate_video(_events("v1", watch), _meta())
+        record = _one_video(watch)
         assert record.awt_s <= max(watch)
 
     def test_watch_beyond_duration_counted(self):
-        record = aggregate_video(_events("v1", [250.0, 10.0]), _meta(duration=20.0))
+        record = _one_video([250.0, 10.0], duration=20.0)
         assert record.views == 2
         assert record.awp > 1.0
 
@@ -179,7 +186,7 @@ class TestCorpusFilters:
     def test_unknown_id_skipped_and_counted(self):
         metas = {"v1": _meta("v1")}
         agg = CorpusAggregator(metas)
-        agg.add_all(_events("v1", [1.0]) + _events("ghost", [2.0]))
+        _add_all(agg, _events("v1", [1.0]) + _events("ghost", [2.0]))
         assert agg.unknown_events == 1
         assert agg.unknown_ids == {"ghost"}
         records = agg.finish(min_views=1, duration_range_s=(10, 60))
@@ -196,9 +203,9 @@ class TestCorpusFilters:
         metas = {"v1": _meta("v1")}
         agg = CorpusAggregator(metas)
         shard_a = CorpusAggregator(metas)
-        shard_a.add_all(_events("v1", [1.0] * 3))
+        _add_all(shard_a, _events("v1", [1.0] * 3))
         agg.merge(shard_a)
-        agg.add_all(_events("v1", [1.0] * 3))
+        _add_all(agg, _events("v1", [1.0] * 3))
         records = agg.finish(min_views=5, duration_range_s=(10, 60))
         assert records[0].views == 6
 
@@ -246,45 +253,43 @@ class TestShardMerge:
     )
     @settings(max_examples=60, deadline=None)
     def test_permutation_invariance(self, watch_times, rnd):
-        meta = _meta("v1", duration=30.0)
-        base = aggregate_video(_events("v1", watch_times), meta)
+        base = _one_video(watch_times, duration=30.0)
         shuffled = list(watch_times)
         rnd.shuffle(shuffled)
-        other = aggregate_video(_events("v1", shuffled), meta)
+        other = _one_video(shuffled, duration=30.0)
         assert _record_bits(base) == _record_bits(other)
 
 
+# Finite doubles of every magnitude and sign, with subnormals and both zeros;
+# bounded so that no sum of 80 of them leaves the double range.
+SUMMANDS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+)
+
+
+def _unit_sum(values):
+    return sum(map(exact_units, values)) / UNITS_PER_S
+
+
 class TestExactSum:
-    @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), max_size=80))
+    """Watch-time sums held as integers in units of 2**-1074 round like ``math.fsum``."""
+
+    @given(st.lists(SUMMANDS, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_matches_fsum(self, values):
-        acc = ExactSum()
-        for v in values:
-            acc.add(v)
-        assert acc.value() == math.fsum(values)
+        assert struct.pack("<d", _unit_sum(values)) == struct.pack("<d", math.fsum(values))
 
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=60),
-        st.integers(min_value=1, max_value=6),
-    )
+    @given(st.lists(SUMMANDS, min_size=1, max_size=60), st.integers(min_value=1, max_value=6))
     @settings(max_examples=100, deadline=None)
     def test_merge_is_exact(self, values, n_shards):
-        single = ExactSum()
-        for v in values:
-            single.add(v)
-        shards = [ExactSum() for _ in range(n_shards)]
-        for i, v in enumerate(values):
-            shards[i % n_shards].add(v)
-        merged = shards[0]
-        for other in shards[1:]:
-            merged.merge(other)
-        assert struct.pack("<d", merged.value()) == struct.pack("<d", single.value())
+        single = sum(map(exact_units, values))
+        merged = sum(sum(map(exact_units, values[i::n_shards])) for i in range(n_shards))
+        assert merged == single
+        assert struct.pack("<d", merged / UNITS_PER_S) == struct.pack("<d", _unit_sum(values))
 
     def test_pathological_cancellation(self):
-        acc = ExactSum()
-        for v in [1e100, 1.0, -1e100]:
-            acc.add(v)
-        assert acc.value() == 1.0
+        assert _unit_sum([1e100, 1.0, -1e100]) == 1.0
 
 
 class TestNaiveReferenceEquivalence:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from engpred import cli
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from engpred.records import WatchEvent, line_ranges
+from engpred.records import LineRange, WatchEvent, line_ranges
 
 
 SYNTH_ARGS = ["--n-videos", "40", "--views", "60", "--seed", "21"]
@@ -144,6 +144,48 @@ class TestDataErrors:
         )
         assert code == EXIT_OK
         assert "(3 malformed lines skipped)" in capsys.readouterr().out
+
+    def test_watch_time_sum_past_float_range(self, tmp_path, capsys):
+        metas = tmp_path / "metas.jsonl"
+        metas.write_text('{"video_id":"v1","duration_s":20.0,"frame_rate":30.0}\n')
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"video_id":"v1","watch_time_s":1e308}\n' * 2)
+        out = tmp_path / "r.jsonl"
+        code = run_cli("aggregate", "--events", str(events), "--metas", str(metas),
+                       "--out", str(out), "--min-views", "1")
+        assert code == EXIT_DATA
+        assert "data error: video 'v1': watch-time sum exceeds the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["duration_s", "frame_rate"])
+    def test_meta_value_past_float_range_names_the_line(self, corpus, tmp_path, capsys, key):
+        values = {"duration_s": "20.0", "frame_rate": "30.0", key: "1" + "0" * 400}
+        metas = tmp_path / "metas.jsonl"
+        metas.write_text('{"video_id":"v1","duration_s":20.0,"frame_rate":30.0}\n'
+                         '{"video_id":"v2","duration_s":%(duration_s)s,"frame_rate":%(frame_rate)s}\n' % values)
+        code = run_cli("aggregate", "--events", str(corpus / "events.jsonl"), "--metas", str(metas),
+                       "--out", str(tmp_path / "r.jsonl"))
+        assert code == EXIT_DATA
+        assert "meta line 2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit-norm", "report"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("views", "1e400"), ("duration_s", "1" + "0" * 400)],
+        ids=["views_1e400", "duration_s_400_digits"],
+    )
+    def test_record_value_past_float_range_names_the_line(self, tmp_path, capsys, command, key, value):
+        row = {"video_id": "v1", "duration_s": 20.0, "views": 10, "awt_s": 5.0, "awp": 0.25,
+               "ecr": 0.5, "like_rate": None, "nawp": 0.5}
+        bad = json.dumps({**row, "video_id": "v2", key: "@"}).replace('"@"', value)
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(row) + "\n" + bad + "\n")
+        argv = {
+            "fit-norm": ["fit-norm", "--records", str(records), "--out-envelope", str(tmp_path / "env.json")],
+            "report": ["report", "--records", str(records), "--out", str(tmp_path / "rep.json")],
+        }[command]
+        assert run_cli(*argv) == EXIT_DATA
+        assert "records line 2: invalid fields" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reader", ["metas", "records", "manifest", "predictions"])
     def test_undecodable_line_names_the_line(self, corpus, tmp_path, capsys, reader):
@@ -528,7 +570,7 @@ class TestArbitraryLogs:
     @settings(max_examples=40, deadline=None)
     def test_shards_match_single_pass(self, metas, pieces, shards):
         log = b"".join(pieces)
-        items = list(parse_events(io.BytesIO(log)))
+        items = list(parse_events(LineRange(io.BytesIO(log))))
         assert all(isinstance(item, (WatchEvent, ParseFailure)) for item in items)
         line_nos = [item.line_no for item in items if isinstance(item, ParseFailure)]
         assert line_nos == sorted(set(line_nos))
