@@ -1,13 +1,17 @@
 """Watch-event log parsing and per-video engagement aggregation.
 
-Aggregation is a commutative-monoid reduction of integers: per video, counts
-and the watch-time sum in units of 2**-1074. Every finite double is an integer
+The log is parsed in blocks of lines, one ``json.loads`` per block
+(``parse_event_blocks``); ``parse_events`` is the reference path and takes
+every line that does not decode to one valid event. Aggregation is a
+commutative-monoid reduction of integers: per video, counts and the
+watch-time sum in units of 2**-1074. Every finite double is an integer
 multiple of that unit, so the sum is exact (a superaccumulator, Neal 2015,
-arXiv:1505.05571) and is rounded once, when ``finish`` divides it. Events can
-be processed in any order and in any sharding: merged shard aggregates are
-bit-identical to a single pass. ``engpred aggregate --shards N`` relies on
-this: it cuts the log into byte ranges of whole lines, reduces each in its own
-worker process and merges the shards in range order.
+arXiv:1505.05571) and is rounded once, when ``finish`` divides it. A batch of
+events is reduced by ``np.bincount`` and one integer sum per (video, binary
+exponent). Events can be processed in any order and in any sharding: merged
+shard aggregates are bit-identical to a single pass. ``engpred aggregate
+--shards N`` relies on this: it cuts the log into byte ranges of whole lines,
+reduces each in its own worker process and merges the shards in range order.
 """
 
 from __future__ import annotations
@@ -15,8 +19,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, compress, islice, repeat
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError
 from .records import VideoMeta, VideoRecord, WatchEvent
@@ -33,11 +41,11 @@ EXTREME_WATCH_FACTOR = 10.0
 # Units of exact watch-time sums per second: 2**-1074 s is the smallest subnormal.
 UNITS_PER_S = 2**1074
 
+# Events parsed into one batch of columns before it is reduced; bounds memory.
+REDUCE_BATCH = 65536
 
-def exact_units(x: float) -> int:
-    """``x`` as an integer number of 2**-1074 units, exactly; ``x`` must be finite."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
+# Rows of ``CorpusAggregator.counts``.
+VIEWS, OVER_THRESHOLD, LIKES, LIKED_SEEN, EXTREME = range(5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,9 +59,9 @@ class ParseFailure:
 def parse_events(lines: Iterable[str]) -> Iterator[WatchEvent | ParseFailure]:
     """Parse JSONL event lines of text, yielding events and per-line failures.
 
-    Malformed lines never abort the stream; each yields a ParseFailure with
-    its line number instead. ``records.LineRange`` decodes a byte stream
-    into such lines.
+    The reference parser, and the path of every line that the fast path of
+    ``parse_event_blocks`` does not take. Malformed lines never abort the
+    stream; each yields a ParseFailure with its line number instead.
     """
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -95,29 +103,115 @@ def parse_events(lines: Iterable[str]) -> Iterator[WatchEvent | ParseFailure]:
 
 
 @dataclass(slots=True)
-class VideoSums:
-    """Order-independent watch statistics for one video; all sums are exact."""
+class EventColumns:
+    """Events as parallel columns, in log order."""
 
-    views: int = 0
-    watch_units: int = 0  # the watch-time sum in units of 2**-1074 s
-    over_threshold: int = 0
-    likes: int = 0
-    liked_seen: bool = False
-    extreme_watches: int = 0
+    video_ids: list[str] = field(default_factory=list)
+    watch_s: list[float] = field(default_factory=list)
+    liked: list[bool | None] = field(default_factory=list)
 
-    def merge(self, other: VideoSums) -> None:
-        self.views += other.views
-        self.watch_units += other.watch_units
-        self.over_threshold += other.over_threshold
-        self.likes += other.likes
-        self.liked_seen = self.liked_seen or other.liked_seen
-        self.extreme_watches += other.extreme_watches
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def append(self, event: WatchEvent) -> None:
+        self.video_ids.append(event.video_id)
+        self.watch_s.append(event.watch_time_s)
+        self.liked.append(event.liked)
+
+
+def _joint_rows(lines: list[str], stops: list[int]) -> list[list | None]:
+    """Each line's JSON values as a list, or None for a line to parse alone.
+
+    ``stops`` are the indices of the lines holding a bracket, then
+    ``len(lines)``; those lines are parsed alone. The lines between stops are
+    decoded together, each wrapped in a list of its own: a line without a
+    bracket cannot close its list early, and a string cannot run past the
+    newline kept at the line's end, so when a decode succeeds its k-th list
+    is exactly line k. A decode that fails is retried on the lines before
+    the failing position, which that decode got past; the line at the
+    position is left to ``parse_events``.
+    """
+    rows: list[list | None] = []
+    end = None
+    while (done := len(rows)) < len(lines):
+        if end is None:
+            end = stops[bisect_left(stops, done)]
+        if end == done:
+            rows.append(None)
+            end = None
+            continue
+        run = lines[done:end]
+        try:
+            rows += json.loads("[[" + "\n],[".join(run) + "\n]]")
+        except json.JSONDecodeError as exc:
+            starts = list(accumulate((len(line) + 4 for line in run), initial=2))
+            end = done + min(max(bisect_right(starts, exc.pos) - 1, 0), len(run) - 1)
+            continue
+        except ValueError:  # an integer past the digit limit, at no known position
+            rows += [None] * len(run)
+        end = None
+    return rows
+
+
+def _parse_alone(parse_line, line: str, line_no: int, columns: EventColumns) -> Iterator[ParseFailure]:
+    for item in parse_line([line]):
+        if isinstance(item, ParseFailure):
+            yield ParseFailure(line_no, item.message)
+        else:
+            columns.append(item)
+
+
+def parse_event_blocks(
+    blocks: Iterable[str], parse_line: Callable[[list[str]], Iterator[WatchEvent | ParseFailure]] = parse_events
+) -> Iterator[EventColumns | ParseFailure]:
+    """Parse blocks of event-log lines (``records.LineRange.blocks``).
+
+    Yields the valid events as columns of up to about ``REDUCE_BATCH``
+    events, and a ParseFailure per rejected line, all in log order. A line
+    whose decoded values are not exactly one object with the fields that
+    ``parse_events`` accepts goes through ``parse_line`` alone, so events,
+    failure texts and line numbers equal those of ``parse_events`` over
+    the same lines.
+    """
+    columns = EventColumns()
+    line_no = 0
+    for block in blocks:
+        lines = block.split("\n")
+        tail = lines.pop()  # the final line when it lacks a newline, else ""
+        stops = [len(lines)]
+        if "[" in block or "]" in block:
+            stops[:0] = [k for k, line in enumerate(lines) if "[" in line or "]" in line]
+        for line, row in zip(lines, _joint_rows(lines, stops)):
+            line_no += 1
+            if row is not None and len(row) == 1 and type(payload := row[0]) is dict:
+                video_id = payload.get("video_id")
+                watch = payload.get("watch_time_s")
+                liked = payload.get("liked")
+                if (type(video_id) is str and video_id and type(watch) is float
+                        and 0.0 <= watch < math.inf and (liked is None or type(liked) is bool)):
+                    columns.video_ids.append(video_id)
+                    columns.watch_s.append(watch)
+                    columns.liked.append(liked)
+                    continue
+            yield from _parse_alone(parse_line, line + "\n", line_no, columns)
+        if tail:
+            line_no += 1
+            yield from _parse_alone(parse_line, tail, line_no, columns)
+        if len(columns) >= REDUCE_BATCH:
+            yield columns
+            columns = EventColumns()
+    if len(columns):
+        yield columns
 
 
 class CorpusAggregator:
     """Sharded corpus aggregation over a fixed meta table.
 
-    Each shard owns one aggregator; ``merge`` folds shards together. Events
+    Each shard owns one aggregator; ``merge`` folds shards together. Per
+    video (in meta-table order) it holds the ``counts`` rows (``VIEWS``,
+    ``OVER_THRESHOLD``, ``LIKES``, ``LIKED_SEEN``, ``EXTREME``) and the exact
+    watch-time sum in ``units``. ``add_columns`` reduces a batch of events
+    at once; ``add`` buffers one event for the next such batch. Events
     referencing unknown video ids are counted and skipped. Filtering happens
     only in ``finish``, after view counts are complete. A shard pickled to
     another process leaves its meta table behind: it can be merged into an
@@ -132,58 +226,109 @@ class CorpusAggregator:
     ) -> None:
         self.metas = metas
         self.ecr_threshold_s = ecr_threshold_s
-        self.videos: dict[str, VideoSums] = {}
-        self.unknown_events = 0
-        self.unknown_ids: set[str] = set()
+        self._index = {video_id: i for i, video_id in enumerate(metas)}
+        self._durations = np.array([meta.duration_s for meta in metas.values()], dtype=np.float64)
+        self.counts = np.zeros((5, len(metas)), dtype=np.int64)
+        self.units = [0] * len(metas)  # watch-time sums in units of 2**-1074 s
+        self._unknown_events = 0
+        self._unknown_ids: set[str] = set()
+        self._pending = EventColumns()
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "metas": None}
+        self._flush()
+        return {**self.__dict__, "metas": None, "_index": None, "_durations": None}
+
+    @property
+    def unknown_events(self) -> int:
+        self._flush()
+        return self._unknown_events
+
+    @property
+    def unknown_ids(self) -> set[str]:
+        self._flush()
+        return self._unknown_ids
 
     def add(self, event: WatchEvent) -> None:
-        meta = self.metas.get(event.video_id)
-        if meta is None:
-            self.unknown_events += 1
-            self.unknown_ids.add(event.video_id)
+        self._pending.append(event)
+        if len(self._pending) >= REDUCE_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if len(self._pending):
+            pending, self._pending = self._pending, EventColumns()
+            self.add_columns(pending)
+
+    def add_columns(self, columns: EventColumns) -> None:
+        """Reduce a batch of events."""
+        idx = np.fromiter(map(self._index.get, columns.video_ids, repeat(-1)), np.int64, len(columns))
+        known = idx >= 0
+        if not known.all():
+            self._unknown_events += len(idx) - int(known.sum())
+            self._unknown_ids.update(compress(columns.video_ids, (~known).tolist()))
+        idx = idx[known]
+        watch = np.array(columns.watch_s, dtype=np.float64)[known]
+        liked = np.array(columns.liked, dtype=np.float64)[known]  # None reads as NaN
+        invalid = ~((watch >= 0.0) & (watch < math.inf))
+        if invalid.any():
+            k = int(np.argmax(invalid))
+            raise DataError(f"watch event for {list(self.metas)[idx[k]]!r} has invalid watch_time_s {float(watch[k])!r}")
+        if not len(idx):
             return
-        event.validate()
-        sums = self.videos.get(event.video_id)
-        if sums is None:
-            sums = self.videos[event.video_id] = VideoSums()
-        watch = event.watch_time_s
-        sums.views += 1
-        sums.watch_units += exact_units(watch)
-        if watch > self.ecr_threshold_s:
-            sums.over_threshold += 1
-        if event.liked is not None:
-            sums.liked_seen = True
-            if event.liked:
-                sums.likes += 1
-        if watch > EXTREME_WATCH_FACTOR * meta.duration_s:
-            sums.extreme_watches += 1
+        n = len(self.units)
+        flags = (  # the events each ``counts`` row counts, in row order
+            slice(None),
+            watch > self.ecr_threshold_s,
+            liked == 1.0,
+            liked == liked,
+            watch > EXTREME_WATCH_FACTOR * self._durations[idx],
+        )
+        self.counts += np.stack([np.bincount(idx[f], minlength=n) for f in flags])
+        # watch = mantissa * 2**(shift - 1074) with an integer mantissa below 2**53.
+        mantissa, exponent = np.frexp(watch)
+        mantissa = np.ldexp(mantissa, 53).astype(np.int64)
+        shift = exponent.astype(np.int64) + (1074 - 53)
+        # A subnormal's shift is negative, and its mantissa ends in at least
+        # that many zero bits: shift them out exactly.
+        low = np.minimum(shift, 0)
+        mantissa >>= -low
+        shift -= low
+        # One sum per (video, shift) group. Halves below 2**32 keep each int64
+        # sum exact for groups of up to 2**31 events.
+        key = idx * 2048 + shift
+        order = np.argsort(key)
+        key, mantissa = key[order], mantissa[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        high = np.add.reduceat(mantissa >> 32, first).tolist()
+        low_sums = np.add.reduceat(mantissa & 0xFFFFFFFF, first).tolist()
+        units = self.units
+        for k, hi, lo in zip(key[first].tolist(), high, low_sums):
+            units[k >> 11] += ((hi << 32) + lo) << (k & 2047)
 
     def merge(self, other: "CorpusAggregator") -> None:
         if other.ecr_threshold_s != self.ecr_threshold_s:
             raise DataError("cannot merge aggregators with different ECR thresholds")
-        for video_id, theirs in other.videos.items():
-            mine = self.videos.get(video_id)
-            if mine is None:
-                self.videos[video_id] = theirs
-            else:
-                mine.merge(theirs)
-        self.unknown_events += other.unknown_events
-        self.unknown_ids |= other.unknown_ids
+        self._flush()
+        other._flush()
+        self.counts += other.counts
+        self.units = [mine + theirs for mine, theirs in zip(self.units, other.units)]
+        self._unknown_events += other._unknown_events
+        self._unknown_ids |= other._unknown_ids
+
+    def _by_video_id(self, row: int) -> list[tuple[str, int]]:
+        """``(video id, index)`` of each video with a nonzero ``counts[row]``, by id."""
+        ids = list(self.metas)
+        return sorted((ids[i], i) for i in np.flatnonzero(self.counts[row]).tolist())
 
     def warnings(self) -> list[str]:
         """What was skipped or flagged: unknown ids, then extreme watches by video id."""
+        self._flush()
         texts = []
         if self.unknown_events:
             texts.append(
                 f"skipped {self.unknown_events} events for {len(self.unknown_ids)} unknown video ids"
             )
-        for video_id in sorted(self.videos):
-            count = self.videos[video_id].extreme_watches
-            if count:
-                texts.append(f"video {video_id}: {count} extreme watch times")
+        for video_id, i in self._by_video_id(EXTREME):
+            texts.append(f"video {video_id}: {self.counts[EXTREME, i]} extreme watch times")
         return texts
 
     def finish(
@@ -191,27 +336,31 @@ class CorpusAggregator:
         min_views: int = DEFAULT_MIN_VIEWS,
         duration_range_s: tuple[float, float] = DEFAULT_DURATION_RANGE_S,
     ) -> list[VideoRecord]:
+        self._flush()
         lo, hi = duration_range_s
+        views, over, likes, liked_seen, _ = self.counts.tolist()
         records = []
-        for video_id in sorted(self.videos):
-            sums = self.videos[video_id]
+        for video_id, i in self._by_video_id(VIEWS):
             duration = self.metas[video_id].duration_s
-            if sums.views < min_views or not (lo <= duration <= hi):
+            if views[i] < min_views or not (lo <= duration <= hi):
                 continue
             try:
                 # Both divisions round correctly: math.fsum(watch times) / views.
-                awt = sums.watch_units / UNITS_PER_S / sums.views
+                awt = self.units[i] / UNITS_PER_S / views[i]
             except OverflowError:
                 raise DataError(f"video {video_id!r}: watch-time sum exceeds the float range") from None
+            awp = awt / duration
+            if not math.isfinite(awp):
+                raise DataError(f"video {video_id!r}: average watch percentage exceeds the float range")
             records.append(
                 VideoRecord(
                     video_id=video_id,
                     duration_s=duration,
-                    views=sums.views,
+                    views=views[i],
                     awt_s=awt,
-                    awp=awt / duration,
-                    ecr=sums.over_threshold / sums.views,
-                    like_rate=(sums.likes / sums.views) if sums.liked_seen else None,
+                    awp=awp,
+                    ecr=over[i] / views[i],
+                    like_rate=(likes[i] / views[i]) if liked_seen[i] else None,
                     nawp=None,
                 )
             )
@@ -227,8 +376,12 @@ def aggregate_corpus(
 ) -> list[VideoRecord]:
     """Aggregate an event stream against a meta table and apply corpus filters."""
     agg = CorpusAggregator(metas, ecr_threshold_s)
-    for event in events:
-        agg.add(event)
+    events = iter(events)
+    while batch := list(islice(events, REDUCE_BATCH)):
+        columns = EventColumns()
+        for event in batch:
+            columns.append(event)
+        agg.add_columns(columns)
     for text in agg.warnings():
         logger.warning("%s", text)
     return agg.finish(min_views=min_views, duration_range_s=duration_range_s)

@@ -20,6 +20,7 @@ from .aggregate import (
     DEFAULT_MIN_VIEWS,
     CorpusAggregator,
     ParseFailure,
+    parse_event_blocks,
     parse_events,
 )
 from .envelope import (
@@ -122,13 +123,14 @@ def aggregate_range(
     """Parse and reduce ``size`` bytes of whole lines from ``stream`` (all of it when None)."""
     lines = LineRange(stream, size)
     shard = CorpusAggregator(metas, ecr_threshold_s)
-    add = shard.add
     failures = []
-    for item in parse_events(lines):
+    # parse_events is named here so that a span hook on cli.parse_events (see
+    # benchmarks/layers.py) sees the lines that take the per-line path.
+    for item in parse_event_blocks(lines.blocks(), parse_events):
         if isinstance(item, ParseFailure):
             failures.append(item)
         else:
-            add(item)
+            shard.add_columns(item)
     return shard, failures, lines.count
 
 

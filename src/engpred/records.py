@@ -181,15 +181,6 @@ class WatchEvent:
     watch_time_s: float
     liked: bool | None = None
 
-    def validate(self) -> None:
-        if not self.video_id:
-            raise DataError("watch event has empty video_id")
-        if not math.isfinite(self.watch_time_s) or self.watch_time_s < 0:
-            raise DataError(
-                f"watch event for {self.video_id!r} has invalid watch_time_s "
-                f"{self.watch_time_s!r}"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class VideoMeta:
@@ -229,6 +220,7 @@ class VideoRecord:
 
 # Fixed key order for diff-stable JSONL output.
 _RECORD_KEYS = tuple(f.name for f in fields(VideoRecord))
+_RECORD_FLOATS = ("duration_s", "awt_s", "awp", "ecr", "like_rate", "nawp")
 
 
 def record_to_json(record: VideoRecord) -> str:
@@ -264,6 +256,10 @@ def read_records(path: Path | str) -> list[VideoRecord]:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"records line {line_no}: invalid fields: {exc}") from exc
+        for name in _RECORD_FLOATS:
+            value = getattr(records[-1], name)
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"records line {line_no}: {name} is not finite")
     return records
 
 
@@ -335,13 +331,19 @@ def line_ranges(f: IO[bytes], n: int) -> list[tuple[int, int]]:
     return [(start, end) for start, end in zip(cuts, cuts[1:]) if end > start]
 
 
+# Bytes read per block of the event log; a line longer than this spans blocks.
+BLOCK_BYTES = 8192
+
+
 class LineRange:
     """The event log's lines from the stream's position on, decoded as UTF-8.
 
-    Undecodable bytes become U+FFFD, and ``parse_events`` reports the line.
     Reads ``size`` bytes, which must end at a line start, or to the end of
-    the stream when ``size`` is None. ``count`` is the number of lines read
-    so far.
+    the stream when ``size`` is None, in blocks of whole lines (``blocks``)
+    or line by line. Lines end at "\n" only. A block is decoded once, with
+    undecodable bytes as U+FFFD; that equals decoding each line alone, as a
+    newline byte never occurs inside a UTF-8 sequence. ``count`` is the
+    number of lines read so far.
     """
 
     def __init__(self, f: IO[bytes], size: int | None = None) -> None:
@@ -349,10 +351,27 @@ class LineRange:
         self.size = size
         self.count = 0
 
-    def __iter__(self) -> Iterator[str]:
+    def blocks(self) -> Iterator[str]:
+        """Blocks of lines, each ending in a newline except perhaps the last."""
         left = math.inf if self.size is None else self.size
-        for self.count, line in enumerate(self.f, start=1):
-            yield line.decode("utf-8", errors="replace")
-            left -= len(line)
-            if left <= 0:
-                return
+        pending: list[bytes] = []  # the bytes of the unfinished line
+        while left > 0 and (chunk := self.f.read(min(BLOCK_BYTES, left))):
+            left -= len(chunk)
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                data = b"".join([*pending, chunk[:cut]])
+                pending = []
+                self.count += data.count(b"\n")
+                yield data.decode("utf-8", errors="replace")
+            pending.append(chunk[cut:])
+        if any(pending):
+            self.count += 1
+            yield b"".join(pending).decode("utf-8", errors="replace")
+
+    def __iter__(self) -> Iterator[str]:
+        for block in self.blocks():
+            *lines, tail = block.split("\n")
+            for line in lines:
+                yield line + "\n"
+            if tail:
+                yield tail

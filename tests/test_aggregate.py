@@ -4,21 +4,31 @@ import io
 import json
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engpred import aggregate, records
 from engpred.aggregate import (
     DEFAULT_ECR_THRESHOLD_S,
     UNITS_PER_S,
     CorpusAggregator,
+    EventColumns,
     ParseFailure,
     aggregate_corpus,
-    exact_units,
+    parse_event_blocks,
     parse_events,
 )
+from engpred.errors import DataError
 from engpred.records import LineRange, VideoMeta, WatchEvent
+
+
+def exact_units(x):
+    """``x`` as an integer number of 2**-1074 units, exactly; ``x`` must be finite."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 def _events(video_id, watch_times, liked=None):
@@ -290,6 +300,112 @@ class TestExactSum:
 
     def test_pathological_cancellation(self):
         assert _unit_sum([1e100, 1.0, -1e100]) == 1.0
+
+
+def _columns(video_id, watch_times):
+    return EventColumns([video_id] * len(watch_times), list(watch_times), [None] * len(watch_times))
+
+
+class TestColumnarSum:
+    """The reducer's per-(video, exponent) integer sums equal ``math.fsum``."""
+
+    # 5,000 equal full-mantissa values overflow an int64 sum of whole mantissas.
+    VALUES = [(2**53 - 1) / 2**52] * 5000 + [1e-300, 5e-324, 0.0, -0.0]
+
+    def test_one_group_of_5000_matches_fsum(self):
+        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg.add_columns(_columns("v1", self.VALUES))
+        assert agg.units[0] == sum(map(exact_units, self.VALUES))
+        assert struct.pack("<d", agg.units[0] / UNITS_PER_S) == struct.pack("<d", math.fsum(self.VALUES))
+        (record,) = agg.finish(min_views=1)
+        assert struct.pack("<d", record.awt_s) == struct.pack("<d", math.fsum(self.VALUES) / len(self.VALUES))
+
+    def test_merged_shards_equal_one_pass(self):
+        metas = {"v1": _meta("v1"), "v2": _meta("v2")}
+        single = CorpusAggregator(metas)
+        single.add_columns(_columns("v1", self.VALUES))
+        single.add_columns(_columns("v2", self.VALUES[::7]))
+        shards = [CorpusAggregator(metas) for _ in range(3)]
+        for k, shard in enumerate(shards):
+            shard.add_columns(_columns("v1", self.VALUES[k::3]))
+        shards[1].add_columns(_columns("v2", self.VALUES[::7]))
+        for other in shards[1:]:
+            shards[0].merge(other)
+        assert shards[0].units == single.units
+        assert [_record_bits(r) for r in shards[0].finish(min_views=1)] == [
+            _record_bits(r) for r in single.finish(min_views=1)]
+
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                              st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310])),
+                    min_size=1, max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_units_match_exact_units(self, values):
+        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg.add_columns(_columns("v1", values))
+        assert agg.units[0] == sum(map(exact_units, values))
+
+    def test_sum_past_float_range_is_a_data_error(self):
+        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg.add_columns(_columns("v1", [1e308, 1e308]))
+        with pytest.raises(DataError, match="watch-time sum exceeds the float range"):
+            agg.finish(min_views=1, duration_range_s=(0.0, math.inf))
+
+
+# Hostile event-log fragments; each ends a line or leaves it open for the next.
+HOSTILE_FRAGMENTS = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([
+        b'{"video_id":"v1","watch_time_s":1.5}\n',
+        b'{"video_id":"v2","watch_time_s":0.0,"liked":false}\n',
+        b'{"video_id":"v1","watch_time_s":-0.0,"liked":true}\n',
+        b'{"video_id":"v1","watch_time_s":5e-324}\n',
+        b'{"video_id":"v1","watch_time_s":3}\n',
+        b'{"video_id":"v1"\n', b'"watch_time_s":1.0}\n',  # one object only when joined
+        b'{"video_id":"v1","watch_time_s":1.0},{"video_id":"v2","watch_time_s":2.0}\n',
+        b'[[{"video_id":"v1","watch_time_s":1.0}]]\n', b"]],[[\n", b"[\n", b"]\n", b"[", b"]",
+        b'{"video_id":"v1","watch_time_s":1.0}],[{"video_id":"v2","watch_time_s":2.0}\n',  # two lists
+        b'{"video_id":"v1\n', b'"\n', b'{"video_id":"unterminated',
+        b'{"video_id":"v1","watch_time_s":NaN}\n', b'{"video_id":"v1","watch_time_s":1e999}\n',
+        b'{"video_id":"v1","watch_time_s":' + b"9" * 400 + b"}\n",
+        b'{"video_id":"v1","watch_time_s":' + b"9" * 5000 + b"}\n",
+        b'{"video_id":"v1","watch_time_s":1.0,"watch_time_s":"x"}\n',
+        b'{"video_id":"","video_id":"v2","watch_time_s":2.5}\n',
+        b'{"video_id":"v1","watch_time_s":2.0}\r\n', b"\r\n",
+        b"\x1c\n", b"\xe3\x80\x80\n", b"\t\n", b" \n", b"\n",
+        b'{"video_id":"v\xe2\x80\xa8","watch_time_s":1.5}\n', b'{"video_id":"v\xc2\x85","watch_time_s":1.5}\n',
+        b"\xe2\x82", b"\xac", b"\xff", b"\xf0\x9f\x98",
+        b'{"video_id":"v1","watch_time_s":2.5,"pad":"' + b"x" * 100 + b'"}\n',
+        b'{"video_id":"v1","watch_time_s":7.25}',
+    ]),
+)
+
+
+class TestBlockParse:
+    """``parse_event_blocks`` gives what ``parse_events`` gives line by line."""
+
+    @given(st.lists(HOSTILE_FRAGMENTS, max_size=30), st.sampled_from([1, 16, 64, 8192]))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_equal_per_line_parsing(self, fragments, block_bytes):
+        log = b"".join(fragments)
+        lines = [line.decode("utf-8", errors="replace") for line in io.BytesIO(log)]
+        expected = list(parse_events(lines))
+        with mock.patch.object(records, "BLOCK_BYTES", block_bytes), \
+                mock.patch.object(aggregate, "REDUCE_BATCH", 3):
+            reader = LineRange(io.BytesIO(log))
+            items = list(parse_event_blocks(reader.blocks()))
+        assert reader.count == len(lines)
+        failures = [item for item in items if isinstance(item, ParseFailure)]
+        assert failures == [item for item in expected if isinstance(item, ParseFailure)]
+        events = [(video_id, repr(watch), liked) for columns in items if isinstance(columns, EventColumns)
+                  for video_id, watch, liked in zip(columns.video_ids, columns.watch_s, columns.liked)]
+        assert events == [(e.video_id, repr(e.watch_time_s), e.liked) for e in expected
+                          if isinstance(e, WatchEvent)]
+
+    def test_lines_iterate_as_in_the_file(self):
+        log = b'a\x1cb\n\xe2\x80\xa8\r\n\n{"x":1}'
+        with mock.patch.object(records, "BLOCK_BYTES", 4):
+            assert list(LineRange(io.BytesIO(log))) == [
+                line.decode("utf-8", errors="replace") for line in io.BytesIO(log)]
 
 
 class TestNaiveReferenceEquivalence:

@@ -157,6 +157,18 @@ class TestDataErrors:
         assert "data error: video 'v1': watch-time sum exceeds the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_awp_past_float_range(self, tmp_path, capsys):
+        metas = tmp_path / "metas.jsonl"
+        metas.write_text('{"video_id":"v1","duration_s":0.001,"frame_rate":30.0}\n')
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"video_id":"v1","watch_time_s":1e306}\n')
+        out = tmp_path / "r.jsonl"
+        code = run_cli("aggregate", "--events", str(events), "--metas", str(metas),
+                       "--out", str(out), "--duration-min", "0", "--min-views", "1")
+        assert code == EXIT_DATA
+        assert "data error: video 'v1': average watch percentage exceeds the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["duration_s", "frame_rate"])
     def test_meta_value_past_float_range_names_the_line(self, corpus, tmp_path, capsys, key):
         values = {"duration_s": "20.0", "frame_rate": "30.0", key: "1" + "0" * 400}
@@ -186,6 +198,25 @@ class TestDataErrors:
         }[command]
         assert run_cli(*argv) == EXIT_DATA
         assert "records line 2: invalid fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit-norm", "report"])
+    @pytest.mark.parametrize("key", ["duration_s", "awt_s", "awp", "ecr", "like_rate", "nawp"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_record_value_names_the_line(self, tmp_path, capsys, command, key, value):
+        rows = [{"video_id": f"v{i}", "duration_s": 20.0 + i % 40, "views": 10, "awt_s": 5.0 + i % 7,
+                 "awp": 0.25, "ecr": 0.5, "like_rate": 0.1, "nawp": 0.5} for i in range(40)]
+        lines = [json.dumps(row) for row in rows]
+        lines[7] = json.dumps({**rows[7], key: "@"}).replace('"@"', value)
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        argv = {
+            "fit-norm": ["fit-norm", "--records", str(records), "--out-envelope", str(out)],
+            "report": ["report", "--records", str(records), "--out", str(out)],
+        }[command]
+        assert run_cli(*argv) == EXIT_DATA
+        assert f"records line 8: {key} is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["metas", "records", "manifest", "predictions"])
     def test_undecodable_line_names_the_line(self, corpus, tmp_path, capsys, reader):
@@ -513,6 +544,22 @@ class TestShardedAggregate:
             capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, out.read_bytes(), proc.stdout, proc.stderr) == single
+
+    def test_pipe_input_matches_file(self, corpus, tmp_path):
+        # A pipe has no size, so it gives no ranges and is read in-process in
+        # blocks, whatever the short reads of the pipe.
+        log = _hostile_log(corpus)
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(log)
+        metas = corpus / "metas.jsonl"
+        single = _aggregate_outputs(events, metas, tmp_path / "one.jsonl", 1)
+        out = tmp_path / "pipe.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "engpred", "aggregate", "--events", "/dev/stdin", "--metas", str(metas),
+             "--out", str(out), "--min-views", "1", "--shards", "4"],
+            input=log, capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, out.read_bytes(), proc.stdout.decode(), proc.stderr.decode()) == single
 
     def test_workers_capped_at_cpus(self, corpus, tmp_path, cpus, monkeypatch):
         monkeypatch.setattr(cli, "available_cpus", lambda: 3)
