@@ -42,7 +42,7 @@ from .model import (
     forward,
     init_params,
 )
-from .optim import AdamState, adam_step, cosine_lr
+from .optim import AdamState, FlatParams, adam_step, cosine_lr
 from .records import VideoMeta, VideoRecord, WatchEvent
 from .synth import SynthConfig, generate_events, generate_features, ridge_oracle
 from .trainer import TrainConfig, compare_modes, loss_value, split_dataset, train
@@ -59,6 +59,7 @@ __all__ = [
     "EvalReport",
     "FeatureBundle",
     "FitError",
+    "FlatParams",
     "ModelConfig",
     "NonFiniteError",
     "NumericError",

@@ -74,6 +74,9 @@ def parse_events(lines: Iterable[str]) -> Iterator[WatchEvent | ParseFailure]:
         except ValueError as exc:  # an integer past the interpreter's digit limit
             yield ParseFailure(line_no, f"invalid JSON: {exc}")
             continue
+        except RecursionError:
+            yield ParseFailure(line_no, "invalid JSON: nested too deeply")
+            continue
         if not isinstance(payload, dict):
             yield ParseFailure(line_no, "line is not a JSON object")
             continue
@@ -147,7 +150,7 @@ def _joint_rows(lines: list[str], stops: list[int]) -> list[list | None]:
             starts = list(accumulate((len(line) + 4 for line in run), initial=2))
             end = done + min(max(bisect_right(starts, exc.pos) - 1, 0), len(run) - 1)
             continue
-        except ValueError:  # an integer past the digit limit, at no known position
+        except (ValueError, RecursionError):  # past the digit or nesting limit, at no known position
             rows += [None] * len(run)
         end = None
     return rows

@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Design rules:
-  - tensors are treated as immutable once constructed;
+  - ops never modify an existing tensor's data; data change only between
+    tapes, where ``optim.adam_step`` updates the parameters in place;
   - no implicit broadcasting — shapes must match exactly, with explicit
     row-vector ops (add_rowvec, mul_rowvec) for bias/affine patterns;
   - every op checks its output for NaN/Inf;
@@ -10,7 +11,9 @@ Design rules:
     video of the batch without padding or cross-video terms;
   - ops record onto the thread's active Tape (if any); replaying the tape
     in reverse visits each op exactly once in reverse topological order
-    and accumulates gradients into ``.grad``.
+    and accumulates gradients into ``.grad``; a leaf whose ``.grad`` is
+    already an array (a parameter's view of ``optim.FlatParams.grad``)
+    accumulates into it in place.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # Copy on first write: g may alias an upstream grad buffer.
+    # Copy on first write: g may alias an upstream grad buffer. A preset
+    # .grad (a parameter's view of a flat gradient buffer) is added to.
     if t.grad is None:
         t.grad = np.array(g)
     else:

@@ -1,9 +1,14 @@
-"""Adam with bias correction, plus the cosine annealing learning-rate schedule."""
+"""Adam with bias correction over flat buffers, plus the cosine learning-rate schedule.
+
+Parameters, gradients and both moments are each one flat float64 buffer,
+so ``adam_step`` is one elementwise pass; being elementwise, it equals a
+per-tensor update bit for bit.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -11,52 +16,74 @@ from .autodiff import Tensor
 from .errors import NumericError
 
 
-@dataclass
+class FlatParams(dict):
+    """Named parameter tensors whose data and gradients are views of two flat buffers.
+
+    The buffers ``data`` and ``grad`` are laid out in the given order
+    (``init_params`` order). Packing copies each tensor's data into ``data``
+    and rebinds its ``.data`` and ``.grad`` to views, so the tensors are
+    updated in place and must not be replaced.
+    """
+
+    def __init__(self, params: Mapping[str, Tensor]) -> None:
+        super().__init__(params)
+        self.data = np.concatenate([np.empty(0)] + [p.data.reshape(-1) for p in self.values()])
+        self.grad = np.zeros_like(self.data)
+        for p, data, grad in zip(self.values(), self.views(self.data).values(), self.views(self.grad).values()):
+            p.data, p.grad = data, grad
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of a buffer laid out like ``data``, in its shape."""
+        views, stop = {}, 0
+        for name, p in self.items():
+            start, stop = stop, stop + p.data.size
+            views[name] = flat[start:stop].reshape(p.data.shape)
+        return views
+
+    def first_non_finite(self, flat: np.ndarray) -> str:
+        """The first parameter whose slice of ``flat`` holds a NaN or infinity."""
+        return next(name for name, view in self.views(flat).items() if not np.isfinite(view).all())
+
+
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """Moment buffers ``m_flat``/``v_flat`` laid out like ``params.data``, views ``m``/``v`` by name, step ``t``."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(p.data) for name, p in params.items()},
-            v={name: np.zeros_like(p.data) for name, p in params.items()},
-            t=0,
-        )
+    def __init__(self, params: FlatParams, t: int = 0) -> None:
+        self.m_flat = np.zeros_like(params.data)
+        self.v_flat = np.zeros_like(params.data)
+        self.m = params.views(self.m_flat)
+        self.v = params.views(self.v_flat)
+        self.t = t
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params: FlatParams,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update; params are rebound to fresh tensors."""
+    """One bias-corrected Adam update of ``params.data`` from ``params.grad``, in place.
+
+    Raises NumericError naming the first parameter whose gradient, or whose
+    updated value, is not finite; a bad gradient leaves everything unchanged.
+    """
+    g = params.grad
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient for {params.first_non_finite(g)!r}")
     state.t += 1
     bias1 = 1.0 - beta1**state.t
     bias2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise NumericError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-        params[name] = Tensor(p.data - update)
+    m, v = state.m_flat, state.v_flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    update = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    np.subtract(params.data, update, out=params.data)
+    if not np.isfinite(params.data).all():
+        raise NumericError(f"non-finite update for {params.first_non_finite(params.data)!r}")
 
 
 def cosine_lr(

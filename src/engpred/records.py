@@ -143,7 +143,8 @@ def open_input(path: Path | str, what: str) -> IO[bytes]:
         raise DataError(f"cannot open {what} {path}: {exc}") from exc
 
 
-def _json_object(raw: bytes, where: str) -> dict:
+def json_object(raw: bytes, where: str) -> dict:
+    """The JSON object in ``raw``; anything else raises DataError naming ``where``."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -152,6 +153,8 @@ def _json_object(raw: bytes, where: str) -> dict:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise DataError(f"{where}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}: invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{where}: not a JSON object")
     return obj
@@ -160,14 +163,14 @@ def _json_object(raw: bytes, where: str) -> dict:
 def read_json(path: Path | str, what: str) -> dict:
     """A file holding one JSON object."""
     with open_input(path, what) as f:
-        return _json_object(f.read(), f"{what} {path}")
+        return json_object(f.read(), f"{what} {path}")
 
 
 def read_jsonl(path: Path | str, what: str) -> list[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line; anything else raises DataError."""
     with open_input(path, what) as f:
         return [
-            (line_no, _json_object(line, f"{what} line {line_no}"))
+            (line_no, json_object(line, f"{what} line {line_no}"))
             for line_no, line in enumerate(f, start=1)
             if line.strip()
         ]

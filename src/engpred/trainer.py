@@ -3,7 +3,9 @@
 Batches group whole videos. A training step packs the batch's clips row-wise
 and records one tape for the whole batch (``model.forward_batch``), with
 attention kept inside each video, so there is no padding and no video sees
-another. Held-out predictions run one video at a time (``model.forward``).
+another. A step zeroes the flat gradient buffer (``optim.FlatParams``),
+backward accumulates into it, and ``adam_step`` updates the parameters in
+place. Held-out predictions run one video at a time (``model.forward``).
 The batch schedule is a pure function of (seed, step), which lets a resumed
 run reproduce an uninterrupted one bit for bit.
 """
@@ -31,8 +33,8 @@ from .model import (
     forward_batch,
     init_params,
 )
-from .optim import AdamState, adam_step, cosine_lr
-from .records import JsonFields, write_json, write_jsonl
+from .optim import AdamState, FlatParams, adam_step, cosine_lr
+from .records import JsonFields, json_object, write_json, write_jsonl
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
 
 MODES = ("joint", "nawp_only", "ecr_only")
@@ -159,9 +161,7 @@ def save_checkpoint(
     model_cfg: ModelConfig,
     label_scale: tuple[float, float],
 ) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        arrays[f"param/{name}"] = p.data
+    arrays = {f"param/{name}": p.data for name, p in params.items()}
     for name in params:
         arrays[f"adam.m/{name}"] = state.m[name]
         arrays[f"adam.v/{name}"] = state.v[name]
@@ -175,7 +175,7 @@ def save_checkpoint(
 
 @dataclass
 class Checkpoint:
-    params: dict[str, Tensor]
+    params: FlatParams
     state: AdamState
     step: int
     model_cfg: ModelConfig
@@ -183,23 +183,37 @@ class Checkpoint:
     label_scale: tuple[float, float]
 
 
+def _unpack(arrays: dict[str, np.ndarray], prefix: str, views: dict[str, np.ndarray], path: Path | str) -> None:
+    """Copy each ``prefix + name`` array of a checkpoint into its view."""
+    for name, view in views.items():
+        key = prefix + name
+        arr = arrays.get(key)
+        if arr is None:
+            raise DataError(f"checkpoint {path} is missing {key!r}")
+        if arr.shape != view.shape:
+            raise DataError(f"checkpoint {path}: {key!r} has shape {arr.shape}, expected {view.shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint {path}: {key!r} is not finite")
+        view[...] = arr
+
+
 def load_checkpoint(path: Path | str) -> Checkpoint:
+    """A checkpoint packed into the ``init_params`` layout of its model config."""
     arrays = load_weights(path)
-    params: dict[str, Tensor] = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        if name.startswith("param/"):
-            params[name[len("param/") :]] = Tensor(arr)
-        elif name.startswith("adam.m/"):
-            m[name[len("adam.m/") :]] = arr.copy()
-        elif name.startswith("adam.v/"):
-            v[name[len("adam.v/") :]] = arr.copy()
     for key in ("meta/step", "meta/adam_t", "meta/label_scale", "meta/config_sha256", "meta/model_json"):
         if key not in arrays:
             raise DataError(f"checkpoint missing {key}")
-    model_cfg = ModelConfig.from_dict(json.loads(_array_to_bytes(arrays["meta/model_json"]).decode("utf-8")))
-    state = AdamState(m=m, v=v, t=int(arrays["meta/adam_t"][0]))
+    model_json = _array_to_bytes(arrays["meta/model_json"])
+    model_cfg = ModelConfig.from_dict(json_object(model_json, f"checkpoint {path} meta/model_json"))
+    params = FlatParams(init_params(model_cfg, 0))
+    state = AdamState(params, t=int(arrays["meta/adam_t"][0]))
+    layouts = {"param/": params.views(params.data), "adam.m/": state.m, "adam.v/": state.v}
+    for prefix, views in layouts.items():
+        _unpack(arrays, prefix, views, path)
+    expected = {prefix + name for prefix in layouts for name in params}
+    unknown = [k for k in arrays if not k.startswith("meta/") and k not in expected]
+    if unknown:
+        raise DataError(f"checkpoint {path} holds arrays the model does not have: {unknown[:3]}")
     scale_arr = arrays["meta/label_scale"]
     return Checkpoint(
         params=params,
@@ -213,7 +227,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
 
 @dataclass
 class TrainResult:
-    params: dict[str, Tensor]
+    params: FlatParams
     state: AdamState
     model_cfg: ModelConfig
     train_ids: list[str]
@@ -328,8 +342,8 @@ def train(
         params, state, start_step = ckpt.params, ckpt.state, ckpt.step
         label_scale = ckpt.label_scale
     else:
-        params = init_params(model_cfg, train_cfg.seed)
-        state = AdamState.for_params(params)
+        params = FlatParams(init_params(model_cfg, train_cfg.seed))
+        state = AdamState(params)
         start_step = 0
     if start_step > train_cfg.iterations:
         raise DataError("checkpoint is beyond the requested iteration count")
@@ -352,12 +366,12 @@ def train(
         with Tape() as tape:
             out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
             node = _batch_loss_node(out, y1, y2, train_cfg.mode)
+        params.grad.fill(0.0)
         tape.backward(node)
         batch_loss = float(node.data)
         if not math.isfinite(batch_loss):
             raise NumericError(f"training loss became non-finite at step {step}")
-        grads = {name: p.grad for name, p in params.items()}
-        adam_step(params, grads, state, lr)
+        adam_step(params, state, lr)
         done = step + 1
         if done % train_cfg.eval_interval == 0 or done == end_step:
             preds = _predict(test_ids, cache, durations, params, model_cfg, label_scale)

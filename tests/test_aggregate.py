@@ -112,6 +112,16 @@ class TestParseEvents:
         assert failure.message.startswith(message)
         assert event == WatchEvent(video_id="v1", watch_time_s=2.0)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"a":' * 3000 + "1" + "}" * 3000, "[" * 3000 + "]" * 3000],
+        ids=["3000_objects", "3000_lists"],
+    )
+    def test_deeply_nested_line_is_a_failure(self, line):
+        failure, event = parse_events([line, '{"video_id":"v1","watch_time_s":2.0}'])
+        assert failure == ParseFailure(1, "invalid JSON: nested too deeply")
+        assert event == WatchEvent(video_id="v1", watch_time_s=2.0)
+
     def test_undecodable_bytes_are_a_failure(self):
         stream = io.BytesIO(b'\xff\xfe\n{"video_id":"v1","watch_time_s":3}\n')
         failure, event = parse_events(LineRange(stream))
@@ -368,6 +378,7 @@ HOSTILE_FRAGMENTS = st.one_of(
         b'{"video_id":"v1","watch_time_s":NaN}\n', b'{"video_id":"v1","watch_time_s":1e999}\n',
         b'{"video_id":"v1","watch_time_s":' + b"9" * 400 + b"}\n",
         b'{"video_id":"v1","watch_time_s":' + b"9" * 5000 + b"}\n",
+        b'{"a":' * 3000 + b"1" + b"}" * 3000 + b"\n", b"[" * 3000 + b"]" * 3000 + b"\n",
         b'{"video_id":"v1","watch_time_s":1.0,"watch_time_s":"x"}\n',
         b'{"video_id":"","video_id":"v2","watch_time_s":2.5}\n',
         b'{"video_id":"v1","watch_time_s":2.0}\r\n', b"\r\n",

@@ -12,7 +12,9 @@ counters in its traced and untraced phases. Each run must report
 
 The labels run's ``outputs_sha256`` counter is pinned to the value written by
 the Shewchuk-partials reducer that the integer-unit sums replaced, so the
-smoke outputs stay byte-identical to it.
+smoke outputs stay byte-identical to it. The train run's ``loss_digest``
+(its logged losses as exact hex floats) is pinned to the value of the
+per-tensor Adam loop that the flat-buffer update replaced.
 """
 
 import json
@@ -38,7 +40,8 @@ def _smoke(workload: str) -> tuple[dict, dict]:
 
 
 def test_train_workload_smoke():
-    _smoke("train")
+    _, counters = _smoke("train")
+    assert counters["loss_digest"] == "8c156ac2ae344bad"
 
 
 def test_labels_workload_smoke():

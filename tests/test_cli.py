@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from engpred import cli
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from engpred.records import LineRange, WatchEvent, line_ranges
+from engpred.serialize import load_weights, save_weights
 
 
 SYNTH_ARGS = ["--n-videos", "40", "--views", "60", "--seed", "21"]
@@ -278,6 +280,30 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert f"manifest line 2: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader", ["events", "metas", "records", "manifest"])
+    def test_deeply_nested_line(self, corpus, tmp_path, capsys, reader):
+        nested = b'{"a":' * 3000 + b"1" + b"}" * 3000 + b"\n"
+        events, metas, records = corpus / "events.jsonl", corpus / "metas.jsonl", tmp_path / "records.jsonl"
+        assert run_cli("aggregate", "--events", str(events), "--metas", str(metas), "--out", str(records),
+                       "--min-views", "1") == EXIT_OK
+        source = {"events": events, "metas": metas, "records": records, "manifest": corpus / "manifest.jsonl"}[reader]
+        bad = tmp_path / f"bad_{reader}.jsonl"
+        bad.write_bytes(source.read_bytes().splitlines(keepends=True)[0] + nested)
+        argv = {
+            "events": ["aggregate", "--events", str(bad), "--metas", str(metas), "--out", str(tmp_path / "r2.jsonl"),
+                       "--min-views", "1"],
+            "metas": ["aggregate", "--events", str(events), "--metas", str(bad), "--out", str(tmp_path / "r2.jsonl")],
+            "records": ["fit-norm", "--records", str(bad), "--out-envelope", str(tmp_path / "env.json")],
+            "manifest": ["train", "--manifest", str(bad), "--out-dir", str(tmp_path / "run"), "--iterations", "1"],
+        }[reader]
+        capsys.readouterr()
+        if reader == "events":
+            assert run_cli(*argv) == EXIT_OK
+            assert "(1 malformed lines skipped)" in capsys.readouterr().out
+        else:
+            assert run_cli(*argv) == EXIT_DATA
+            assert f"{reader} line 2: invalid JSON: nested too deeply" in capsys.readouterr().err
+
     def test_output_in_missing_directory_names_the_target(self, corpus, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "records.jsonl"
         code = run_cli(
@@ -290,6 +316,52 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert f"cannot write {target}" in err
         assert ".tmp" not in err
+
+
+TRAIN_ARGS = ["--iterations", "2", "--batch-size", "4", "--d-model", "8", "--max-clips", "64", "--seed", "21"]
+
+
+@pytest.fixture(scope="module")
+def trained(corpus, tmp_path_factory):
+    """The checkpoint of a run with TRAIN_ARGS."""
+    run = tmp_path_factory.mktemp("trained")
+    assert run_cli("train", "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(run),
+                   *TRAIN_ARGS) == EXIT_OK
+    return run / "checkpoint.engw"
+
+
+class TestResumeValidation:
+    def _resume(self, corpus, run_dir, checkpoint):
+        return run_cli("train", "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(run_dir),
+                       *TRAIN_ARGS, "--resume", str(checkpoint))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("param/fusion.0.w"), "is missing 'param/fusion.0.w'"),
+            (lambda a: a.pop("adam.m/temporal.1.attn.q.b"), "is missing 'adam.m/temporal.1.attn.q.b'"),
+            (lambda a: a.update({"adam.v/head_ecr.0.w": a["adam.v/head_ecr.0.w"][:, :-1]}),
+             "'adam.v/head_ecr.0.w' has shape (8, 7), expected (8, 8)"),
+            (lambda a: a.update({"param/proj.semantic.1.w": a["param/proj.semantic.1.w"][:-1]}),
+             "'param/proj.semantic.1.w' has shape (7, 8), expected (8, 8)"),
+            (lambda a: a.update({"adam.v/fusion.0.b": a["adam.v/fusion.0.b"] * np.nan}),
+             "'adam.v/fusion.0.b' is not finite"),
+            (lambda a: a.update({"param/extra.w": np.zeros(2)}), "arrays the model does not have: ['param/extra.w']"),
+        ],
+        ids=["missing_param", "missing_adam_m", "adam_v_shape", "param_shape", "adam_v_nan", "extra_array"],
+    )
+    def test_bad_checkpoint_exits_two(self, corpus, tmp_path, capsys, trained, edit, message):
+        arrays = load_weights(trained)
+        edit(arrays)
+        bad = tmp_path / "bad.engw"
+        save_weights(bad, arrays)
+        assert self._resume(corpus, tmp_path / "run", bad) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.engw").exists()
+
+    def test_unedited_checkpoint_resumes_to_the_same_bytes(self, corpus, tmp_path, trained):
+        assert self._resume(corpus, tmp_path / "run", trained) == EXIT_OK
+        assert (tmp_path / "run" / "checkpoint.engw").read_bytes() == trained.read_bytes()
 
 
 class TestNumericErrors:

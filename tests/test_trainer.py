@@ -23,7 +23,7 @@ from engpred.trainer import (
     split_dataset,
     train,
 )
-from engpred.optim import AdamState
+from engpred.optim import AdamState, FlatParams
 
 
 SMALL_SYNTH = SynthConfig(
@@ -251,8 +251,8 @@ class TestTrainLoop:
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = ModelConfig(d_model=8, feature_dims={k: 4 for k in ALL_KINDS}, max_clips=6)
-        params = init_params(cfg, seed=1)
-        state = AdamState.for_params(params)
+        params = FlatParams(init_params(cfg, seed=1))
+        state = AdamState(params)
         rng = np.random.default_rng(0)
         for name in state.m:
             state.m[name][:] = rng.normal(size=state.m[name].shape)
