@@ -4,8 +4,18 @@ Design rules:
   - ops never modify an existing tensor's data; data change only between
     tapes, where ``optim.adam_step`` updates the parameters in place;
   - no implicit broadcasting — shapes must match exactly, with explicit
-    row-vector ops (add_rowvec, mul_rowvec) for bias/affine patterns;
-  - every op checks its output for NaN/Inf;
+    row-vector ops (add_rowvec, mul_rowvec, and the bias and affine
+    arguments of linear and layer_norm_rows) for bias/affine patterns;
+  - every op checks its output for NaN/Inf, and ``linear(..., relu=True)``
+    also checks its pre-activation, which the ReLU would map from NaN or
+    -inf to 0; so a fused form raises ``NonFiniteError`` exactly when its
+    op chain would;
+  - fused forms cut tape ops without changing a bit:
+    ``linear(x, w, b, relu, residual)`` is ``linear`` → ``relu`` →
+    ``add(·, residual)``, and ``layer_norm_rows(x, gain, bias)`` is
+    ``layer_norm_rows`` → ``mul_rowvec`` → ``add_rowvec``, each computing
+    the chain's expressions in its order, forward and backward; the
+    unfused ops stay as their references;
   - ops that run over a packed batch (``attention``, ``segment_mean``) take
     each segment's rows as ``(start, stop)`` bounds, so one op serves every
     video of the batch without padding or cross-video terms;
@@ -34,7 +44,7 @@ def _active_tape() -> "Tape | None":
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -66,11 +76,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # Copy on first write: g may alias an upstream grad buffer. A preset
-    # .grad (a parameter's view of a flat gradient buffer) is added to.
+def _accumulate(t: Tensor, g: np.ndarray, copy: bool = False) -> None:
+    # On first write t keeps g itself, which the backward has just built;
+    # pass copy=True when g is an upstream gradient or a view of one. A
+    # preset .grad (a parameter's view of a flat gradient buffer) is added to.
     if t.grad is None:
-        t.grad = np.array(g)
+        t.grad = np.array(g) if copy else np.asarray(g)
     else:
         t.grad += g
 
@@ -145,17 +156,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", value, backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an (m, k) matrix, with b added to every row."""
+def _relu_in_place(v: np.ndarray) -> np.ndarray:
+    """Overwrite finite v with ``np.where(v > 0, v, 0.0)``, bit for bit, and return it.
+
+    Which zero ``maximum`` returns for -0.0 depends on the numpy build, where
+    ``where`` gives +0.0; adding 0.0 turns -0.0 into +0.0 and leaves every
+    other value as it is.
+    """
+    np.maximum(v, 0.0, out=v)
+    v += 0.0
+    return v
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    """``relu?(x @ w + b) + residual`` of an (m, k) matrix, with b added to every row.
+
+    One op with the arithmetic, values and gradients of the chain
+    ``linear`` → ``relu`` → ``add(·, residual)``. The pre-activation is
+    checked before the ReLU, which would map NaN and -inf to 0.
+    """
     _require_shape(x, 2, "linear")
     _require_shape(w, 2, "linear")
     _require_shape(b, 1, "linear")
     if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    if residual is not None and residual.data.shape != (x.data.shape[0], w.data.shape[1]):
+        raise ValueError(f"linear residual shape mismatch: {residual.data.shape}")
     value = x.data @ w.data
     value += b.data
+    mask = None
+    if relu:
+        _check_finite(value, "linear")
+        mask = _relu_in_place(value) > 0
+    if residual is not None:
+        value += residual.data
 
     def backward(g: np.ndarray) -> None:
+        if residual is not None:
+            _accumulate(residual, g, copy=True)
+        if mask is not None:
+            g = g * mask
         _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
         _accumulate(b, g.sum(axis=0))
@@ -234,8 +274,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g, copy=True)
+        _accumulate(b, g, copy=True)
 
     return _make("add", a.data + b.data, backward)
 
@@ -244,7 +284,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
+        _accumulate(a, g, copy=True)
         _accumulate(b, -g)
 
     return _make("sub", a.data - b.data, backward)
@@ -277,7 +317,7 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
         raise ValueError(f"add_rowvec shape mismatch: {x.data.shape} + {v.data.shape}")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g)
+        _accumulate(x, g, copy=True)
         _accumulate(v, g.sum(axis=0))
 
     return _make("add_rowvec", x.data + v.data[np.newaxis, :], backward)
@@ -301,7 +341,7 @@ def transpose(x: Tensor) -> Tensor:
     _require_shape(x, 2, "transpose")
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
+        _accumulate(x, g.T, copy=True)
 
     return _make("transpose", x.data.T.copy(), backward)
 
@@ -322,7 +362,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             index = [slice(None)] * rank
             index[axis] = slice(start, stop)
-            _accumulate(p, g[tuple(index)])
+            _accumulate(p, g[tuple(index)], copy=True)
 
     return _make("concat", np.concatenate([p.data for p in parts], axis=axis), backward)
 
@@ -408,21 +448,41 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make("softmax_rows", value, backward)
 
 
-def layer_norm_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize each row to zero mean / unit variance (no affine)."""
+def layer_norm_rows(
+    x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-12
+) -> Tensor:
+    """Normalize each row to zero mean / unit variance, then scale by gain and shift by bias.
+
+    Without gain and bias there is no affine. With both (length-n vectors
+    for an (m, n) matrix) this is one op with the arithmetic, values and
+    gradients of the chain ``layer_norm_rows`` → ``mul_rowvec`` →
+    ``add_rowvec``.
+    """
     _require_shape(x, 2, "layer_norm_rows")
+    if (gain is None) != (bias is None):
+        raise ValueError("layer_norm_rows takes gain and bias together")
+    if gain is not None and not gain.data.shape == bias.data.shape == x.data.shape[1:]:
+        raise ValueError(f"layer_norm_rows affine shape mismatch: {x.data.shape}, {gain.shape}, {bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     value = centered * inv
+    out = value
+    if gain is not None:
+        out = value * gain.data[np.newaxis, :]
+        out += bias.data
 
     def backward(g: np.ndarray) -> None:
+        if gain is not None:
+            _accumulate(bias, g.sum(axis=0))
+            _accumulate(gain, (g * value).sum(axis=0))
+            g = g * gain.data[np.newaxis, :]
         g_mean = g.mean(axis=1, keepdims=True)
         gy_mean = (g * value).mean(axis=1, keepdims=True)
         _accumulate(x, inv * (g - g_mean - value * gy_mean))
 
-    return _make("layer_norm_rows", value, backward)
+    return _make("layer_norm_rows", out, backward)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:

@@ -192,14 +192,12 @@ def count_parameters(params: dict[str, Tensor]) -> int:
     return sum(p.data.size for p in params.values())
 
 
-def _linear_layer(params, name: str, x: Tensor) -> Tensor:
-    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
+def _linear_layer(params, name: str, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], relu=relu, residual=residual)
 
 
 def _layer_norm_affine(params, name: str, x: Tensor) -> Tensor:
-    return ad.add_rowvec(
-        ad.mul_rowvec(ad.layer_norm_rows(x), params[f"{name}.g"]), params[f"{name}.b"]
-    )
+    return ad.layer_norm_rows(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
 Bounds = list[tuple[int, int]]
@@ -211,11 +209,11 @@ def _bounds(lengths) -> Bounds:
     return [(stop - n, stop) for n, stop in zip(lengths, stops)]
 
 
-def _self_attention(params, prefix: str, x: Tensor, bounds: Bounds) -> Tensor:
+def _self_attention(params, prefix: str, x: Tensor, bounds: Bounds, residual: Tensor) -> Tensor:
     q = _linear_layer(params, f"{prefix}.q", x)
     k = _linear_layer(params, f"{prefix}.k", x)
     v = _linear_layer(params, f"{prefix}.v", x)
-    return _linear_layer(params, f"{prefix}.o", ad.attention(q, k, v, bounds, bounds))
+    return _linear_layer(params, f"{prefix}.o", ad.attention(q, k, v, bounds, bounds), residual=residual)
 
 
 def _temporal_stack(params, fused: Tensor, bounds: Bounds) -> Tensor:
@@ -223,15 +221,15 @@ def _temporal_stack(params, fused: Tensor, bounds: Bounds) -> Tensor:
     x = ad.add(fused, ad.gather_rows(params["pos_embed"], positions))
     for i in range(TEMPORAL_LAYERS):
         z = _layer_norm_affine(params, f"temporal.{i}.ln1", x)
-        x = ad.add(x, _self_attention(params, f"temporal.{i}.attn", z, bounds))
+        x = _self_attention(params, f"temporal.{i}.attn", z, bounds, residual=x)
         z = _layer_norm_affine(params, f"temporal.{i}.ln2", x)
-        h = ad.relu(_linear_layer(params, f"temporal.{i}.mlp.0", z))
-        x = ad.add(x, _linear_layer(params, f"temporal.{i}.mlp.1", h))
+        h = _linear_layer(params, f"temporal.{i}.mlp.0", z, relu=True)
+        x = _linear_layer(params, f"temporal.{i}.mlp.1", h, residual=x)
     return _layer_norm_affine(params, "temporal.norm", x)
 
 
 def _head(params, name: str, h: Tensor) -> Tensor:
-    hidden = ad.relu(_linear_layer(params, f"{name}.0", h))
+    hidden = _linear_layer(params, f"{name}.0", h, relu=True)
     return ad.sigmoid(_linear_layer(params, f"{name}.1", hidden))
 
 
@@ -266,7 +264,7 @@ def _fuse_clips(params, config: ModelConfig, bundles: list[FeatureBundle], durat
     projected: dict[str, Tensor] = {}
     for kind in config.visual_kinds:
         x = Tensor(np.concatenate([b.clip_features[kind] for b in bundles]))
-        h = ad.relu(_linear_layer(params, f"proj.{kind}.0", x))
+        h = _linear_layer(params, f"proj.{kind}.0", x, relu=True)
         projected[kind] = _linear_layer(params, f"proj.{kind}.1", h)
     parts = [projected[kind] for kind in config.visual_kinds]
     if config.cross_attention_enabled:
@@ -284,9 +282,7 @@ def _fuse_clips(params, config: ModelConfig, bundles: list[FeatureBundle], durat
         )
     h = ad.concat(parts, axis=1)
     for i in range(FUSION_LAYERS):
-        h = _linear_layer(params, f"fusion.{i}", h)
-        if i < FUSION_LAYERS - 1:
-            h = ad.relu(h)
+        h = _linear_layer(params, f"fusion.{i}", h, relu=i < FUSION_LAYERS - 1)
     return h
 
 
@@ -348,7 +344,8 @@ def forward_batch(
 class ForwardResult:
     nawp_hat: float
     ecr_hat: float
-    per_clip: list[tuple[float, float]]
+    f1: np.ndarray  # (clips,) watch-percentage head, one value per clip
+    f2: np.ndarray  # (clips,) continuation head
     n_ecr_clips: int
     nawp_node: Tensor
     ecr_node: Tensor
@@ -364,11 +361,11 @@ def forward(
     out = forward_batch([bundle], params, config, [duration_s])
     nawp_node = ad.mean_axis(ad.mean_axis(out.nawp_node, 0), 0)
     ecr_node = ad.mean_axis(ad.mean_axis(out.ecr_node, 0), 0)
-    per_clip = [(float(a), float(b)) for a, b in zip(out.f1.data[:, 0], out.f2.data[:, 0])]
     return ForwardResult(
         nawp_hat=float(nawp_node.data),
         ecr_hat=float(ecr_node.data),
-        per_clip=per_clip,
+        f1=out.f1.data[:, 0],
+        f2=out.f2.data[:, 0],
         n_ecr_clips=out.n_ecr_clips[0],
         nawp_node=nawp_node,
         ecr_node=ecr_node,

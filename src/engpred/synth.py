@@ -164,14 +164,10 @@ class SynthCorpus:
         return [t.to_record(self.config.views_per_video) for t in self.truth]
 
 
-def _video_truth(cfg: SynthConfig, video_id: str, duration: float, q: float, u: float) -> VideoTruth:
+def _video_truth(
+    cfg: SynthConfig, ref_p: float, video_id: str, duration: float, q: float, u: float
+) -> VideoTruth:
     p = min(max(q, 0.0), 1.0)
-    ref_p = reference_engagement(cfg)
-    if ref_p <= 0.01:
-        raise DataError(
-            "reference engagement is ~0 (mixture concentrated at zero); "
-            "set engaged_ref_p explicitly"
-        )
     sigma_theta = cfg.theta_jitter_max * (1.0 - cfg.coupling)
     theta = cfg.skip_mean_s * math.exp(sigma_theta * u - 0.5 * sigma_theta**2)
     ceiling = cfg.envelope_a * duration + cfg.envelope_b
@@ -211,6 +207,12 @@ def _draw_quality(cfg: SynthConfig, rng: np.random.Generator) -> float:
 def generate_events(cfg: SynthConfig) -> SynthCorpus:
     """Sample the event log, meta table, and exact ground truth."""
     cfg.validate()
+    ref_p = reference_engagement(cfg)
+    if ref_p <= 0.01:
+        raise DataError(
+            "reference engagement is ~0 (mixture concentrated at zero); "
+            "set engaged_ref_p explicitly"
+        )
     lattice = duration_lattice(cfg)
     id_width = max(5, len(str(cfg.n_videos - 1)))
     events: list[WatchEvent] = []
@@ -222,7 +224,7 @@ def generate_events(cfg: SynthConfig) -> SynthCorpus:
         q = _draw_quality(cfg, rng)
         u = float(rng.standard_normal())
         duration = float(lattice[rng.integers(len(lattice))])
-        info = _video_truth(cfg, video_id, duration, q, u)
+        info = _video_truth(cfg, ref_p, video_id, duration, q, u)
         n = cfg.views_per_video
         engaged = rng.random(n) < info.p_engaged
         uniform_watch = rng.uniform(info.engaged_lo_s, info.engaged_hi_s, n)
@@ -235,7 +237,7 @@ def generate_events(cfg: SynthConfig) -> SynthCorpus:
             events.append(WatchEvent(video_id=video_id, watch_time_s=float(watch), liked=bool(like)))
     return SynthCorpus(
         config=cfg,
-        ref_p=reference_engagement(cfg),
+        ref_p=ref_p,
         events=events,
         metas=metas,
         truth=truth,

@@ -148,8 +148,18 @@ def _bytes_to_array(data: bytes) -> np.ndarray:
     return np.asarray(list(data), dtype=np.float64)
 
 
-def _array_to_bytes(arr: np.ndarray) -> bytes:
-    return bytes(int(b) for b in arr.reshape(-1))
+def _meta_bytes(arrays: dict[str, np.ndarray], key: str, path: Path | str) -> bytes:
+    flat = arrays[key].reshape(-1)
+    if not ((flat >= 0) & (flat <= 255) & (flat == np.floor(flat))).all():
+        raise DataError(f"checkpoint {path}: {key!r} must hold byte values 0-255")
+    return bytes(flat.astype(np.uint8))
+
+
+def _meta_count(arrays: dict[str, np.ndarray], key: str, path: Path | str) -> int:
+    flat = arrays[key].reshape(-1)
+    if flat.size != 1 or not (flat[0] >= 0 and float(flat[0]).is_integer()):
+        raise DataError(f"checkpoint {path}: {key!r} must hold one non-negative integer")
+    return int(flat[0])
 
 
 def save_checkpoint(
@@ -203,10 +213,13 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     for key in ("meta/step", "meta/adam_t", "meta/label_scale", "meta/config_sha256", "meta/model_json"):
         if key not in arrays:
             raise DataError(f"checkpoint missing {key}")
-    model_json = _array_to_bytes(arrays["meta/model_json"])
+    model_json = _meta_bytes(arrays, "meta/model_json", path)
     model_cfg = ModelConfig.from_dict(json_object(model_json, f"checkpoint {path} meta/model_json"))
+    scale = arrays["meta/label_scale"].reshape(-1)
+    if scale.size != 2 or not (np.isfinite(scale).all() and (scale > 0).all()):
+        raise DataError(f"checkpoint {path}: 'meta/label_scale' must hold two finite positive values")
     params = FlatParams(init_params(model_cfg, 0))
-    state = AdamState(params, t=int(arrays["meta/adam_t"][0]))
+    state = AdamState(params, t=_meta_count(arrays, "meta/adam_t", path))
     layouts = {"param/": params.views(params.data), "adam.m/": state.m, "adam.v/": state.v}
     for prefix, views in layouts.items():
         _unpack(arrays, prefix, views, path)
@@ -214,14 +227,13 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     unknown = [k for k in arrays if not k.startswith("meta/") and k not in expected]
     if unknown:
         raise DataError(f"checkpoint {path} holds arrays the model does not have: {unknown[:3]}")
-    scale_arr = arrays["meta/label_scale"]
     return Checkpoint(
         params=params,
         state=state,
-        step=int(arrays["meta/step"][0]),
+        step=_meta_count(arrays, "meta/step", path),
         model_cfg=model_cfg,
-        config_sha256=_array_to_bytes(arrays["meta/config_sha256"]),
-        label_scale=(float(scale_arr[0]), float(scale_arr[1])),
+        config_sha256=_meta_bytes(arrays, "meta/config_sha256", path),
+        label_scale=(float(scale[0]), float(scale[1])),
     )
 
 

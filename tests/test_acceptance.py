@@ -329,11 +329,11 @@ def test_criterion_8_ecr_windowing():
         )
         res = forward(bundle, params, cfg)
         assert res.n_ecr_clips == math.floor(5 * 30 / 16) == 9
-        f2 = np.array([pc[1] for pc in res.per_clip])
+        f2 = res.f2
         assert res.ecr_hat == pytest.approx(float(f2[:9].mean()), abs=1e-12)
         assert res.ecr_hat != pytest.approx(float(f2[:8].mean()), abs=1e-12)
         assert res.ecr_hat != pytest.approx(float(f2[:10].mean()), abs=1e-12)
-        f1 = np.array([pc[0] for pc in res.per_clip])
+        f1 = res.f1
         assert res.nawp_hat == pytest.approx(float(f1.mean()), abs=1e-12)
 
 

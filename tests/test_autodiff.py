@@ -5,7 +5,8 @@ coordinate is the central difference ``(f(x + h) - f(x - h)) / 2h``,
 starting at ``h = 1e-5``. ``relu`` is the only non-smooth op, and a step
 that carries a relu input across 0 gives a difference that is not the
 derivative the tape computes. Every evaluation therefore records the input
-mask (``x > 0``) of each ``autodiff.relu`` call. When the masks at ``+h`` or
+mask (``x > 0``) of each ``autodiff.relu`` call, and the pre-activation mask
+of each ``autodiff.linear(..., relu=True)`` call. When the masks at ``+h`` or
 ``-h`` differ from those of the unperturbed evaluation, ``h`` is divided by
 10 for that coordinate and the pair is evaluated again. If the masks still
 flip at the floor ``h = 1e-9``, the check fails and names the coordinate;
@@ -17,6 +18,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engpred import autodiff as ad
 from engpred.autodiff import Tape, Tensor
@@ -27,15 +30,26 @@ FD_FLOOR = 1e-9
 
 
 def _relu_masks(build):
-    """Evaluate the scalar build(), recording the input mask of every relu call."""
-    relu = ad.relu
+    """Evaluate the scalar build(), recording the input mask of every relu.
+
+    That is every ``relu`` call and every ``linear`` call with ``relu=True``;
+    the latter's pre-activation is computed as the op computes it.
+    """
+    relu, linear = ad.relu, ad.linear
     masks = []
 
     def recording_relu(x):
         masks.append(x.data > 0)
         return relu(x)
 
-    with mock.patch.object(ad, "relu", recording_relu):
+    def recording_linear(x, w, b, relu=False, residual=None):
+        if relu:
+            pre = x.data @ w.data
+            pre += b.data
+            masks.append(pre > 0)
+        return linear(x, w, b, relu=relu, residual=residual)
+
+    with mock.patch.object(ad, "relu", recording_relu), mock.patch.object(ad, "linear", recording_linear):
         value = float(build().data)
     return value, masks
 
@@ -522,3 +536,169 @@ class TestErrors:
     def test_non_finite_construction_trips(self):
         with pytest.raises(NonFiniteError):
             Tensor(np.array([np.nan]))
+
+
+def _value_and_grads(build, leaves, target):
+    """Bytes of build()'s value and of every leaf's gradient of its squared error against target."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = build()
+        loss = ad.squared_error(out, target)
+    tape.backward(loss)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def _raises_non_finite(build):
+    try:
+        with np.errstate(all="ignore"):
+            build()
+    except NonFiniteError:
+        return True
+    return False
+
+
+def _linear_chain(x, w, b, relu, residual):
+    """The unfused reference of ``linear(x, w, b, relu, residual)``."""
+    out = ad.linear(x, w, b)
+    if relu:
+        out = ad.relu(out)
+    return out if residual is None else ad.add(residual, out)
+
+
+def _layer_norm_chain(x, gain, bias):
+    """The unfused reference of ``layer_norm_rows(x, gain, bias)``."""
+    return ad.add_rowvec(ad.mul_rowvec(ad.layer_norm_rows(x), gain), bias)
+
+
+LINEAR_FORMS = [(True, False), (False, True), (True, True)]
+
+
+class TestFusedForms:
+    """``linear(relu=..., residual=...)`` and ``layer_norm_rows(x, gain, bias)`` against their op chains."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear_relu_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = Tensor(_rand(rng, 5, 3)), Tensor(_rand(rng, 3, 4)), Tensor(_rand(rng, 4))
+        target = _rand(rng, 5, 4)
+        check_gradients(lambda: ad.squared_error(ad.linear(x, w, b, relu=True), target), [x, w, b])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear_residual_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = Tensor(_rand(rng, 5, 3)), Tensor(_rand(rng, 3, 4)), Tensor(_rand(rng, 4))
+        r = Tensor(_rand(rng, 5, 4))
+        target = _rand(rng, 5, 4)
+        check_gradients(lambda: ad.squared_error(ad.linear(x, w, b, residual=r), target), [x, w, b, r])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_layer_norm_affine_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x, gain, bias = Tensor(_rand(rng, 3, 6)), Tensor(_rand(rng, 6)), Tensor(_rand(rng, 6))
+        target = _rand(rng, 3, 6)
+        check_gradients(lambda: ad.squared_error(ad.layer_norm_rows(x, gain, bias), target), [x, gain, bias])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5)),
+        zeros=st.booleans(),
+    )
+    def test_linear_forms_equal_their_chains_bit_for_bit(self, seed, shape, zeros):
+        rng = np.random.default_rng(seed)
+        m, k, n = shape
+        x, w, b = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=n)
+        if zeros:
+            # Exact-zero pre-activations: a zero row of x meets zero biases,
+            # and a zero column of w meets a -0.0 bias.
+            x[0] = 0.0
+            b[rng.random(n) < 0.5] = 0.0
+            w[:, 0] = 0.0
+            b[0] = -0.0
+            pre = x @ w
+            pre += b
+            assert (pre == 0.0).any()
+        x, w, b = Tensor(x), Tensor(w), Tensor(b)
+        r = Tensor(rng.normal(size=(m, n)))
+        target = rng.normal(size=(m, n))
+        for relu, with_residual in LINEAR_FORMS:
+            residual = r if with_residual else None
+            leaves = [x, w, b] + ([r] if with_residual else [])
+            fused = _value_and_grads(lambda: ad.linear(x, w, b, relu=relu, residual=residual), leaves, target)
+            chain = _value_and_grads(lambda: _linear_chain(x, w, b, relu, residual), leaves, target)
+            assert fused == chain, (relu, with_residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), flat=st.booleans())
+    def test_layer_norm_affine_equals_its_chain_bit_for_bit(self, seed, shape, flat):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        if flat:
+            x[0] = 1.5  # a constant row normalizes to exact zeros
+        x, gain, bias = Tensor(x), Tensor(rng.normal(size=shape[1])), Tensor(rng.normal(size=shape[1]))
+        target = rng.normal(size=shape)
+        leaves = [x, gain, bias]
+        fused = _value_and_grads(lambda: ad.layer_norm_rows(x, gain, bias), leaves, target)
+        chain = _value_and_grads(lambda: _layer_norm_chain(x, gain, bias), leaves, target)
+        assert fused == chain
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_in_place_relu_equals_where(self, values):
+        v = np.array(values + [0.0, -0.0, 5e-324, -5e-324])
+        assert ad._relu_in_place(v.copy()).tobytes() == np.where(v > 0, v, 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "x, w, b, r",
+        [
+            ([[1.0, -2.0]], [[0.5], [0.25]], [0.1], [[0.3]]),
+            ([[-1e200, 0.0]], [[1e200], [0.0]], [0.0], [[1.0]]),  # -inf pre-activation
+            ([[1e200, 1e200]], [[1e200], [-1e200]], [0.0], [[1.0]]),  # inf - inf: NaN pre-activation
+            ([[1e200]], [[1e200]], [0.0], [[1.0]]),  # +inf pre-activation
+            ([[1e308]], [[1.0]], [0.0], [[1e308]]),  # overflowing residual add
+            ([[-1e308]], [[1.0]], [0.0], [[1e308]]),  # relu zeroes what the residual would cancel
+        ],
+        ids=["finite", "neg_inf_pre", "nan_pre", "pos_inf_pre", "residual_overflow", "relu_then_residual"],
+    )
+    def test_linear_non_finite_iff_chain(self, x, w, b, r):
+        x, w, b, r = (Tensor(np.array(a, dtype=np.float64)) for a in (x, w, b, r))
+        for relu, with_residual in LINEAR_FORMS + [(False, False)]:
+            residual = r if with_residual else None
+            fused = _raises_non_finite(lambda: ad.linear(x, w, b, relu=relu, residual=residual))
+            chain = _raises_non_finite(lambda: _linear_chain(x, w, b, relu, residual))
+            assert fused == chain, (relu, with_residual)
+
+    def test_linear_non_finite_cases_do_raise(self):
+        neg_inf = (Tensor(np.array([[-1e200]])), Tensor(np.array([[1e200]])), Tensor(np.zeros(1)))
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            ad.linear(*neg_inf, relu=True)
+        big = Tensor(np.array([[1e308]]))
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            ad.linear(big, Tensor(np.ones((1, 1))), Tensor(np.zeros(1)), residual=big)
+
+    @pytest.mark.parametrize(
+        "x, gain, bias",
+        [
+            ([[1.0, 2.0, 4.0]], [1.0, 2.0, 3.0], [0.5, 0.0, -1.0]),
+            ([[1.0, 2.0, 4.0]], [1e308, 1.0, 1.0], [0.0, 0.0, 0.0]),  # gain overflows
+            ([[1.0, 2.0, 4.0]], [1e308, 1.0, 1.0], [-1e308, 0.0, 0.0]),  # an infinite product stays so
+            ([[1.0, 2.0, 4.0]], [1.0, 1.0, 1e308], [0.0, 0.0, 1e308]),  # bias overflows
+            ([[1e308, 1e308, -1e308]], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),  # row mean overflows
+        ],
+        ids=["finite", "gain_overflow", "gain_overflow_with_bias", "bias_overflow", "mean_overflow"],
+    )
+    def test_layer_norm_non_finite_iff_chain(self, x, gain, bias):
+        x, gain, bias = (Tensor(np.array(a, dtype=np.float64)) for a in (x, gain, bias))
+        fused = _raises_non_finite(lambda: ad.layer_norm_rows(x, gain, bias))
+        chain = _raises_non_finite(lambda: _layer_norm_chain(x, gain, bias))
+        assert fused == chain
+
+    def test_rejects_bad_shapes(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        with pytest.raises(ValueError):
+            ad.linear(x, w, b, residual=Tensor(np.ones((2, 3))))
+        with pytest.raises(ValueError):
+            ad.layer_norm_rows(x, Tensor(np.ones(3)))
+        with pytest.raises(ValueError):
+            ad.layer_norm_rows(x, Tensor(np.ones(4)), Tensor(np.ones(4)))

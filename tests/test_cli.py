@@ -359,6 +359,29 @@ class TestResumeValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.engw").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("meta/model_json", lambda a: np.append(a, 300.0), "'meta/model_json' must hold byte values 0-255"),
+            ("meta/config_sha256", lambda a: np.append(a[:-1], -1.0),
+             "'meta/config_sha256' must hold byte values 0-255"),
+            ("meta/adam_t", lambda a: np.array([np.nan]), "'meta/adam_t' must hold one non-negative integer"),
+            ("meta/adam_t", lambda a: a + 0.5, "'meta/adam_t' must hold one non-negative integer"),
+            ("meta/step", lambda a: np.zeros(0), "'meta/step' must hold one non-negative integer"),
+            ("meta/label_scale", lambda a: a[:1], "'meta/label_scale' must hold two finite positive values"),
+        ],
+        ids=["model_json_300", "config_sha256_negative", "adam_t_nan", "adam_t_fraction", "step_empty",
+             "label_scale_one_value"],
+    )
+    def test_bad_checkpoint_meta_exits_two(self, corpus, tmp_path, capsys, trained, key, value, message):
+        arrays = load_weights(trained)
+        arrays[key] = value(arrays[key])
+        bad = tmp_path / "bad.engw"
+        save_weights(bad, arrays)
+        assert self._resume(corpus, tmp_path / "run", bad) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.engw").exists()
+
     def test_unedited_checkpoint_resumes_to_the_same_bytes(self, corpus, tmp_path, trained):
         assert self._resume(corpus, tmp_path / "run", trained) == EXIT_OK
         assert (tmp_path / "run" / "checkpoint.engw").read_bytes() == trained.read_bytes()

@@ -20,6 +20,7 @@ from engpred.model import (
     forward_batch,
     init_params,
 )
+from engpred.trainer import _batch_loss_node
 
 # Frozen at first build; guards accidental architecture changes.
 DEFAULT_PARAM_COUNT = 4787458
@@ -71,14 +72,14 @@ class TestForward:
         res = forward(tiny_bundle(), params, TINY)
         assert res.nawp_hat == 0.5
         assert res.ecr_hat == 0.5
-        assert all(f1 == 0.5 and f2 == 0.5 for f1, f2 in res.per_clip)
+        assert all(f1 == 0.5 and f2 == 0.5 for f1, f2 in zip(res.f1, res.f2))
 
     def test_single_clip_video(self):
         params = init_params(TINY, seed=1)
         res = forward(tiny_bundle(n_clips=1), params, TINY)
         assert res.n_ecr_clips == 1
-        assert res.per_clip[0][0] == res.nawp_hat
-        assert res.per_clip[0][1] == res.ecr_hat
+        assert res.f1[0] == res.nawp_hat
+        assert res.f2[0] == res.ecr_hat
 
     def test_output_ranges(self):
         params = init_params(TINY, seed=2)
@@ -95,7 +96,7 @@ class TestForward:
         bundle = tiny_bundle(seed=3, n_clips=37, frame_rate=30.0)
         res = forward(bundle, params, cfg)
         assert res.n_ecr_clips == 9
-        f2 = np.array([pc[1] for pc in res.per_clip])
+        f2 = res.f2
         assert res.ecr_hat == pytest.approx(float(np.mean(f2[:9])), abs=1e-12)
         assert res.ecr_hat != pytest.approx(float(np.mean(f2[:10])), abs=1e-12)
 
@@ -308,8 +309,8 @@ class TestPermutation:
         shuffled = forward(self._permuted(bundle, perm), params, TINY)
         assert shuffled.nawp_hat == pytest.approx(base.nawp_hat, abs=1e-12)
         # Per-clip outputs permute along with the clips.
-        f1 = np.array([pc[0] for pc in base.per_clip])
-        f1_perm = np.array([pc[0] for pc in shuffled.per_clip])
+        f1 = base.f1
+        f1_perm = shuffled.f1
         np.testing.assert_allclose(f1_perm, f1[perm], atol=1e-12)
 
     def test_sensitive_with_position_embeddings(self):
@@ -507,3 +508,19 @@ def test_config_json_round_trip():
 def test_config_from_dict_rejects_bad_payloads(payload):
     with pytest.raises(DataError):
         ModelConfig.from_dict(payload)
+
+
+def test_tape_op_counts_at_desk_width():
+    # The benchmark's train settings: d_model 32, every feature kind, joint
+    # loss over a packed batch of 8 videos. Op counts depend on none of the
+    # widths or clip counts.
+    cfg = ModelConfig(d_model=32, feature_dims={k: 4 for k in ALL_KINDS}, frames_per_clip=4, max_clips=64)
+    params = init_params(cfg, seed=0)
+    bundles = [tiny_bundle(seed=300 + i, n_clips=2 + i) for i in range(8)]
+    with Tape() as tape:
+        out = forward_batch(bundles, params, cfg)
+        _batch_loss_node(out, [0.5] * 8, [0.5] * 8, "joint")
+    assert len(tape) == 112
+    with Tape() as tape:
+        forward(bundles[0], params, cfg)
+    assert len(tape) == 111

@@ -2,10 +2,12 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from engpred import synth
 from engpred.aggregate import aggregate_corpus
 from engpred.envelope import EnvelopeModel, annotate_nawp, bimodality_coefficient, fit_envelope
 from engpred.errors import DataError
@@ -83,6 +85,13 @@ class TestMixtureQuantile:
     def test_reference_override(self):
         cfg = SynthConfig(engaged_ref_p=1.5)
         assert reference_engagement(cfg) == 1.5
+
+    def test_one_bisection_per_corpus(self):
+        cfg = SynthConfig(n_videos=30, views_per_video=2, seed=4)
+        with mock.patch.object(synth, "mixture_quantile", wraps=synth.mixture_quantile) as quantile:
+            corpus = generate_events(cfg)
+        assert quantile.call_count == 1
+        assert corpus.ref_p == reference_engagement(cfg)
 
 
 class TestGeneratedCorpus:

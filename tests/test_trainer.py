@@ -1,5 +1,6 @@
 """Training loop: splits, loss arithmetic, determinism, checkpoint resume."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -207,6 +208,27 @@ class TestTrainLoop:
             assert full.params[name].data.tobytes() == resumed.params[name].data.tobytes()
         assert [r["step"] for r in resumed.log_rows] == [10]
         assert resumed.final_srcc_nawp == full.final_srcc_nawp
+
+    def test_desk_width_run_writes_pinned_bytes(self, corpus_dir, tmp_path):
+        # Six seeded steps at the desk width (d_model 32) with two held-out
+        # evaluations. The sha256 values are those the model wrote before its
+        # ReLUs, residual adds and layer-norm affines were fused into their
+        # ops: fusion changed no bit of the parameters, the Adam moments or the
+        # predictions.
+        train(
+            corpus_dir / "manifest.jsonl",
+            TrainConfig(batch_size=8, iterations=6, seed=7, eval_interval=3),
+            ModelConfig(d_model=32, frames_per_clip=4, max_clips=64),
+            out_dir=tmp_path,
+        )
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.engw", "test_predictions.jsonl")
+        }
+        assert digests == {
+            "checkpoint.engw": "ebfc1b8e49f49f2f074787621088c6b7151f5f4c6054d71d593aae8b7ca2e604",
+            "test_predictions.jsonl": "1fd19809367861db4bbb27a6154c42b5b6c8d62a2423a69f22d0aeb53498eef0",
+        }
 
     def test_resume_rejects_config_mismatch(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
