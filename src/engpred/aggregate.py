@@ -6,8 +6,10 @@ every line that does not decode to one valid event. Aggregation is a
 commutative-monoid reduction of integers: per video, counts and the
 watch-time sum in units of 2**-1074. Every finite double is an integer
 multiple of that unit, so the sum is exact (a superaccumulator, Neal 2015,
-arXiv:1505.05571) and is rounded once, when ``finish`` divides it. A batch of
-events is reduced by ``np.bincount`` and one integer sum per (video, binary
+arXiv:1505.05571) and is rounded once, when ``finish`` divides it. Events
+reach a ``CorpusAggregator`` as batches of columns: ``add_columns`` takes one
+batch, and ``add`` cuts a stream of ``WatchEvent``s into such batches. A batch
+is reduced by ``np.bincount`` and one integer sum per (video, binary
 exponent). Events can be processed in any order and in any sharding: merged
 shard aggregates are bit-identical to a single pass. ``engpred aggregate
 --shards N`` relies on this: it cuts the log into byte ranges of whole lines,
@@ -213,9 +215,10 @@ class CorpusAggregator:
     Each shard owns one aggregator; ``merge`` folds shards together. Per
     video (in meta-table order) it holds the ``counts`` rows (``VIEWS``,
     ``OVER_THRESHOLD``, ``LIKES``, ``LIKED_SEEN``, ``EXTREME``) and the exact
-    watch-time sum in ``units``. ``add_columns`` reduces a batch of events
-    at once; ``add`` buffers one event for the next such batch. Events
-    referencing unknown video ids are counted and skipped. Filtering happens
+    watch-time sum in ``units``. ``add_columns`` reduces a batch of events;
+    ``add`` reduces a stream of ``WatchEvent``s in such batches. Both leave
+    every attribute current when they return. Events referencing unknown
+    video ids are counted and skipped. Filtering happens
     only in ``finish``, after view counts are complete. A shard pickled to
     another process leaves its meta table behind: it can be merged into an
     aggregator there, but only an aggregator that holds the meta table can
@@ -233,41 +236,28 @@ class CorpusAggregator:
         self._durations = np.array([meta.duration_s for meta in metas.values()], dtype=np.float64)
         self.counts = np.zeros((5, len(metas)), dtype=np.int64)
         self.units = [0] * len(metas)  # watch-time sums in units of 2**-1074 s
-        self._unknown_events = 0
-        self._unknown_ids: set[str] = set()
-        self._pending = EventColumns()
+        self.unknown_events = 0
+        self.unknown_ids: set[str] = set()
 
     def __getstate__(self) -> dict:
-        self._flush()
         return {**self.__dict__, "metas": None, "_index": None, "_durations": None}
 
-    @property
-    def unknown_events(self) -> int:
-        self._flush()
-        return self._unknown_events
-
-    @property
-    def unknown_ids(self) -> set[str]:
-        self._flush()
-        return self._unknown_ids
-
-    def add(self, event: WatchEvent) -> None:
-        self._pending.append(event)
-        if len(self._pending) >= REDUCE_BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        if len(self._pending):
-            pending, self._pending = self._pending, EventColumns()
-            self.add_columns(pending)
+    def add(self, events: Iterable[WatchEvent]) -> None:
+        """Reduce a stream of events, ``REDUCE_BATCH`` at a time."""
+        events = iter(events)
+        while batch := list(islice(events, REDUCE_BATCH)):
+            columns = EventColumns()
+            for event in batch:
+                columns.append(event)
+            self.add_columns(columns)
 
     def add_columns(self, columns: EventColumns) -> None:
         """Reduce a batch of events."""
         idx = np.fromiter(map(self._index.get, columns.video_ids, repeat(-1)), np.int64, len(columns))
         known = idx >= 0
         if not known.all():
-            self._unknown_events += len(idx) - int(known.sum())
-            self._unknown_ids.update(compress(columns.video_ids, (~known).tolist()))
+            self.unknown_events += len(idx) - int(known.sum())
+            self.unknown_ids.update(compress(columns.video_ids, (~known).tolist()))
         idx = idx[known]
         watch = np.array(columns.watch_s, dtype=np.float64)[known]
         liked = np.array(columns.liked, dtype=np.float64)[known]  # None reads as NaN
@@ -310,12 +300,10 @@ class CorpusAggregator:
     def merge(self, other: "CorpusAggregator") -> None:
         if other.ecr_threshold_s != self.ecr_threshold_s:
             raise DataError("cannot merge aggregators with different ECR thresholds")
-        self._flush()
-        other._flush()
         self.counts += other.counts
         self.units = [mine + theirs for mine, theirs in zip(self.units, other.units)]
-        self._unknown_events += other._unknown_events
-        self._unknown_ids |= other._unknown_ids
+        self.unknown_events += other.unknown_events
+        self.unknown_ids |= other.unknown_ids
 
     def _by_video_id(self, row: int) -> list[tuple[str, int]]:
         """``(video id, index)`` of each video with a nonzero ``counts[row]``, by id."""
@@ -324,7 +312,6 @@ class CorpusAggregator:
 
     def warnings(self) -> list[str]:
         """What was skipped or flagged: unknown ids, then extreme watches by video id."""
-        self._flush()
         texts = []
         if self.unknown_events:
             texts.append(
@@ -339,7 +326,6 @@ class CorpusAggregator:
         min_views: int = DEFAULT_MIN_VIEWS,
         duration_range_s: tuple[float, float] = DEFAULT_DURATION_RANGE_S,
     ) -> list[VideoRecord]:
-        self._flush()
         lo, hi = duration_range_s
         views, over, likes, liked_seen, _ = self.counts.tolist()
         records = []
@@ -379,12 +365,7 @@ def aggregate_corpus(
 ) -> list[VideoRecord]:
     """Aggregate an event stream against a meta table and apply corpus filters."""
     agg = CorpusAggregator(metas, ecr_threshold_s)
-    events = iter(events)
-    while batch := list(islice(events, REDUCE_BATCH)):
-        columns = EventColumns()
-        for event in batch:
-            columns.append(event)
-        agg.add_columns(columns)
+    agg.add(events)
     for text in agg.warnings():
         logger.warning("%s", text)
     return agg.finish(min_views=min_views, duration_range_s=duration_range_s)

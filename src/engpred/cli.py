@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,20 +70,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _given_fields(args, *configs) -> dict:
+    """The config flags given on the command line, by field name.
+
+    A config flag's ``dest`` is its field name and its default is None, so
+    an absent flag leaves the ``--config`` value, or the field's default, in
+    place.
+    """
+    names = set().union(*(config.__dataclass_fields__ for config in configs))
+    return {key: value for key, value in vars(args).items() if key in names and value is not None}
+
+
 def cmd_synth(args) -> int:
     payload = read_json(args.config, "synth config") if args.config else {}
-    overrides = {
-        "seed": args.seed,
-        "n_videos": args.n_videos,
-        "views_per_video": args.views,
-        "frame_rate": args.frame_rate,
-        "coupling": args.coupling,
-        "feature_noise": args.feature_noise,
-        "ecr_threshold_s": args.ecr_threshold,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
+    payload |= _given_fields(args, SynthConfig)
     cfg = SynthConfig.from_dict(payload)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,33 +218,9 @@ def _train_configs(args) -> tuple[TrainConfig, ModelConfig]:
     unknown = [k for k in payload if k not in _TRAIN_KEYS | _MODEL_KEYS]
     if unknown:
         raise DataError(f"unknown train config keys {unknown}")
+    payload |= _given_fields(args, TrainConfig, ModelConfig)
     train_payload = {k: v for k, v in payload.items() if k in _TRAIN_KEYS}
     model_payload = {k: v for k, v in payload.items() if k not in _TRAIN_KEYS}
-    flag_overrides = {
-        "seed": args.seed,
-        "mode": args.mode,
-        "target": args.target,
-        "iterations": args.iterations,
-        "batch_size": args.batch_size,
-        "lr_max": args.lr_max,
-        "lr_min": args.lr_min,
-        "split_ratio": args.split_ratio,
-        "eval_interval": args.eval_interval,
-    }
-    for key, value in flag_overrides.items():
-        if value is not None:
-            train_payload[key] = value
-    if args.duration_as_input:
-        train_payload["duration_as_input"] = True
-    model_flags = {"d_model": args.d_model, "max_clips": args.max_clips}
-    for key, value in model_flags.items():
-        if value is not None:
-            model_payload[key] = value
-    if args.features is not None:
-        kinds = tuple(k.strip() for k in args.features.split(",") if k.strip())
-        model_payload["features"] = kinds
-    if args.ecr_causal_mask:
-        model_payload["ecr_causal_mask"] = True
     return TrainConfig.from_dict(train_payload), ModelConfig.from_dict(model_payload)
 
 
@@ -329,6 +306,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def number(text: str) -> float:
+    """A float flag's value. NaN is refused: it compares false with every bound."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
+
+
+def _feature_kinds(text: str) -> tuple[str, ...]:
+    """A comma list of feature kinds; blank items are dropped."""
+    return tuple(k.strip() for k in text.split(",") if k.strip())
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="engpred", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
@@ -338,11 +328,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="SynthConfig JSON file")
     p.add_argument("--seed", type=int)
     p.add_argument("--n-videos", type=int, dest="n_videos")
-    p.add_argument("--views", type=int)
-    p.add_argument("--frame-rate", type=float, dest="frame_rate")
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--feature-noise", type=float, dest="feature_noise")
-    p.add_argument("--ecr-threshold", type=float, dest="ecr_threshold")
+    p.add_argument("--views", type=int, dest="views_per_video")
+    p.add_argument("--frame-rate", type=number, dest="frame_rate")
+    p.add_argument("--coupling", type=number)
+    p.add_argument("--feature-noise", type=number, dest="feature_noise")
+    p.add_argument("--ecr-threshold", type=number, dest="ecr_threshold_s")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("aggregate", help="aggregate an event log")
@@ -350,9 +340,9 @@ def build_parser() -> _Parser:
     p.add_argument("--metas", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-views", type=int, default=DEFAULT_MIN_VIEWS, dest="min_views")
-    p.add_argument("--duration-min", type=float, default=DEFAULT_DURATION_RANGE_S[0], dest="duration_min")
-    p.add_argument("--duration-max", type=float, default=DEFAULT_DURATION_RANGE_S[1], dest="duration_max")
-    p.add_argument("--ecr-threshold", type=float, default=DEFAULT_ECR_THRESHOLD_S, dest="ecr_threshold")
+    p.add_argument("--duration-min", type=number, default=DEFAULT_DURATION_RANGE_S[0], dest="duration_min")
+    p.add_argument("--duration-max", type=number, default=DEFAULT_DURATION_RANGE_S[1], dest="duration_max")
+    p.add_argument("--ecr-threshold", type=number, default=DEFAULT_ECR_THRESHOLD_S, dest="ecr_threshold")
     p.add_argument(
         "--shards",
         type=int,
@@ -366,8 +356,8 @@ def build_parser() -> _Parser:
     p.add_argument("--records", required=True)
     p.add_argument("--out-envelope", required=True, dest="out_envelope")
     p.add_argument("--out-records", dest="out_records", help="write records with nawp filled")
-    p.add_argument("--quantile-tau", type=float, default=0.97, dest="quantile_tau")
-    p.add_argument("--bin-width", type=float, default=1.0, dest="bin_width")
+    p.add_argument("--quantile-tau", type=number, default=0.97, dest="quantile_tau")
+    p.add_argument("--bin-width", type=number, default=1.0, dest="bin_width")
     p.add_argument("--min-bin-count", type=int, default=30, dest="min_bin_count")
     p.set_defaults(func=cmd_fit_norm)
 
@@ -378,17 +368,17 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["joint", "nawp_only", "ecr_only"])
     p.add_argument("--target", choices=["nawp", "awt", "awp"])
-    p.add_argument("--duration-as-input", action="store_true", dest="duration_as_input")
+    p.add_argument("--duration-as-input", action="store_true", default=None, dest="duration_as_input")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr-max", type=float, dest="lr_max")
-    p.add_argument("--lr-min", type=float, dest="lr_min")
-    p.add_argument("--split-ratio", type=float, dest="split_ratio")
+    p.add_argument("--lr-max", type=number, dest="lr_max")
+    p.add_argument("--lr-min", type=number, dest="lr_min")
+    p.add_argument("--split-ratio", type=number, dest="split_ratio")
     p.add_argument("--eval-interval", type=int, dest="eval_interval")
     p.add_argument("--d-model", type=int, dest="d_model")
     p.add_argument("--max-clips", type=int, dest="max_clips")
-    p.add_argument("--features", help=f"comma list from {','.join(ALL_KINDS)}")
-    p.add_argument("--ecr-causal-mask", action="store_true", dest="ecr_causal_mask")
+    p.add_argument("--features", type=_feature_kinds, help=f"comma list from {','.join(ALL_KINDS)}")
+    p.add_argument("--ecr-causal-mask", action="store_true", default=None, dest="ecr_causal_mask")
     p.add_argument("--compare-modes", action="store_true", dest="compare_modes")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
@@ -397,8 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--topk-percent", type=float, default=10.0, dest="topk_percent")
-    p.add_argument("--group-width", type=float, dest="group_width")
+    p.add_argument("--topk-percent", type=number, default=10.0, dest="topk_percent")
+    p.add_argument("--group-width", type=number, dest="group_width")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="distribution/correlation report")

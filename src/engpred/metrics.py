@@ -81,6 +81,8 @@ def topk_indices(truth, k_percent: float, ids=None) -> np.ndarray:
     Ties in truth resolve by ascending id (positional index when ids are
     absent), so the subset is deterministic.
     """
+    if not (math.isfinite(k_percent) and k_percent <= 100.0):
+        raise DataError(f"top-K percent must be a finite number up to 100, got {k_percent!r}")
     t = _as_vector(truth, "truth")
     n = t.size
     count = math.floor(k_percent * n / 100.0)

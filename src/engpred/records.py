@@ -26,8 +26,9 @@ from .errors import DataError
 def typed_value(value: Any, tp: Any, where: str) -> Any:
     """``value`` checked against the annotation ``tp``; JSON lists become tuples.
 
-    Integers are accepted for float fields and converted; bools are never
-    numbers. Nested dataclasses are built from JSON objects.
+    Integers are accepted for float fields and converted, and only finite
+    values are (Python's ``json`` reads ``NaN`` and ``Infinity``); bools are
+    never numbers. Nested dataclasses are built from JSON objects.
     """
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
@@ -51,7 +52,9 @@ def typed_value(value: Any, tp: Any, where: str) -> Any:
         }
     elif tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         with suppress(OverflowError):
-            return float(value)
+            if not math.isfinite(value := float(value)):
+                raise DataError(f"{where} must be finite, got {value!r}")
+            return value
     elif tp in (int, str, bool) and isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
         return value
     raise DataError(f"{where} must be {tp if origin else tp.__name__}, got {value!r}")

@@ -65,6 +65,10 @@ class SynthConfig(JsonFields):
             raise DataError("n_videos and views_per_video must be >= 1")
         if not self.duration_min_s < self.duration_max_s:
             raise DataError("duration range is empty")
+        if self.frame_rate <= 0:
+            raise DataError("frame_rate must be positive")
+        if self.ecr_threshold_s < 0:
+            raise DataError("ecr_threshold_s must be >= 0")
         if abs(sum(self.mixture_weights) - 1.0) > 1e-12:
             raise DataError("mixture weights must sum to 1")
         if any(w < 0 for w in self.mixture_weights):

@@ -100,8 +100,8 @@ def test_criterion_2_aggregation_oracle(desk_corpus):
 
         def run_sharded(n_shards):
             shards = [CorpusAggregator(metas) for _ in range(n_shards)]
-            for i, event in enumerate(corpus.events):
-                shards[i % n_shards].add(event)
+            for k, shard in enumerate(shards):
+                shard.add(corpus.events[k::n_shards])
             merged = shards[0]
             for other in shards[1:]:
                 merged.merge(other)

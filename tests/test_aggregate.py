@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import pickle
 import struct
 from unittest import mock
 
@@ -41,8 +42,7 @@ def _meta(video_id="v1", duration=20.0, rate=30.0):
 
 
 def _add_all(agg, events):
-    for event in events:
-        agg.add(event)
+    agg.add(events)
 
 
 def _one_video(watch_times, duration=20.0, liked=None, ecr_threshold_s=DEFAULT_ECR_THRESHOLD_S):
@@ -232,12 +232,71 @@ class TestCorpusFilters:
 
 def _shard_and_merge(events, metas, n_shards, assignment):
     shards = [CorpusAggregator(metas) for _ in range(n_shards)]
+    parts = [[] for _ in range(n_shards)]
     for i, event in enumerate(events):
-        shards[assignment(i)].add(event)
+        parts[assignment(i)].append(event)
+    for shard, part in zip(shards, parts):
+        shard.add(part)
     merged = shards[0]
     for other in shards[1:]:
         merged.merge(other)
     return merged.finish(min_views=1, duration_range_s=(0, 1000))
+
+
+class TestAdd:
+    """``add`` reduces a stream of events, ``REDUCE_BATCH`` at a time, before it returns."""
+
+    def _metas(self):
+        return {f"v{i}": _meta(f"v{i}", duration=15.0 + i) for i in range(3)}
+
+    def _stream(self):
+        return [
+            WatchEvent("ghost" if i % 4 == 3 else f"v{i % 4}", 0.7 * i + 1e-3, [None, True, False][i % 3])
+            for i in range(10)
+        ]
+
+    @staticmethod
+    def _state(agg):
+        return agg.counts.tolist(), agg.units, agg.unknown_events, agg.unknown_ids
+
+    def test_counts_and_units_current_after_add(self):
+        metas, events = self._metas(), self._stream()
+        agg = CorpusAggregator(metas)
+        agg.add(events)
+        known = [e for e in events if e.video_id in metas]
+        assert agg.counts[aggregate.VIEWS].tolist() == [sum(e.video_id == v for e in known) for v in metas]
+        assert agg.units == [sum(exact_units(e.watch_time_s) for e in known if e.video_id == v) for v in metas]
+        assert (agg.unknown_events, agg.unknown_ids) == (2, {"ghost"})
+
+    def test_batches_equal_one_add_columns_call(self):
+        metas, events = self._metas(), self._stream()
+        sizes = []
+        add_columns = CorpusAggregator.add_columns
+
+        def spy(agg, columns):
+            sizes.append(len(columns))
+            add_columns(agg, columns)
+
+        batched = CorpusAggregator(metas)
+        with mock.patch.object(aggregate, "REDUCE_BATCH", 3), mock.patch.object(CorpusAggregator, "add_columns", spy):
+            batched.add(iter(events))
+        assert sizes == [3, 3, 3, 1]
+        whole = CorpusAggregator(metas)
+        columns = EventColumns()
+        for event in events:
+            columns.append(event)
+        whole.add_columns(columns)
+        assert self._state(batched) == self._state(whole)
+
+    def test_pickled_shard_merges_equal(self):
+        metas = self._metas()
+        shard = CorpusAggregator(metas)
+        shard.add(self._stream())
+        direct, pickled = CorpusAggregator(metas), CorpusAggregator(metas)
+        direct.merge(shard)
+        pickled.merge(pickle.loads(pickle.dumps(shard)))
+        assert self._state(pickled) == self._state(direct)
+        assert pickled.finish(min_views=1) == direct.finish(min_views=1)
 
 
 class TestShardMerge:

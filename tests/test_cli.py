@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and pipeline determinism."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -100,6 +101,30 @@ class TestDataErrors:
             "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "o")]
         assert run_cli(command, *out, "--config", str(bad)) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "command, config, where",
+        [
+            ("synth", '{"coupling": NaN}', "SynthConfig.coupling"),
+            ("synth", '{"frame_rate": Infinity}', "SynthConfig.frame_rate"),
+            ("train", '{"ecr_window_s": NaN}', "ModelConfig.ecr_window_s"),
+            ("train", '{"lr_max": -Infinity}', "TrainConfig.lr_max"),
+        ],
+    )
+    def test_non_finite_config_value_names_the_field(self, corpus, tmp_path, capsys, command, config, where):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(config)
+        out = ["--out", str(tmp_path / "o")] if command == "synth" else [
+            "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "o")]
+        assert run_cli(command, *out, "--config", str(bad)) == EXIT_DATA
+        assert f"{where} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--frame-rate", "0"], ["--ecr-threshold", "-1"]])
+    def test_bad_synth_value_writes_nothing(self, tmp_path, flag):
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", str(out), *SYNTH_ARGS, *flag) == EXIT_DATA
+        assert not out.exists()
+
     def test_unknown_train_config_key_names_the_train_config(self, corpus, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text('{"lr": 0.1}')
@@ -114,6 +139,8 @@ class TestDataErrors:
             '["v00000", 0.5, 0.5]',
             '{"video_id": 7, "nawp_hat": 0.5, "ecr_hat": 0.5}',
             '{"video_id": "v00000", "nawp_hat": "0.5", "ecr_hat": 0.5}',
+            '{"video_id": "v00000", "nawp_hat": NaN, "ecr_hat": 0.5}',
+            '{"video_id": "v00000", "nawp_hat": 0.5, "ecr_hat": -Infinity}',
         ],
     )
     def test_malformed_prediction_row(self, corpus, tmp_path, row):
@@ -250,7 +277,7 @@ class TestDataErrors:
         assert run_cli(*argv) == EXIT_DATA
         assert f"{reader} line 2: not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("label", ["null", '"0.5"', "[0.5]", "true"])
+    @pytest.mark.parametrize("label", ["null", '"0.5"', "[0.5]", "true", "NaN", "Infinity"])
     def test_non_numeric_manifest_label(self, corpus, tmp_path, capsys, label):
         rows = [json.loads(l) for l in (corpus / "manifest.jsonl").read_text().splitlines()]
         manifest = tmp_path / "manifest.jsonl"
@@ -403,6 +430,123 @@ class TestNumericErrors:
             "--min-bin-count", "5",
         )
         assert code == EXIT_NUMERIC
+
+
+# Each config flag: its argv, its field, a --config value for the field, and
+# the value the flag gives it.
+SYNTH_FLAGS = [
+    (["--seed", "0"], "seed", 5, 0),
+    (["--n-videos", "5"], "n_videos", 4, 5),
+    (["--views", "7"], "views_per_video", 6, 7),
+    (["--frame-rate", "12"], "frame_rate", 24.0, 12.0),
+    (["--coupling", "0.25"], "coupling", 0.5, 0.25),
+    (["--feature-noise", "0.125"], "feature_noise", 0.0625, 0.125),
+    (["--ecr-threshold", "4"], "ecr_threshold_s", 3.0, 4.0),
+]
+TRAIN_FLAGS = [
+    (["--seed", "0"], "seed", 5, 0),
+    (["--mode", "ecr_only"], "mode", "nawp_only", "ecr_only"),
+    (["--target", "awp"], "target", "awt", "awp"),
+    (["--duration-as-input"], "duration_as_input", False, True),
+    (["--iterations", "9"], "iterations", 8, 9),
+    (["--batch-size", "3"], "batch_size", 2, 3),
+    (["--lr-max", "0.01"], "lr_max", 0.02, 0.01),
+    (["--lr-min", "0.001"], "lr_min", 0.002, 0.001),
+    (["--split-ratio", "0.75"], "split_ratio", 0.5, 0.75),
+    (["--eval-interval", "4"], "eval_interval", 2, 4),
+    (["--d-model", "12"], "d_model", 8, 12),
+    (["--max-clips", "6"], "max_clips", 5, 6),
+    (["--features", "semantic, text"], "features", ["action"], ("semantic", "text")),
+    (["--ecr-causal-mask"], "ecr_causal_mask", False, True),
+]
+
+
+def _flag_id(flag):
+    return flag[0][0] if flag else "no-flag"
+
+
+class TestConfigFlags:
+    """A given flag beats ``--config``, which beats the field's default."""
+
+    @pytest.mark.parametrize("flag", [None, *SYNTH_FLAGS], ids=_flag_id)
+    def test_synth_flag_over_config(self, tmp_path, flag):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({field: value for _, field, value, _ in SYNTH_FLAGS}))
+        out = tmp_path / "corpus"
+        argv = flag[0] if flag else []
+        assert run_cli("synth", "--out", str(out), "--config", str(config), *argv) == EXIT_OK
+        cfg = json.loads((out / "synth_summary.json").read_text())["config"]
+        for other in SYNTH_FLAGS:
+            _, field, from_config, from_flag = other
+            assert cfg[field] == (from_flag if other == flag else from_config), field
+
+    @pytest.mark.parametrize("flag", [None, *TRAIN_FLAGS], ids=_flag_id)
+    def test_train_flag_over_config(self, tmp_path, flag):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({field: value for _, field, value, _ in TRAIN_FLAGS}))
+        argv = ["train", "--manifest", "m.jsonl", "--out-dir", "run", "--config", str(config)]
+        args = cli.build_parser().parse_args(argv + (flag[0] if flag else []))
+        train_cfg, model_cfg = cli._train_configs(args)
+        for other in TRAIN_FLAGS:
+            _, field, from_config, from_flag = other
+            expected = from_flag if other == flag else from_config
+            if isinstance(expected, list):
+                expected = tuple(expected)
+            cfg = train_cfg if field in train_cfg.__dataclass_fields__ else model_cfg
+            assert getattr(cfg, field) == expected, field
+
+    def test_absent_store_true_flag_keeps_config_true(self, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text('{"duration_as_input": true, "ecr_causal_mask": true}')
+        args = cli.build_parser().parse_args(
+            ["train", "--manifest", "m.jsonl", "--out-dir", "run", "--config", str(config)])
+        train_cfg, model_cfg = cli._train_configs(args)
+        assert train_cfg.duration_as_input and model_cfg.ecr_causal_mask
+
+
+def _float_flags():
+    """``(subcommand, option)`` for every float-valued flag that ``build_parser`` defines."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type in (float, cli.number)
+    ]
+
+
+FLOAT_FLAGS = _float_flags()
+
+
+class TestFloatFlags:
+    """Every float flag of every subcommand refuses NaN without a traceback."""
+
+    def test_walk_finds_the_float_flags(self):
+        assert {("aggregate", "--ecr-threshold"), ("fit-norm", "--bin-width"),
+                ("eval", "--topk-percent"), ("train", "--lr-max")} <= set(FLOAT_FLAGS)
+
+    @pytest.mark.parametrize("command, option", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
+    def test_nan_is_refused(self, corpus, tmp_path, capsys, command, option):
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("".join(
+            json.dumps({"video_id": row["video_id"], "nawp_hat": row["nawp_label"], "ecr_hat": row["ecr_label"]})
+            + "\n" for row in map(json.loads, (corpus / "manifest.jsonl").read_text().splitlines())
+        ))
+        # Valid inputs, so that a NaN that got through would reach the stage.
+        valid = {
+            "synth": ["--out", tmp_path / "synth", "--n-videos", "3", "--views", "2"],
+            "aggregate": ["--events", corpus / "events.jsonl", "--metas", corpus / "metas.jsonl",
+                          "--out", tmp_path / "records.jsonl"],
+            "fit-norm": ["--records", corpus / "truth_records.jsonl", "--out-envelope", tmp_path / "env.json"],
+            "train": ["--manifest", corpus / "manifest.jsonl", "--out-dir", tmp_path / "run",
+                      "--iterations", "1", "--d-model", "4", "--max-clips", "4"],
+            "eval": ["--predictions", predictions, "--manifest", corpus / "manifest.jsonl",
+                     "--out", tmp_path / "eval.json"],
+        }
+        assert command in valid, f"give {command} valid inputs in this test"
+        code = run_cli(command, *map(str, valid[command]), option, "nan")
+        assert code in (EXIT_USAGE, EXIT_DATA)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPipeline:

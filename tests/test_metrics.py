@@ -137,6 +137,11 @@ class TestRmseTopk:
         with pytest.raises(DataError):
             rmse_topk([1.0, 2.0], [1.0, 2.0], 10.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e308, 100.5])
+    def test_k_not_finite_or_past_100_raises(self, k):
+        with pytest.raises(DataError, match="top-K percent"):
+            topk_indices([0.1, 0.2, 0.3], k)
+
     def test_tie_break_by_id_deterministic(self):
         truth = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
         ids = [f"v{i}" for i in range(10)]

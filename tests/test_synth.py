@@ -279,6 +279,12 @@ def test_config_validation():
         SynthConfig(mixture_weights=(0.7, 0.7)).validate()
     with pytest.raises(DataError):
         SynthConfig(coupling=1.5).validate()
+    with pytest.raises(DataError, match="frame_rate"):
+        SynthConfig(frame_rate=0.0).validate()
+    with pytest.raises(DataError, match="ecr_threshold_s"):
+        SynthConfig(ecr_threshold_s=-1.0).validate()
+    with pytest.raises(DataError, match="must be finite"):
+        SynthConfig.from_dict({"frame_rate": math.inf})
     with pytest.raises(DataError):
         SynthConfig.from_dict({"bogus": 1})
     SynthConfig().validate()
