@@ -36,16 +36,17 @@ from .metrics import evaluate_predictions
 from .model import ALL_KINDS, ModelConfig
 from .records import (
     LineRange,
+    PredictionRow,
     VideoMeta,
     atomic_write,
     line_ranges,
-    meta_to_json,
     open_input,
     read_json,
-    read_jsonl,
     read_metas,
     read_records,
-    typed_value,
+    read_rows,
+    row_to_json,
+    rows_by_id,
     write_events,
     write_json,
     write_jsonl,
@@ -90,7 +91,7 @@ def cmd_synth(args) -> int:
     corpus = generate_events(cfg)
     with atomic_write(out / "events.jsonl") as f:
         write_events(f, corpus.events)
-    write_jsonl(out / "metas.jsonl", corpus.metas, meta_to_json)
+    write_jsonl(out / "metas.jsonl", corpus.metas, row_to_json)
     write_records(out / "truth_records.jsonl", corpus.truth_records)
     generate_features(corpus.truth, cfg, out_dir=out)
     write_json(
@@ -253,28 +254,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = read_manifest(args.manifest)
-    labels = {row["video_id"]: row for row in manifest}
-    ids, pred_nawp, pred_ecr, truth_nawp, truth_ecr, durations = [], [], [], [], [], []
-    for line_no, row in read_jsonl(args.predictions, "predictions"):
-        where = f"predictions line {line_no}"
-        vid = typed_value(row.get("video_id"), str, f"{where}: video_id")
-        if vid not in labels:
-            raise DataError(f"prediction for unknown video {vid!r}")
-        ids.append(vid)
-        pred_nawp.append(typed_value(row.get("nawp_hat"), float, f"{where}: nawp_hat"))
-        pred_ecr.append(typed_value(row.get("ecr_hat"), float, f"{where}: ecr_hat"))
-        label = labels[vid]
-        truth_nawp.append(label["nawp_label"])
-        truth_ecr.append(label["ecr_label"])
-        durations.append(label["duration_s"])
+    labels = {row.video_id: row for row in read_manifest(args.manifest)}
+    preds = rows_by_id(read_rows(args.predictions, PredictionRow, "predictions"), "predictions")
+    if unknown := [vid for vid in preds if vid not in labels]:
+        raise DataError(f"prediction for unknown video {unknown[0]!r}")
+    truth = [labels[vid] for vid in preds]
     report = evaluate_predictions(
-        pred_nawp,
-        pred_ecr,
-        truth_nawp,
-        truth_ecr,
-        ids=ids,
-        durations=durations,
+        [p.nawp_hat for p in preds.values()],
+        [p.ecr_hat for p in preds.values()],
+        [t.nawp_label for t in truth],
+        [t.ecr_label for t in truth],
+        ids=list(preds),
+        durations=[t.duration_s for t in truth],
         k_percent=args.topk_percent,
         group_width_s=args.group_width,
     )

@@ -1,15 +1,17 @@
 """Core record types, their JSON-lines encodings, and the package's JSON I/O.
 
-JSONL field order is fixed so that repeated runs produce byte-identical
-output files. Every JSON and JSONL artifact is written through
-``atomic_write`` (by ``write_json`` or ``write_jsonl``), so a failed write
-leaves the previous file in place, and every JSONL file except the event
-stream is read by ``read_jsonl``. Config dataclasses take their JSON schema
-from their fields (``JsonFields``).
+Every JSON and JSONL artifact is written through ``atomic_write`` (by
+``write_json`` or ``write_jsonl``), so a failed write leaves the previous
+file in place. A dataclass deriving ``JsonFields`` takes its JSON schema from
+its fields, checked by ``typed_value``: configs are read by
+``JsonFields.from_dict``, and every JSONL file except the event log by
+``read_rows``, one such dataclass per line. ``row_to_json`` writes a row with
+its keys in field order, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -60,23 +62,41 @@ def typed_value(value: Any, tp: Any, where: str) -> Any:
     raise DataError(f"{where} must be {tp if origin else tp.__name__}, got {value!r}")
 
 
-def _from_fields(cls: type, payload: Any, where: str) -> Any:
-    """Dataclass ``cls`` built from a JSON object whose keys are its fields."""
+def _plain_type(tp: Any) -> type | None:
+    """The JSON scalar type whose values a field of type ``tp`` takes as they are."""
+    if get_origin(tp) in (Union, types.UnionType):
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+    return tp if tp in (str, int, bool, float) else None
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, Any], dict[str, type | None], set[str]]:
+    """``cls``'s field types in field order, their plain types, and its fields without a default."""
+    hints = get_type_hints(cls)
+    hints = {f.name: hints[f.name] for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    return hints, {k: _plain_type(tp) for k, tp in hints.items()}, required
+
+
+def _from_fields(cls: type, payload: Any, where: str, sep: str = ".") -> Any:
+    """Dataclass ``cls`` built from a JSON object whose keys are its fields.
+
+    A value's error names it ``where + sep + field``. A finite value of its
+    field's plain type skips ``typed_value``: rows are read by the thousand.
+    """
     if not isinstance(payload, dict):
         raise DataError(f"{where} must be a JSON object, got {payload!r}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = [k for k in payload if k not in known]
-    if unknown:
-        raise DataError(f"unknown {where} keys {unknown}")
-    missing = [
-        name
-        for name, f in known.items()
-        if name not in payload and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise DataError(f"{where} is missing keys {missing}")
-    hints = get_type_hints(cls)
-    return cls(**{k: typed_value(v, hints[k], f"{where}.{k}") for k, v in payload.items()})
+    hints, plain, required = _schema(cls)
+    if not payload.keys() <= hints.keys():
+        raise DataError(f"{where}: unknown keys {[k for k in payload if k not in hints]}")
+    if not required <= payload.keys():
+        raise DataError(f"{where}: missing keys {[k for k in hints if k in required and k not in payload]}")
+    values = {}
+    for k, v in payload.items():
+        if type(v) is not plain[k] or (type(v) is float and not math.isfinite(v)):
+            v = typed_value(v, hints[k], f"{where}{sep}{k}")
+        values[k] = v
+    return cls(**values)
 
 
 class JsonFields:
@@ -117,6 +137,11 @@ def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
 
 def _compact_json(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def row_to_json(row: JsonFields) -> str:
+    """A row as compact JSON, its keys in field order."""
+    return _compact_json({name: getattr(row, name) for name in _schema(type(row))[0]})
 
 
 def write_json(path: Path | str, obj: Any) -> None:
@@ -169,14 +194,34 @@ def read_json(path: Path | str, what: str) -> dict:
         return json_object(f.read(), f"{what} {path}")
 
 
-def read_jsonl(path: Path | str, what: str) -> list[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line; anything else raises DataError."""
+def read_rows(path: Path | str, cls: type, what: str) -> list[tuple[int, Any]]:
+    """``(line number, row)`` for each non-blank line, read as the ``JsonFields`` dataclass ``cls``.
+
+    README's "File formats" gives the rule; a line that breaks it, or fails
+    ``cls.validate``, raises DataError reading ``<what> line N: ...``.
+    """
+    rows = []
     with open_input(path, what) as f:
-        return [
-            (line_no, json_object(line, f"{what} line {line_no}"))
-            for line_no, line in enumerate(f, start=1)
-            if line.strip()
-        ]
+        for line_no, line in enumerate(f, start=1):
+            if line.strip():
+                where = f"{what} line {line_no}"
+                row = _from_fields(cls, json_object(line, where), where, ": ")
+                try:
+                    row.validate()
+                except DataError as exc:
+                    raise DataError(f"{where}: {exc}") from exc
+                rows.append((line_no, row))
+    return rows
+
+
+def rows_by_id(rows: list[tuple[int, Any]], what: str) -> dict[str, Any]:
+    """``read_rows`` rows keyed by ``video_id``; a repeated id raises DataError naming its line."""
+    by_id: dict[str, Any] = {}
+    for line_no, row in rows:
+        if row.video_id in by_id:
+            raise DataError(f"{what} line {line_no}: duplicate video_id {row.video_id!r}")
+        by_id[row.video_id] = row
+    return by_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +234,7 @@ class WatchEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class VideoMeta:
+class VideoMeta(JsonFields):
     """Static per-video properties."""
 
     video_id: str
@@ -198,15 +243,24 @@ class VideoMeta:
 
     def validate(self) -> None:
         if not self.video_id:
-            raise DataError("video meta has empty video_id")
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
-            raise DataError(f"video {self.video_id!r}: duration_s must be positive")
-        if not math.isfinite(self.frame_rate) or self.frame_rate <= 0:
-            raise DataError(f"video {self.video_id!r}: frame_rate must be positive")
+            raise DataError("video_id must not be empty")
+        if not self.duration_s > 0:
+            raise DataError("duration_s must be positive")
+        if not self.frame_rate > 0:
+            raise DataError("frame_rate must be positive")
+
+
+# The name benchmarks/inputs.py writes metas with.
+meta_to_json = row_to_json
+
+
+def read_metas(path: Path | str) -> dict[str, VideoMeta]:
+    """Load a meta table keyed by video_id; duplicate ids are an error."""
+    return rows_by_id(read_rows(path, VideoMeta, "metas"), "metas")
 
 
 @dataclass(frozen=True, slots=True)
-class VideoRecord:
+class VideoRecord(JsonFields):
     """Per-video engagement aggregate.
 
     ``awp`` may exceed 1 when viewers rewatch; ``ecr`` is the fraction of
@@ -224,77 +278,36 @@ class VideoRecord:
     nawp: float | None = None
 
 
-# Fixed key order for diff-stable JSONL output.
-_RECORD_KEYS = tuple(f.name for f in fields(VideoRecord))
-_RECORD_FLOATS = ("duration_s", "awt_s", "awp", "ecr", "like_rate", "nawp")
-
-
-def record_to_json(record: VideoRecord) -> str:
-    payload = {key: getattr(record, key) for key in _RECORD_KEYS}
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def write_records(path: Path | str, records: Iterable[VideoRecord]) -> None:
-    write_jsonl(path, records, record_to_json)
+    write_jsonl(path, records, row_to_json)
 
 
 def read_records(path: Path | str) -> list[VideoRecord]:
-    """Records, one per line.
-
-    Fields are converted one by one, not through ``JsonFields``: a count
-    written as ``3.0``, a numeric video id and extra keys are accepted, so
-    files written by other tools keep loading. ``read_metas`` does the same.
-    """
-    records = []
-    for line_no, payload in read_jsonl(path, "records"):
-        try:
-            records.append(
-                VideoRecord(
-                    video_id=str(payload["video_id"]),
-                    duration_s=float(payload["duration_s"]),
-                    views=int(payload["views"]),
-                    awt_s=float(payload["awt_s"]),
-                    awp=float(payload["awp"]),
-                    ecr=float(payload["ecr"]),
-                    like_rate=None if payload.get("like_rate") is None else float(payload["like_rate"]),
-                    nawp=None if payload.get("nawp") is None else float(payload["nawp"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"records line {line_no}: invalid fields: {exc}") from exc
-        for name in _RECORD_FLOATS:
-            value = getattr(records[-1], name)
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"records line {line_no}: {name} is not finite")
-    return records
+    """Records, one per line."""
+    return [record for _, record in read_rows(path, VideoRecord, "records")]
 
 
-def meta_to_json(meta: VideoMeta) -> str:
-    payload = {
-        "video_id": meta.video_id,
-        "duration_s": meta.duration_s,
-        "frame_rate": meta.frame_rate,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+@dataclass(frozen=True, slots=True)
+class ManifestRow(JsonFields):
+    """One labelled video; ``feature_path`` is relative to the manifest's directory."""
+
+    video_id: str
+    duration_s: float
+    frame_rate: float
+    feature_path: str
+    nawp_label: float
+    ecr_label: float
+    awt_label: float | None = None
+    awp_label: float | None = None
 
 
-def read_metas(path: Path | str) -> dict[str, VideoMeta]:
-    """Load a meta table keyed by video_id; duplicate ids are an error."""
-    metas: dict[str, VideoMeta] = {}
-    for line_no, payload in read_jsonl(path, "metas"):
-        try:
-            meta = VideoMeta(
-                video_id=str(payload["video_id"]),
-                duration_s=float(payload["duration_s"]),
-                frame_rate=float(payload["frame_rate"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"meta line {line_no}: {exc}") from exc
-        meta.validate()
-        if meta.video_id in metas:
-            raise DataError(f"meta line {line_no}: duplicate video_id {meta.video_id!r}")
-        metas[meta.video_id] = meta
-    return metas
+@dataclass(frozen=True, slots=True)
+class PredictionRow(JsonFields):
+    """One line of the held-out predictions that ``engpred train`` writes."""
+
+    video_id: str
+    nawp_hat: float
+    ecr_hat: float
 
 
 def event_to_json(event: WatchEvent) -> str:

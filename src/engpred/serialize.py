@@ -21,7 +21,7 @@ from typing import IO, TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .records import atomic_write, read_jsonl, typed_value
+from .records import ManifestRow, atomic_write, open_input, read_rows, rows_by_id
 
 if TYPE_CHECKING:
     from .model import FeatureBundle
@@ -100,7 +100,7 @@ def save_weights(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_weights(path: Path | str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
+    with open_input(path, "weights file") as f:
         r = _Reader(f)
         magic = r.read(4, "magic")
         if magic != WEIGHTS_MAGIC:
@@ -130,7 +130,7 @@ def save_bundle(path: Path | str, bundle: "FeatureBundle") -> None:
 def load_bundle(path: Path | str) -> "FeatureBundle":
     from .model import TEXT_KIND, FeatureBundle
 
-    with open(path, "rb") as f:
+    with open_input(path, "feature bundle") as f:
         r = _Reader(f)
         magic = r.read(4, "magic")
         if magic != FEATURES_MAGIC:
@@ -157,28 +157,9 @@ def load_bundle(path: Path | str) -> "FeatureBundle":
     return bundle
 
 
-MANIFEST_FIELDS = {
-    "video_id": str,
-    "duration_s": float,
-    "frame_rate": float,
-    "feature_path": str,
-    "nawp_label": float,
-    "ecr_label": float,
-}
-MANIFEST_OPTIONAL_FIELDS = {"awt_label": float, "awp_label": float}
-
-
-def read_manifest(path: Path | str) -> list[dict]:
-    """Manifest rows with their known fields typed; a bad value names its line."""
-    rows = []
-    for line_no, row in read_jsonl(path, "manifest"):
-        missing = [k for k in MANIFEST_FIELDS if k not in row]
-        if missing:
-            raise DataError(f"manifest line {line_no}: missing keys {missing}")
-        for key, tp in (MANIFEST_FIELDS | MANIFEST_OPTIONAL_FIELDS).items():
-            if key in row:
-                row[key] = typed_value(row[key], tp, f"manifest line {line_no}: {key}")
-        rows.append(row)
+def read_manifest(path: Path | str) -> list[ManifestRow]:
+    """The manifest's rows; a repeated video id or a file with none is an error."""
+    rows = list(rows_by_id(read_rows(path, ManifestRow, "manifest"), "manifest").values())
     if not rows:
         raise DataError(f"manifest {path} is empty")
     return rows

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .metrics import plcc, srcc
-from .model import VISUAL_KINDS, FeatureBundle
+from .model import VISUAL_KINDS, FeatureBundle, ModelConfig
 from .records import JsonFields, VideoMeta, VideoRecord, WatchEvent, write_jsonl
 from .serialize import save_bundle
 
@@ -67,6 +67,12 @@ class SynthConfig(JsonFields):
             raise DataError("duration range is empty")
         if self.frame_rate <= 0:
             raise DataError("frame_rate must be positive")
+        if self.frames_per_clip < 1:
+            raise DataError("frames_per_clip must be >= 1")
+        # The float product: a huge rate gives inf, never a huge int to allocate by.
+        max_clips = ModelConfig().max_clips
+        if not self.duration_max_s * self.frame_rate / self.frames_per_clip <= max_clips:
+            raise DataError(f"duration_max_s * frame_rate / frames_per_clip must be <= {max_clips} clips")
         if self.ecr_threshold_s < 0:
             raise DataError("ecr_threshold_s must be >= 0")
         if abs(sum(self.mixture_weights) - 1.0) > 1e-12:

@@ -34,13 +34,11 @@ from .model import (
     init_params,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
-from .records import JsonFields, json_object, write_json, write_jsonl
+from .records import JsonFields, ManifestRow, json_object, write_json, write_jsonl
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
 
 MODES = ("joint", "nawp_only", "ecr_only")
 TARGETS = ("nawp", "awt", "awp")
-
-_TARGET_LABEL_KEYS = {"nawp": "nawp_label", "awt": "awt_label", "awp": "awp_label"}
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ def loss_value(pred_nawp, pred_ecr, truth_nawp, truth_ecr, mode: str = "joint") 
 class BundleCache:
     """Lazy feature-bundle loader keyed by video id."""
 
-    def __init__(self, manifest_dir: Path, rows: list[dict]) -> None:
-        self._paths = {row["video_id"]: manifest_dir / row["feature_path"] for row in rows}
+    def __init__(self, manifest_dir: Path, rows: list[ManifestRow]) -> None:
+        self._paths = {row.video_id: manifest_dir / row.feature_path for row in rows}
         self._cache: dict[str, FeatureBundle] = {}
 
     def get(self, video_id: str) -> FeatureBundle:
@@ -114,10 +112,7 @@ class BundleCache:
             path = self._paths.get(video_id)
             if path is None:
                 raise DataError(f"no manifest entry for video {video_id!r}")
-            try:
-                bundle = load_bundle(path)
-            except OSError as exc:
-                raise DataError(f"cannot read feature bundle {path}: {exc}") from exc
+            bundle = load_bundle(path)
             if bundle.video_id != video_id:
                 raise DataError(f"bundle {path} carries id {bundle.video_id!r}")
             self._cache[video_id] = bundle
@@ -252,18 +247,6 @@ class TrainResult:
     checkpoint_path: Path | None = None
 
 
-def _labels_for(rows: list[dict], key: str) -> dict[str, float]:
-    labels = {}
-    for row in rows:
-        if key not in row:
-            raise DataError(f"manifest row {row['video_id']!r} is missing {key!r}")
-        value = row[key]
-        if not math.isfinite(value):
-            raise DataError(f"label {key!r} for {row['video_id']!r} is not finite")
-        labels[row["video_id"]] = value
-    return labels
-
-
 def _batch_loss_node(out: BatchResult, y1, y2, mode: str) -> Tensor:
     """The tape form of ``loss_value`` over a packed batch's estimates."""
     inv_batch = 1.0 / out.nawp_node.shape[0]
@@ -322,10 +305,9 @@ def train(
     """
     train_cfg.validate()
     manifest_path = Path(manifest_path)
-    rows = read_manifest(manifest_path)
-    rows.sort(key=lambda r: r["video_id"])
-    ids = [row["video_id"] for row in rows]
-    durations = {row["video_id"]: row["duration_s"] for row in rows}
+    rows = sorted(read_manifest(manifest_path), key=lambda r: r.video_id)
+    ids = [row.video_id for row in rows]
+    durations = {row.video_id: row.duration_s for row in rows}
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
     cache = BundleCache(manifest_path.parent, rows)
 
@@ -333,9 +315,11 @@ def train(
     model_cfg = config_for_bundle(model_cfg, cache.get(ids[0]))
     model_cfg.validate()
 
-    target_key = _TARGET_LABEL_KEYS[train_cfg.target]
-    y1_raw = _labels_for(rows, target_key)
-    y2_raw = _labels_for(rows, "ecr_label")
+    target_key = f"{train_cfg.target}_label"
+    y1_raw = {row.video_id: getattr(row, target_key) for row in rows}
+    y2_raw = {row.video_id: row.ecr_label for row in rows}
+    if missing := [vid for vid, y in y1_raw.items() if y is None]:
+        raise DataError(f"manifest row {missing[0]!r} is missing {target_key!r}")
     if train_cfg.target == "nawp":
         scale1 = 1.0
     else:

@@ -6,6 +6,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import pickle
 import subprocess
 import sys
@@ -26,6 +28,10 @@ from engpred.serialize import load_weights, save_weights
 
 
 SYNTH_ARGS = ["--n-videos", "40", "--views", "60", "--seed", "21"]
+
+# `python -m engpred` in a child process runs the package these tests import.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*argv):
@@ -119,10 +125,23 @@ class TestDataErrors:
         assert f"{where} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", [["--frame-rate", "0"], ["--ecr-threshold", "-1"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--frame-rate", "0"], ["--ecr-threshold", "-1"],
+         # Past the model's 225 clips per 60 s video: validation refuses these before any allocation.
+         ["--frame-rate", "1e308"], ["--frame-rate", "1e9"], ["--frame-rate", repr(math.nextafter(60.0, math.inf))]],
+    )
     def test_bad_synth_value_writes_nothing(self, tmp_path, flag):
         out = tmp_path / "corpus"
         assert run_cli("synth", "--out", str(out), *SYNTH_ARGS, *flag) == EXIT_DATA
+        assert not out.exists()
+
+    def test_synth_zero_frames_per_clip_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"frames_per_clip": 0}')
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", str(out), *SYNTH_ARGS, "--config", str(config)) == EXIT_DATA
+        assert "frames_per_clip must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_train_config_key_names_the_train_config(self, corpus, tmp_path, capsys):
@@ -155,6 +174,47 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert not (tmp_path / "report.json").exists()
 
+
+    def test_repeated_prediction_id_names_its_line(self, corpus, tmp_path, capsys):
+        rows = [json.loads(l) for l in (corpus / "manifest.jsonl").read_text().splitlines()][:3]
+        lines = [json.dumps({"video_id": row["video_id"], "nawp_hat": 0.5, "ecr_hat": 0.5}) for row in rows]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("\n".join([*lines, lines[1]]) + "\n")
+        out = tmp_path / "report.json"
+        code = run_cli("eval", "--predictions", str(preds), "--manifest", str(corpus / "manifest.jsonl"),
+                       "--out", str(out))
+        assert code == EXIT_DATA
+        assert f"predictions line 4: duplicate video_id {rows[1]['video_id']!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reader, key, value, message",
+        [
+            ("records", "views", "2.9", "views must be int, got 2.9"),
+            ("records", "awt_s", "true", "awt_s must be float, got True"),
+            ("records", "awp", '"0.5"', "awp must be float, got '0.5'"),
+            ("records", "video_id", "7", "video_id must be str, got 7"),
+            ("records", "source", '"x"', "unknown keys ['source']"),
+            ("metas", "frame_rate", "true", "frame_rate must be float, got True"),
+        ],
+        ids=["views_2.9", "awt_s_true", "awp_string", "video_id_int", "records_extra_key", "frame_rate_true"],
+    )
+    def test_row_value_of_another_json_type_exits_two(self, corpus, tmp_path, capsys, reader, key, value, message):
+        good = {"records": {"video_id": "v1", "duration_s": 20.0, "views": 10, "awt_s": 5.0, "awp": 0.25,
+                            "ecr": 0.5, "like_rate": None, "nawp": 0.5},
+                "metas": {"video_id": "v1", "duration_s": 20.0, "frame_rate": 30.0}}[reader]
+        path = tmp_path / f"{reader}.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "video_id": "v2", key: "@"}).replace('"@"', value) + "\n")
+        out = tmp_path / "out.json"
+        argv = {
+            "records": ["report", "--records", str(path), "--out", str(out)],
+            "metas": ["aggregate", "--events", str(corpus / "events.jsonl"), "--metas", str(path),
+                      "--out", str(out)],
+        }[reader]
+        assert run_cli(*argv) == EXIT_DATA
+        assert f"data error: {reader} line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hostile_event_lines_are_counted(self, corpus, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -207,7 +267,8 @@ class TestDataErrors:
         code = run_cli("aggregate", "--events", str(corpus / "events.jsonl"), "--metas", str(metas),
                        "--out", str(tmp_path / "r.jsonl"))
         assert code == EXIT_DATA
-        assert "meta line 2:" in capsys.readouterr().err
+        assert f"metas line 2: {key} must be float" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["fit-norm", "report"])
     @pytest.mark.parametrize(
@@ -221,12 +282,15 @@ class TestDataErrors:
         bad = json.dumps({**row, "video_id": "v2", key: "@"}).replace('"@"', value)
         records = tmp_path / "records.jsonl"
         records.write_text(json.dumps(row) + "\n" + bad + "\n")
+        out = tmp_path / "out.json"
         argv = {
-            "fit-norm": ["fit-norm", "--records", str(records), "--out-envelope", str(tmp_path / "env.json")],
-            "report": ["report", "--records", str(records), "--out", str(tmp_path / "rep.json")],
+            "fit-norm": ["fit-norm", "--records", str(records), "--out-envelope", str(out)],
+            "report": ["report", "--records", str(records), "--out", str(out)],
         }[command]
         assert run_cli(*argv) == EXIT_DATA
-        assert "records line 2: invalid fields" in capsys.readouterr().err
+        expected = {"views": "int", "duration_s": "float"}[key]
+        assert f"records line 2: {key} must be {expected}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit-norm", "report"])
     @pytest.mark.parametrize("key", ["duration_s", "awt_s", "awp", "ecr", "like_rate", "nawp"])
@@ -244,7 +308,7 @@ class TestDataErrors:
             "report": ["report", "--records", str(records), "--out", str(out)],
         }[command]
         assert run_cli(*argv) == EXIT_DATA
-        assert f"records line 8: {key} is not finite" in capsys.readouterr().err
+        assert f"records line 8: {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["metas", "records", "manifest", "predictions"])
@@ -408,6 +472,21 @@ class TestResumeValidation:
         assert self._resume(corpus, tmp_path / "run", bad) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.engw").exists()
+
+    def test_missing_checkpoint_exits_two(self, corpus, tmp_path, capsys):
+        missing = tmp_path / "nope.engw"
+        assert self._resume(corpus, tmp_path / "run", missing) == EXIT_DATA
+        assert f"cannot open weights file {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.engw").exists()
+
+    def test_missing_bundle_exits_two(self, corpus, tmp_path, capsys):
+        # The manifest's feature paths are relative to it, so a copy elsewhere finds no bundles.
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes((corpus / "manifest.jsonl").read_bytes())
+        code = run_cli("train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"), *TRAIN_ARGS)
+        assert code == EXIT_DATA
+        assert f"cannot open feature bundle {tmp_path / 'features'}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unedited_checkpoint_resumes_to_the_same_bytes(self, corpus, tmp_path, trained):
         assert self._resume(corpus, tmp_path / "run", trained) == EXIT_OK
@@ -780,7 +859,7 @@ class TestShardedAggregate:
         proc = subprocess.run(
             [sys.executable, "-m", "engpred", "aggregate", "--events", str(events), "--metas", str(metas),
              "--out", str(out), "--min-views", "1", "--shards", "2"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
         )
         assert (proc.returncode, out.read_bytes(), proc.stdout, proc.stderr) == single
 
@@ -796,7 +875,7 @@ class TestShardedAggregate:
         proc = subprocess.run(
             [sys.executable, "-m", "engpred", "aggregate", "--events", "/dev/stdin", "--metas", str(metas),
              "--out", str(out), "--min-views", "1", "--shards", "4"],
-            input=log, capture_output=True, timeout=120,
+            input=log, capture_output=True, timeout=120, env=CHILD_ENV,
         )
         assert (proc.returncode, out.read_bytes(), proc.stdout.decode(), proc.stderr.decode()) == single
 
@@ -883,6 +962,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "engpred", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert out.returncode == 0
     assert "synth" in out.stdout

@@ -10,6 +10,7 @@ from engpred.errors import DataError
 from engpred.model import FeatureBundle
 from engpred.records import write_json, write_jsonl
 from engpred.serialize import (
+    ManifestRow,
     load_bundle,
     load_weights,
     read_manifest,
@@ -177,7 +178,7 @@ class TestManifest:
         ]
         path = tmp_path / "manifest.jsonl"
         write_jsonl(path, rows)
-        assert read_manifest(path) == rows
+        assert read_manifest(path) == [ManifestRow(**row) for row in rows]
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
@@ -200,6 +201,14 @@ class TestManifest:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             read_manifest(tmp_path / "nope.jsonl")
+
+    def test_repeated_video_id_rejected_with_its_line(self, tmp_path):
+        row = {"video_id": "v0", "duration_s": 20.0, "frame_rate": 16.0, "feature_path": "f/v0.engf",
+               "nawp_label": 0.4, "ecr_label": 0.6}
+        path = tmp_path / "manifest.jsonl"
+        write_jsonl(path, [row, {**row, "video_id": "v1"}, {**row, "nawp_label": 0.9}])
+        with pytest.raises(DataError, match="manifest line 3: duplicate video_id 'v0'"):
+            read_manifest(path)
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

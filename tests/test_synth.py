@@ -12,7 +12,7 @@ from engpred.aggregate import aggregate_corpus
 from engpred.envelope import EnvelopeModel, annotate_nawp, bimodality_coefficient, fit_envelope
 from engpred.errors import DataError
 from engpred.metrics import srcc
-from engpred.records import record_to_json
+from engpred.records import row_to_json
 from engpred.synth import (
     SynthConfig,
     analytic_correlation_targets,
@@ -46,8 +46,8 @@ class TestDeterminism:
         b = generate_events(SynthConfig(n_videos=8, views_per_video=15, seed=4))
         assert a.events == b.events
         assert a.truth == b.truth
-        assert [record_to_json(r) for r in a.truth_records] == [
-            record_to_json(r) for r in b.truth_records
+        assert [row_to_json(r) for r in a.truth_records] == [
+            row_to_json(r) for r in b.truth_records
         ]
 
     def test_features_identical(self):
@@ -287,6 +287,13 @@ def test_config_validation():
         SynthConfig.from_dict({"frame_rate": math.inf})
     with pytest.raises(DataError):
         SynthConfig.from_dict({"bogus": 1})
+    with pytest.raises(DataError, match="frames_per_clip must be >= 1"):
+        SynthConfig(frames_per_clip=0).validate()
+    # 60 s at 60 fps is the model's 225 clips of 16 frames; validate() alone allocates nothing.
+    SynthConfig(frame_rate=60.0).validate()
+    for rate in (math.nextafter(60.0, math.inf), 1e9, 1e308):
+        with pytest.raises(DataError, match="must be <= 225 clips"):
+            SynthConfig(frame_rate=rate).validate()
     SynthConfig().validate()
 
 
