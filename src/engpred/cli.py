@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
-import os
 import sys
 from pathlib import Path
 from typing import IO, Iterator
@@ -55,6 +54,7 @@ from .records import (
 from .serialize import read_manifest
 from .synth import SynthConfig, analytic_correlation_targets, generate_events, generate_features
 from .trainer import TrainConfig, compare_modes, train
+from .workers import available_cpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,14 +106,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # A range's shard, its parse failures numbered from the range's first line,
 # and the number of lines it holds.
 RangeResult = tuple[CorpusAggregator, list[ParseFailure], int]
@@ -149,10 +141,7 @@ def _pooled_ranges(
     path: str, ranges: list[tuple[int, int]], metas: dict[str, VideoMeta], ecr_threshold_s: float
 ) -> Iterator[RangeResult]:
     """Each range's result in range order, from one worker process per range."""
-    # The platform's default start method: on Linux (before Python 3.14) that is
-    # fork, and a worker inherits the imported program. Spawn would import numpy
-    # and the caller's main module again in every worker, about 0.4 s per call on
-    # a 300k-event log on 2 CPUs, with 12 MiB more resident per worker.
+    # The platform's default start method, as engpred.workers explains.
     with concurrent.futures.ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         pending = [
             pool.submit(aggregate_file_range, path, start, end, metas, ecr_threshold_s)
@@ -370,8 +359,10 @@ def build_parser() -> _Parser:
     p.add_argument("--max-clips", type=int, dest="max_clips")
     p.add_argument("--features", type=_feature_kinds, help=f"comma list from {','.join(ALL_KINDS)}")
     p.add_argument("--ecr-causal-mask", action="store_true", default=None, dest="ecr_causal_mask")
-    p.add_argument("--compare-modes", action="store_true", dest="compare_modes")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    # A comparison trains each mode from scratch, so it has no checkpoint to resume.
+    once = p.add_mutually_exclusive_group()
+    once.add_argument("--compare-modes", action="store_true", dest="compare_modes")
+    once.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score predictions against labels")

@@ -5,13 +5,23 @@ and records one tape for the whole batch (``model.forward_batch``), with
 attention kept inside each video, so there is no padding and no video sees
 another. A step zeroes the flat gradient buffer (``optim.FlatParams``),
 backward accumulates into it, and ``adam_step`` updates the parameters in
-place. Held-out predictions run one video at a time (``model.forward``).
-The batch schedule is a pure function of (seed, step), which lets a resumed
-run reproduce an uninterrupted one bit for bit.
+place. The batch schedule is a pure function of (seed, step), which lets a
+resumed run reproduce an uninterrupted one bit for bit.
+
+Each evaluation makes one held-out prediction pass, one video at a time
+(``model.forward``); the pass at the last step is also the one
+``test_predictions.jsonl`` holds. When two or more CPUs are free, one worker
+process takes half of the prediction work, never beside a training step: a
+mid-run evaluation keeps a copy of the parameters, and the worker predicts it
+at the next evaluation while this process makes that evaluation's own pass; a
+final pass with no earlier pass waiting is split in half. Every pass calls the
+same ``_predict``, so the outputs are byte-identical for any CPU count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -34,8 +44,9 @@ from .model import (
     init_params,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
-from .records import JsonFields, ManifestRow, json_object, write_json, write_jsonl
+from .records import JsonFields, ManifestRow, PredictionRow, json_object, row_to_json, write_json, write_jsonl
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
+from .workers import available_cpus
 
 MODES = ("joint", "nawp_only", "ecr_only")
 TARGETS = ("nawp", "awt", "awp")
@@ -241,7 +252,7 @@ class TrainResult:
     test_ids: list[str]
     label_scale: tuple[float, float]
     log_rows: list[dict] = field(default_factory=list)
-    predictions: list[dict] = field(default_factory=list)
+    predictions: list[PredictionRow] = field(default_factory=list)
     final_srcc_nawp: float | None = None
     final_srcc_ecr: float | None = None
     checkpoint_path: Path | None = None
@@ -268,17 +279,11 @@ def _predict(
     params: dict[str, Tensor],
     model_cfg: ModelConfig,
     label_scale: tuple[float, float],
-) -> list[dict]:
+) -> list[PredictionRow]:
     rows = []
     for vid in ids:
         res = forward(cache.get(vid), params, model_cfg, duration_s=durations[vid])
-        rows.append(
-            {
-                "video_id": vid,
-                "nawp_hat": res.nawp_hat * label_scale[0],
-                "ecr_hat": res.ecr_hat * label_scale[1],
-            }
-        )
+        rows.append(PredictionRow(vid, res.nawp_hat * label_scale[0], res.ecr_hat * label_scale[1]))
     return rows
 
 
@@ -287,6 +292,109 @@ def _safe_srcc(pred, truth) -> float | None:
         return srcc(pred, truth)
     except NumericError:
         return None
+
+
+# The held-out worker's own bundle cache and durations over the manifest rows,
+# set by ``_start_worker`` in the worker process only.
+_worker_state: tuple[BundleCache, dict[str, float]] | None = None
+
+
+def _start_worker(manifest_dir: Path, rows: list[ManifestRow]) -> None:
+    global _worker_state
+    _worker_state = (BundleCache(manifest_dir, rows), {row.video_id: row.duration_s for row in rows})
+
+
+def _predict_in_worker(
+    ids: list[str], params: dict[str, Tensor], model_cfg: ModelConfig, label_scale: tuple[float, float]
+) -> list[PredictionRow]:
+    cache, durations = _worker_state
+    return _predict(ids, cache, durations, params, model_cfg, label_scale)
+
+
+def _snapshot(params: FlatParams) -> dict[str, Tensor]:
+    """Tensors over one copy of the parameters, without gradients.
+
+    A waiting pass must see the parameters of its evaluation while
+    ``adam_step`` goes on writing ``params.data`` in place.
+    """
+    return {name: Tensor(view) for name, view in params.views(params.data.copy()).items()}
+
+
+@dataclass
+class _HeldOut:
+    """The held-out prediction passes of one ``train`` call.
+
+    Without a pool every pass runs here, at its evaluation. With one, the
+    worker never runs beside a training step, which it would slow: a mid-run
+    evaluation keeps a copy of the parameters, and its pass runs in the
+    worker at the next evaluation, beside that evaluation's own pass here.
+    A final pass with no earlier pass waiting is split in half instead.
+    """
+
+    pool: concurrent.futures.Executor | None
+    ids: list[str]
+    cache: BundleCache
+    durations: dict[str, float]
+    model_cfg: ModelConfig
+    label_scale: tuple[float, float]
+    truth: tuple[list[float], list[float]]
+    waiting: tuple[dict, dict[str, Tensor]] | None = None
+
+    def _here(self, ids: list[str], params: dict[str, Tensor]) -> list[PredictionRow]:
+        return _predict(ids, self.cache, self.durations, params, self.model_cfg, self.label_scale)
+
+    def _paired(
+        self, worker_ids: list[str], worker_params: dict[str, Tensor], here_ids: list[str], here_params: FlatParams
+    ) -> tuple[list[PredictionRow], list[PredictionRow]]:
+        """(worker rows, rows here) of two passes run side by side.
+
+        The worker's pass is the earlier one in a one-process run, so its
+        error comes first: its result is read even when the pass here fails.
+        """
+        future = self.pool.submit(_predict_in_worker, worker_ids, worker_params, self.model_cfg, self.label_scale)
+        try:
+            here = self._here(here_ids, here_params)
+        finally:
+            worker = future.result()
+        return worker, here
+
+    def scores(self, preds: list[PredictionRow]) -> dict[str, float | None]:
+        return {
+            "eval_srcc_nawp": _safe_srcc([p.nawp_hat for p in preds], self.truth[0]),
+            "eval_srcc_ecr": _safe_srcc([p.ecr_hat for p in preds], self.truth[1]),
+        }
+
+    def _with_waiting(self, params: FlatParams) -> list[PredictionRow]:
+        """A pass over ``params`` here while the worker runs the waiting pass and scores its row."""
+        (log_row, snapshot), self.waiting = self.waiting, None
+        earlier, preds = self._paired(self.ids, snapshot, self.ids, params)
+        log_row.update(self.scores(earlier))
+        return preds
+
+    def evaluate(self, log_row: dict, params: FlatParams) -> None:
+        """Add the scores of a pass over ``params`` to ``log_row``, now or at the next evaluation."""
+        if self.pool is None:
+            log_row.update(self.scores(self._here(self.ids, params)))
+        elif self.waiting is None:
+            self.waiting = (log_row, _snapshot(params))
+        else:
+            log_row.update(self.scores(self._with_waiting(params)))
+
+    def flush(self) -> None:
+        """Run the waiting pass here and score its row; raises the pass's error."""
+        if self.waiting is not None:
+            (log_row, snapshot), self.waiting = self.waiting, None
+            log_row.update(self.scores(self._here(self.ids, snapshot)))
+
+    def final(self, params: FlatParams) -> list[PredictionRow]:
+        """The pass over the trained ``params`` that ``test_predictions.jsonl`` holds."""
+        if self.pool is None:
+            return self._here(self.ids, params)
+        if self.waiting is not None:
+            return self._with_waiting(params)
+        half = len(self.ids) // 2
+        first, second = self._paired(self.ids[:half], _snapshot(params), self.ids[half:], params)
+        return first + second
 
 
 def train(
@@ -347,41 +455,48 @@ def train(
     if stop_after_step is not None:
         end_step = min(max(stop_after_step, start_step), end_step)
 
-    truth_nawp = [y1_raw[vid] for vid in test_ids]
-    truth_ecr = [y2_raw[vid] for vid in test_ids]
     log_rows: list[dict] = []
     perm_cache: dict = {}
     schedule_total = max(train_cfg.iterations - 1, 1)
+    truth = ([y1_raw[vid] for vid in test_ids], [y2_raw[vid] for vid in test_ids])
+    if available_cpus() >= 2:
+        worker_pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=_start_worker, initargs=(manifest_path.parent, rows)
+        )
+    else:
+        worker_pool = contextlib.nullcontext()
 
-    for step in range(start_step, end_step):
-        lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
-        batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
-        bundles = [cache.get(vid) for vid in batch]
-        y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
-        y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
-        with Tape() as tape:
-            out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
-            node = _batch_loss_node(out, y1, y2, train_cfg.mode)
-        params.grad.fill(0.0)
-        tape.backward(node)
-        batch_loss = float(node.data)
-        if not math.isfinite(batch_loss):
-            raise NumericError(f"training loss became non-finite at step {step}")
-        adam_step(params, state, lr)
-        done = step + 1
-        if done % train_cfg.eval_interval == 0 or done == end_step:
-            preds = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
-            log_rows.append(
-                {
-                    "step": done,
-                    "lr": lr,
-                    "train_loss": batch_loss,
-                    "eval_srcc_nawp": _safe_srcc([p["nawp_hat"] for p in preds], truth_nawp),
-                    "eval_srcc_ecr": _safe_srcc([p["ecr_hat"] for p in preds], truth_ecr),
-                }
-            )
-
-    predictions = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
+    with worker_pool as pool:
+        held_out = _HeldOut(pool, test_ids, cache, durations, model_cfg, label_scale, truth)
+        try:
+            for step in range(start_step, end_step):
+                lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
+                batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
+                bundles = [cache.get(vid) for vid in batch]
+                y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
+                y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
+                with Tape() as tape:
+                    out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
+                    node = _batch_loss_node(out, y1, y2, train_cfg.mode)
+                params.grad.fill(0.0)
+                tape.backward(node)
+                batch_loss = float(node.data)
+                if not math.isfinite(batch_loss):
+                    raise NumericError(f"training loss became non-finite at step {step}")
+                adam_step(params, state, lr)
+                done = step + 1
+                if done % train_cfg.eval_interval == 0 or done == end_step:
+                    log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
+                    if done < end_step:
+                        held_out.evaluate(log_rows[-1], params)
+        except Exception:
+            held_out.flush()  # a one-process run met the waiting pass's error first
+            raise
+        # The last step's evaluation is the final pass, made once.
+        predictions = held_out.final(params)
+    scores = held_out.scores(predictions)
+    if start_step < end_step:
+        log_rows[-1].update(scores)
     result = TrainResult(
         params=params,
         state=state,
@@ -391,8 +506,8 @@ def train(
         label_scale=label_scale,
         log_rows=log_rows,
         predictions=predictions,
-        final_srcc_nawp=_safe_srcc([p["nawp_hat"] for p in predictions], truth_nawp),
-        final_srcc_ecr=_safe_srcc([p["ecr_hat"] for p in predictions], truth_ecr),
+        final_srcc_nawp=scores["eval_srcc_nawp"],
+        final_srcc_ecr=scores["eval_srcc_ecr"],
     )
 
     if out_dir is not None:
@@ -409,7 +524,7 @@ def train(
             label_scale,
         )
         write_jsonl(out_dir / "train_log.jsonl", log_rows)
-        write_jsonl(out_dir / "test_predictions.jsonl", predictions)
+        write_jsonl(out_dir / "test_predictions.jsonl", predictions, row_to_json)
         summary = {
             "iterations": train_cfg.iterations,
             "mode": train_cfg.mode,

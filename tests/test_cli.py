@@ -492,6 +492,15 @@ class TestResumeValidation:
         assert self._resume(corpus, tmp_path / "run", trained) == EXIT_OK
         assert (tmp_path / "run" / "checkpoint.engw").read_bytes() == trained.read_bytes()
 
+    @pytest.mark.parametrize("checkpoint", ["trained", "missing"])
+    def test_compare_modes_refuses_resume(self, corpus, tmp_path, capsys, trained, checkpoint):
+        path = trained if checkpoint == "trained" else tmp_path / "nope.engw"
+        code = run_cli("train", "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(tmp_path / "run"),
+                       *TRAIN_ARGS, "--compare-modes", "--resume", str(path))
+        assert code == EXIT_USAGE
+        assert "argument --resume: not allowed with argument --compare-modes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestNumericErrors:
     def test_degenerate_fit_exits_three(self, tmp_path):

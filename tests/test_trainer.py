@@ -1,13 +1,17 @@
 """Training loop: splits, loss arithmetic, determinism, checkpoint resume."""
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from engpred import cli, trainer
 from engpred.autodiff import Tape
 from engpred.errors import DataError, NumericError
 from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, config_for_bundle, forward_batch, init_params
@@ -131,6 +135,12 @@ class TestLossValue:
         assert abs(float(node.data) - expected) <= 1e-12
 
 
+DESK_TRAIN = TrainConfig(batch_size=8, iterations=6, seed=7, eval_interval=3)
+DESK_MODEL = ModelConfig(d_model=32, frames_per_clip=4, max_clips=64)
+DESK_PREDICTIONS_SHA256 = "1fd19809367861db4bbb27a6154c42b5b6c8d62a2423a69f22d0aeb53498eef0"
+OUTPUTS = ("checkpoint.engw", "train_log.jsonl", "test_predictions.jsonl", "train_summary.json")
+
+
 class TestTrainLoop:
     def test_smoke_run_and_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -215,19 +225,14 @@ class TestTrainLoop:
         # ReLUs, residual adds and layer-norm affines were fused into their
         # ops: fusion changed no bit of the parameters, the Adam moments or the
         # predictions.
-        train(
-            corpus_dir / "manifest.jsonl",
-            TrainConfig(batch_size=8, iterations=6, seed=7, eval_interval=3),
-            ModelConfig(d_model=32, frames_per_clip=4, max_clips=64),
-            out_dir=tmp_path,
-        )
+        train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL, out_dir=tmp_path)
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("checkpoint.engw", "test_predictions.jsonl")
         }
         assert digests == {
             "checkpoint.engw": "ebfc1b8e49f49f2f074787621088c6b7151f5f4c6054d71d593aae8b7ca2e604",
-            "test_predictions.jsonl": "1fd19809367861db4bbb27a6154c42b5b6c8d62a2423a69f22d0aeb53498eef0",
+            "test_predictions.jsonl": DESK_PREDICTIONS_SHA256,
         }
 
     def test_resume_rejects_config_mismatch(self, corpus_dir, tmp_path):
@@ -247,7 +252,7 @@ class TestTrainLoop:
         result = train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
         assert result.label_scale[0] > 1.0
         # Predictions are descaled back to seconds.
-        assert any(p["nawp_hat"] > 1.0 for p in result.predictions)
+        assert any(p.nawp_hat > 1.0 for p in result.predictions)
 
     def test_duration_as_input_flows_to_model(self, corpus_dir):
         cfg = replace(SMALL_TRAIN, iterations=2, eval_interval=2, duration_as_input=True)
@@ -268,6 +273,143 @@ class TestTrainLoop:
         cfg = replace(SMALL_TRAIN, target="awt", iterations=2)
         with pytest.raises(DataError):
             train(stripped, cfg, SMALL_MODEL)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """The CPU count ``train`` sees: 2 lets it run held-out passes in a worker process."""
+    monkeypatch.setattr(trainer, "available_cpus", lambda: request.param)
+    return request.param
+
+
+class TestHeldOutPasses:
+    """One prediction pass per evaluation; with 2 CPUs in a worker, with the same bytes."""
+
+    # With eval_interval 3, the step-3 pass runs in the worker beside the final
+    # pass; with 2, the step-2 pass runs there beside the step-4 pass, and the
+    # final pass is split in half.
+    @pytest.mark.parametrize("eval_interval", [3, 2])
+    def test_outputs_identical_for_one_and_two_cpus(self, corpus_dir, tmp_path, monkeypatch, eval_interval):
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, ids, *args):
+                submitted.append(len(ids))
+                return super().submit(fn, ids, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # Every pass's rows, in evaluation order: a pass that saw later
+        # parameters could still rank three videos alike.
+        passes = []
+        real_scores = trainer._HeldOut.scores
+
+        def recording_scores(self, preds):
+            passes.append(preds)
+            return real_scores(self, preds)
+
+        monkeypatch.setattr(trainer._HeldOut, "scores", recording_scores)
+        runs = {}
+        for n in (1, 2):
+            monkeypatch.setattr(trainer, "available_cpus", lambda n=n: n)
+            cfg = replace(DESK_TRAIN, eval_interval=eval_interval)
+            result = train(corpus_dir / "manifest.jsonl", cfg, DESK_MODEL, out_dir=tmp_path / str(n))
+            outputs = {name: (tmp_path / str(n) / name).read_bytes() for name in OUTPUTS}
+            runs[n] = (result.log_rows, outputs, passes[:])
+            passes.clear()
+        assert runs[1] == runs[2]
+        assert len(runs[2][2]) == len(runs[2][0])
+        n_test = len(result.test_ids)
+        if eval_interval == 3:
+            assert [row["step"] for row in runs[2][0]] == [3, 6]
+            assert submitted == [n_test]
+            digest = hashlib.sha256(runs[2][1]["test_predictions.jsonl"]).hexdigest()
+            assert digest == DESK_PREDICTIONS_SHA256
+        else:
+            assert [row["step"] for row in runs[2][0]] == [2, 4, 6]
+            assert submitted == [n_test, n_test // 2]
+
+    def test_one_forward_per_test_video_per_evaluation(self, corpus_dir, monkeypatch):
+        monkeypatch.setattr(trainer, "available_cpus", lambda: 1)
+        videos = []
+        real_forward = trainer.forward
+
+        def counting_forward(bundle, *args, **kwargs):
+            videos.append(bundle.video_id)
+            return real_forward(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        result = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
+        assert [row["step"] for row in result.log_rows] == [6, 12]
+        assert videos == result.test_ids * 2
+
+    def test_no_process_left_after_return_or_error(self, corpus_dir, monkeypatch):
+        monkeypatch.setattr(trainer, "available_cpus", lambda: 2)
+        cfg = replace(SMALL_TRAIN, eval_interval=2)
+        train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
+        assert multiprocessing.active_children() == []
+        real_adam = trainer.adam_step
+
+        def failing_adam(params, state, lr):
+            # Step 7: the worker ran the step-2 pass at step 4; the step-6 pass waits.
+            if state.t == 6:
+                raise NumericError("adam failed")
+            real_adam(params, state, lr)
+
+        monkeypatch.setattr(trainer, "adam_step", failing_adam)
+        with pytest.raises(NumericError, match="adam failed"):
+            train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "eval_interval, failing_step",
+        [(6, None), (12, None), (6, 9)],
+        ids=["mid_run_and_final", "final_only", "step_fails_after_mid_run"],
+    )
+    def test_wrong_bundle_id_exits_two_as_with_one_cpu(self, corpus_dir, tmp_path, capsys, monkeypatch,
+                                                       eval_interval, failing_step):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copy)
+        paths = {row["video_id"]: row["feature_path"]
+                 for row in map(json.loads, (copy / "manifest.jsonl").read_text().splitlines())}
+        ids = sorted(paths)
+        _, test_ids = split_dataset(ids, SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
+        # test_ids[0] is in the worker's half of the final pass, test_ids[-1] in
+        # this process's; neither is opened to size the model.
+        assert ids[0] not in test_ids
+        for vid in (test_ids[0], test_ids[-1]):
+            (copy / paths[vid]).write_bytes((copy / paths[ids[0]]).read_bytes())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**replace(SMALL_TRAIN, eval_interval=eval_interval).to_dict(),
+                                      "d_model": 8, "frames_per_clip": 4, "max_clips": 64}))
+        if failing_step is not None:
+            # One process meets the bad bundle at step 6, before this step fails.
+            real_adam = trainer.adam_step
+
+            def failing_adam(params, state, lr):
+                if state.t == failing_step - 1:
+                    raise NumericError("adam failed")
+                real_adam(params, state, lr)
+
+            monkeypatch.setattr(trainer, "adam_step", failing_adam)
+        runs = {}
+        for n in (1, 2):
+            monkeypatch.setattr(trainer, "available_cpus", lambda n=n: n)
+            out = tmp_path / f"run{n}"
+            code = cli.main(["train", "--manifest", str(copy / "manifest.jsonl"), "--out-dir", str(out),
+                             "--config", str(config)])
+            runs[n] = (code, capsys.readouterr().err)
+            assert not out.exists()
+        assert runs[2] == runs[1]
+        assert runs[1] == (cli.EXIT_DATA, f"data error: bundle {copy / paths[test_ids[0]]} carries id {ids[0]!r}\n")
+        assert multiprocessing.active_children() == []
+
+    def test_resume_at_last_step_writes_the_same_predictions(self, corpus_dir, tmp_path, cpus):
+        train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=tmp_path / "full")
+        resumed = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=tmp_path / "resumed",
+                        resume_from=tmp_path / "full" / "checkpoint.engw")
+        assert resumed.log_rows == []
+        name = "test_predictions.jsonl"
+        assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 class TestCheckpointFormat:
