@@ -10,12 +10,9 @@ resumed run reproduce an uninterrupted one bit for bit.
 
 Each evaluation makes one held-out prediction pass, one video at a time
 (``model.forward``); the pass at the last step is also the one
-``test_predictions.jsonl`` holds. When two or more CPUs are free, one worker
-process takes half of the prediction work, never beside a training step: a
-mid-run evaluation keeps a copy of the parameters, and the worker predicts it
-at the next evaluation while this process makes that evaluation's own pass; a
-final pass with no earlier pass waiting is split in half. Every pass calls the
-same ``_predict``, so the outputs are byte-identical for any CPU count.
+``test_predictions.jsonl`` holds. When two or more CPUs are free, a worker
+process runs some of the mid-run passes (``_HeldOut``). The outputs are
+byte-identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -326,9 +323,11 @@ class _HeldOut:
 
     Without a pool every pass runs here, at its evaluation. With one, the
     worker never runs beside a training step, which it would slow: a mid-run
-    evaluation keeps a copy of the parameters, and its pass runs in the
-    worker at the next evaluation, beside that evaluation's own pass here.
-    A final pass with no earlier pass waiting is split in half instead.
+    evaluation keeps a copy of the parameters (at most one waits), and its
+    pass runs in the worker at the next evaluation, beside that evaluation's
+    own pass here. Errors keep the one-process order: the waiting pass is the
+    earlier one, so its error wins, and a step that fails while a pass waits
+    runs that pass first.
     """
 
     pool: concurrent.futures.Executor | None
@@ -340,23 +339,8 @@ class _HeldOut:
     truth: tuple[list[float], list[float]]
     waiting: tuple[dict, dict[str, Tensor]] | None = None
 
-    def _here(self, ids: list[str], params: dict[str, Tensor]) -> list[PredictionRow]:
-        return _predict(ids, self.cache, self.durations, params, self.model_cfg, self.label_scale)
-
-    def _paired(
-        self, worker_ids: list[str], worker_params: dict[str, Tensor], here_ids: list[str], here_params: FlatParams
-    ) -> tuple[list[PredictionRow], list[PredictionRow]]:
-        """(worker rows, rows here) of two passes run side by side.
-
-        The worker's pass is the earlier one in a one-process run, so its
-        error comes first: its result is read even when the pass here fails.
-        """
-        future = self.pool.submit(_predict_in_worker, worker_ids, worker_params, self.model_cfg, self.label_scale)
-        try:
-            here = self._here(here_ids, here_params)
-        finally:
-            worker = future.result()
-        return worker, here
+    def _here(self, params: dict[str, Tensor]) -> list[PredictionRow]:
+        return _predict(self.ids, self.cache, self.durations, params, self.model_cfg, self.label_scale)
 
     def scores(self, preds: list[PredictionRow]) -> dict[str, float | None]:
         return {
@@ -365,16 +349,22 @@ class _HeldOut:
         }
 
     def _with_waiting(self, params: FlatParams) -> list[PredictionRow]:
-        """A pass over ``params`` here while the worker runs the waiting pass and scores its row."""
+        """A pass over ``params`` here while the worker runs the waiting pass and scores its row.
+
+        The worker's result is read even when the pass here fails.
+        """
         (log_row, snapshot), self.waiting = self.waiting, None
-        earlier, preds = self._paired(self.ids, snapshot, self.ids, params)
-        log_row.update(self.scores(earlier))
+        future = self.pool.submit(_predict_in_worker, self.ids, snapshot, self.model_cfg, self.label_scale)
+        try:
+            preds = self._here(params)
+        finally:
+            log_row.update(self.scores(future.result()))
         return preds
 
     def evaluate(self, log_row: dict, params: FlatParams) -> None:
         """Add the scores of a pass over ``params`` to ``log_row``, now or at the next evaluation."""
         if self.pool is None:
-            log_row.update(self.scores(self._here(self.ids, params)))
+            log_row.update(self.scores(self._here(params)))
         elif self.waiting is None:
             self.waiting = (log_row, _snapshot(params))
         else:
@@ -384,17 +374,13 @@ class _HeldOut:
         """Run the waiting pass here and score its row; raises the pass's error."""
         if self.waiting is not None:
             (log_row, snapshot), self.waiting = self.waiting, None
-            log_row.update(self.scores(self._here(self.ids, snapshot)))
+            log_row.update(self.scores(self._here(snapshot)))
 
     def final(self, params: FlatParams) -> list[PredictionRow]:
         """The pass over the trained ``params`` that ``test_predictions.jsonl`` holds."""
-        if self.pool is None:
-            return self._here(self.ids, params)
-        if self.waiting is not None:
-            return self._with_waiting(params)
-        half = len(self.ids) // 2
-        first, second = self._paired(self.ids[:half], _snapshot(params), self.ids[half:], params)
-        return first + second
+        if self.waiting is None:
+            return self._here(params)
+        return self._with_waiting(params)
 
 
 def train(

@@ -287,7 +287,7 @@ class TestHeldOutPasses:
 
     # With eval_interval 3, the step-3 pass runs in the worker beside the final
     # pass; with 2, the step-2 pass runs there beside the step-4 pass, and the
-    # final pass is split in half.
+    # final pass runs here alone.
     @pytest.mark.parametrize("eval_interval", [3, 2])
     def test_outputs_identical_for_one_and_two_cpus(self, corpus_dir, tmp_path, monkeypatch, eval_interval):
         submitted = []
@@ -318,15 +318,13 @@ class TestHeldOutPasses:
             passes.clear()
         assert runs[1] == runs[2]
         assert len(runs[2][2]) == len(runs[2][0])
-        n_test = len(result.test_ids)
+        assert submitted == [len(result.test_ids)]
         if eval_interval == 3:
             assert [row["step"] for row in runs[2][0]] == [3, 6]
-            assert submitted == [n_test]
             digest = hashlib.sha256(runs[2][1]["test_predictions.jsonl"]).hexdigest()
             assert digest == DESK_PREDICTIONS_SHA256
         else:
             assert [row["step"] for row in runs[2][0]] == [2, 4, 6]
-            assert submitted == [n_test, n_test // 2]
 
     def test_one_forward_per_test_video_per_evaluation(self, corpus_dir, monkeypatch):
         monkeypatch.setattr(trainer, "available_cpus", lambda: 1)
@@ -362,8 +360,8 @@ class TestHeldOutPasses:
 
     @pytest.mark.parametrize(
         "eval_interval, failing_step",
-        [(6, None), (12, None), (6, 9)],
-        ids=["mid_run_and_final", "final_only", "step_fails_after_mid_run"],
+        [(6, None), (6, 9)],
+        ids=["mid_run_and_final", "step_fails_after_mid_run"],
     )
     def test_wrong_bundle_id_exits_two_as_with_one_cpu(self, corpus_dir, tmp_path, capsys, monkeypatch,
                                                        eval_interval, failing_step):
@@ -373,11 +371,10 @@ class TestHeldOutPasses:
                  for row in map(json.loads, (copy / "manifest.jsonl").read_text().splitlines())}
         ids = sorted(paths)
         _, test_ids = split_dataset(ids, SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
-        # test_ids[0] is in the worker's half of the final pass, test_ids[-1] in
-        # this process's; neither is opened to size the model.
+        # The step-6 pass meets test_ids[0] first, in the worker at step 12 or
+        # here when step 9 fails; it is not opened to size the model.
         assert ids[0] not in test_ids
-        for vid in (test_ids[0], test_ids[-1]):
-            (copy / paths[vid]).write_bytes((copy / paths[ids[0]]).read_bytes())
+        (copy / paths[test_ids[0]]).write_bytes((copy / paths[ids[0]]).read_bytes())
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**replace(SMALL_TRAIN, eval_interval=eval_interval).to_dict(),
                                       "d_model": 8, "frames_per_clip": 4, "max_clips": 64}))
@@ -402,6 +399,22 @@ class TestHeldOutPasses:
         assert runs[2] == runs[1]
         assert runs[1] == (cli.EXIT_DATA, f"data error: bundle {copy / paths[test_ids[0]]} carries id {ids[0]!r}\n")
         assert multiprocessing.active_children() == []
+
+    def test_waiting_pass_error_wins_over_the_pass_here(self, monkeypatch):
+        # A one-process run meets the waiting (earlier) pass's error first.
+        class FailedPool:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_exception(DataError("earlier pass failed"))
+                return future
+
+        def failing_here(self, params):
+            raise NumericError("later pass failed")
+
+        monkeypatch.setattr(trainer._HeldOut, "_here", failing_here)
+        held_out = trainer._HeldOut(FailedPool(), [], None, {}, SMALL_MODEL, (1.0, 1.0), ([], []), waiting=({}, {}))
+        with pytest.raises(DataError, match="earlier pass failed"):
+            held_out.final(None)
 
     def test_resume_at_last_step_writes_the_same_predictions(self, corpus_dir, tmp_path, cpus):
         train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=tmp_path / "full")
