@@ -41,6 +41,7 @@ from .model import (
     count_parameters,
     forward,
     init_params,
+    predict,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
 from .records import VideoMeta, VideoRecord, WatchEvent
@@ -91,6 +92,7 @@ __all__ = [
     "nawp",
     "parse_events",
     "plcc",
+    "predict",
     "ridge_oracle",
     "rmse",
     "rmse_topk",

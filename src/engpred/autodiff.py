@@ -18,7 +18,9 @@ Design rules:
     unfused ops stay as their references;
   - ops that run over a packed batch (``attention``, ``segment_mean``) take
     each segment's rows as ``(start, stop)`` bounds, so one op serves every
-    video of the batch without padding or cross-video terms;
+    video of the batch without padding or cross-video terms; ``linear``
+    takes them too (``rows``), to form each segment's product on its own and
+    so give each segment the bits of a pass over it alone;
   - ops record onto the thread's active Tape (if any); replaying the tape
     in reverse visits each op exactly once in reverse topological order
     and accumulates gradients into ``.grad``; a leaf whose ``.grad`` is
@@ -168,12 +170,25 @@ def _relu_in_place(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
+def linear(
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    relu: bool = False,
+    residual: Tensor | None = None,
+    rows: Sequence[tuple[int, int]] | None = None,
+) -> Tensor:
     """``relu?(x @ w + b) + residual`` of an (m, k) matrix, with b added to every row.
 
     One op with the arithmetic, values and gradients of the chain
     ``linear`` → ``relu`` → ``add(·, residual)``. The pre-activation is
     checked before the ReLU, which would map NaN and -inf to 0.
+
+    With ``rows``, bounds that tile x's rows in order, ``x @ w`` is formed
+    one segment at a time: BLAS may round a row's sums differently for a
+    different row count, so each segment's rows then hold exactly what a
+    ``linear`` over that segment alone gives. The rest runs once over all
+    rows, and the backward does not depend on ``rows``.
     """
     _require_shape(x, 2, "linear")
     _require_shape(w, 2, "linear")
@@ -182,7 +197,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, residual: Tensor
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
     if residual is not None and residual.data.shape != (x.data.shape[0], w.data.shape[1]):
         raise ValueError(f"linear residual shape mismatch: {residual.data.shape}")
-    value = x.data @ w.data
+    if rows is None:
+        value = x.data @ w.data
+    else:
+        _require_tiling(rows, x.data.shape[0], "linear")
+        value = np.empty((x.data.shape[0], w.data.shape[1]))
+        for start, stop in rows:
+            value[start:stop] = x.data[start:stop] @ w.data
     value += b.data
     mask = None
     if relu:
@@ -211,6 +232,15 @@ def _require_bounds(bounds: Sequence[tuple[int, int]], n_rows: int, op: str) -> 
             raise ValueError(f"{op} segment [{start}:{stop}] out of range for {n_rows} rows")
 
 
+def _require_tiling(bounds: Sequence[tuple[int, int]], n_rows: int, op: str) -> None:
+    """Bounds whose segments cover rows 0..n_rows once each, in order."""
+    _require_bounds(bounds, n_rows, op)
+    starts = [start for start, _ in bounds]
+    stops = [stop for _, stop in bounds]
+    if starts != [0] + stops[:-1] or stops[-1] != n_rows:
+        raise ValueError(f"{op} segments must tile the {n_rows} rows in order")
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -232,12 +262,8 @@ def attention(
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
     if len(q_bounds) != len(k_bounds):
         raise ValueError("attention needs one key segment per query segment")
-    _require_bounds(q_bounds, q.data.shape[0], "attention")
+    _require_tiling(q_bounds, q.data.shape[0], "attention")
     _require_bounds(k_bounds, k.data.shape[0], "attention")
-    starts = [start for start, _ in q_bounds]
-    stops = [stop for _, stop in q_bounds]
-    if starts != [0] + stops[:-1] or stops[-1] != q.data.shape[0]:
-        raise ValueError("attention query segments must tile the query rows in order")
     c = 1.0 / math.sqrt(q.data.shape[1])
     value = np.empty((q.data.shape[0], v.data.shape[1]))
     probs = []

@@ -11,7 +11,9 @@ the opening seconds of the video.
 
 ``forward_batch`` runs several videos as one pass over their concatenated
 clips, with attention kept inside each video; ``forward`` is its one-video
-case.
+case. ``predict`` is the inference path: packed passes whose matrix products
+are formed per video, so each video's estimates are bit-identical to
+``forward`` on that video alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ ALL_KINDS = VISUAL_KINDS + (TEXT_KIND,)
 DEFAULT_FEATURE_DIM = 64
 FUSION_LAYERS = 8
 TEMPORAL_LAYERS = 8
+# Videos per packed pass of ``predict``; no estimate's bits depend on it.
+PREDICT_CHUNK = 32
 
 
 def _default_feature_dims() -> dict[str, int]:
@@ -192,15 +196,17 @@ def count_parameters(params: dict[str, Tensor]) -> int:
     return sum(p.data.size for p in params.values())
 
 
-def _linear_layer(params, name: str, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
-    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], relu=relu, residual=residual)
+Bounds = list[tuple[int, int]]
+
+
+def _linear_layer(
+    params, name: str, x: Tensor, relu: bool = False, residual: Tensor | None = None, rows: Bounds | None = None
+) -> Tensor:
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], relu=relu, residual=residual, rows=rows)
 
 
 def _layer_norm_affine(params, name: str, x: Tensor) -> Tensor:
     return ad.layer_norm_rows(x, params[f"{name}.g"], params[f"{name}.b"])
-
-
-Bounds = list[tuple[int, int]]
 
 
 def _bounds(lengths) -> Bounds:
@@ -209,28 +215,28 @@ def _bounds(lengths) -> Bounds:
     return [(stop - n, stop) for n, stop in zip(lengths, stops)]
 
 
-def _self_attention(params, prefix: str, x: Tensor, bounds: Bounds, residual: Tensor) -> Tensor:
-    q = _linear_layer(params, f"{prefix}.q", x)
-    k = _linear_layer(params, f"{prefix}.k", x)
-    v = _linear_layer(params, f"{prefix}.v", x)
-    return _linear_layer(params, f"{prefix}.o", ad.attention(q, k, v, bounds, bounds), residual=residual)
+def _self_attention(params, prefix: str, x: Tensor, bounds: Bounds, residual: Tensor, rows: Bounds | None) -> Tensor:
+    q = _linear_layer(params, f"{prefix}.q", x, rows=rows)
+    k = _linear_layer(params, f"{prefix}.k", x, rows=rows)
+    v = _linear_layer(params, f"{prefix}.v", x, rows=rows)
+    return _linear_layer(params, f"{prefix}.o", ad.attention(q, k, v, bounds, bounds), residual=residual, rows=rows)
 
 
-def _temporal_stack(params, fused: Tensor, bounds: Bounds) -> Tensor:
+def _temporal_stack(params, fused: Tensor, bounds: Bounds, rows: Bounds | None) -> Tensor:
     positions = np.concatenate([np.arange(stop - start) for start, stop in bounds])
     x = ad.add(fused, ad.gather_rows(params["pos_embed"], positions))
     for i in range(TEMPORAL_LAYERS):
         z = _layer_norm_affine(params, f"temporal.{i}.ln1", x)
-        x = _self_attention(params, f"temporal.{i}.attn", z, bounds, residual=x)
+        x = _self_attention(params, f"temporal.{i}.attn", z, bounds, x, rows)
         z = _layer_norm_affine(params, f"temporal.{i}.ln2", x)
-        h = _linear_layer(params, f"temporal.{i}.mlp.0", z, relu=True)
-        x = _linear_layer(params, f"temporal.{i}.mlp.1", h, residual=x)
+        h = _linear_layer(params, f"temporal.{i}.mlp.0", z, relu=True, rows=rows)
+        x = _linear_layer(params, f"temporal.{i}.mlp.1", h, residual=x, rows=rows)
     return _layer_norm_affine(params, "temporal.norm", x)
 
 
-def _head(params, name: str, h: Tensor) -> Tensor:
-    hidden = _linear_layer(params, f"{name}.0", h, relu=True)
-    return ad.sigmoid(_linear_layer(params, f"{name}.1", hidden))
+def _head(params, name: str, h: Tensor, rows: Bounds | None) -> Tensor:
+    hidden = _linear_layer(params, f"{name}.0", h, relu=True, rows=rows)
+    return ad.sigmoid(_linear_layer(params, f"{name}.1", hidden, rows=rows))
 
 
 def _check_bundle(bundle: FeatureBundle, config: ModelConfig, duration_s: float | None) -> None:
@@ -260,29 +266,33 @@ def _check_bundle(bundle: FeatureBundle, config: ModelConfig, duration_s: float 
         raise DataError("duration_as_input requires duration_s")
 
 
-def _fuse_clips(params, config: ModelConfig, bundles: list[FeatureBundle], durations) -> Tensor:
+def _fuse_clips(
+    params, config: ModelConfig, bundles: list[FeatureBundle], durations, bounds: Bounds, per_video: bool
+) -> Tensor:
+    rows = bounds if per_video else None
     projected: dict[str, Tensor] = {}
     for kind in config.visual_kinds:
         x = Tensor(np.concatenate([b.clip_features[kind] for b in bundles]))
-        h = _linear_layer(params, f"proj.{kind}.0", x, relu=True)
-        projected[kind] = _linear_layer(params, f"proj.{kind}.1", h)
+        h = _linear_layer(params, f"proj.{kind}.0", x, relu=True, rows=rows)
+        projected[kind] = _linear_layer(params, f"proj.{kind}.1", h, rows=rows)
     parts = [projected[kind] for kind in config.visual_kinds]
     if config.cross_attention_enabled:
         # Each video's clips query that video's text tokens only.
         text = Tensor(np.concatenate([b.text_tokens for b in bundles]))
-        q = _linear_layer(params, "xattn.q", projected["action"])
-        k = _linear_layer(params, "xattn.k", text)
-        v = _linear_layer(params, "xattn.v", text)
-        clip_bounds = _bounds([b.n_clips for b in bundles])
         text_bounds = _bounds([b.text_tokens.shape[0] for b in bundles])
-        parts.append(_linear_layer(params, "xattn.o", ad.attention(q, k, v, clip_bounds, text_bounds)))
+        text_rows = text_bounds if per_video else None
+        q = _linear_layer(params, "xattn.q", projected["action"], rows=rows)
+        k = _linear_layer(params, "xattn.k", text, rows=text_rows)
+        v = _linear_layer(params, "xattn.v", text, rows=text_rows)
+        attended = ad.attention(q, k, v, bounds, text_bounds)
+        parts.append(_linear_layer(params, "xattn.o", attended, rows=rows))
     if config.duration_as_input:
         parts.append(
             Tensor(np.concatenate([np.full((b.n_clips, 1), d / 60.0) for b, d in zip(bundles, durations)]))
         )
     h = ad.concat(parts, axis=1)
     for i in range(FUSION_LAYERS):
-        h = _linear_layer(params, f"fusion.{i}", h, relu=i < FUSION_LAYERS - 1)
+        h = _linear_layer(params, f"fusion.{i}", h, relu=i < FUSION_LAYERS - 1, rows=rows)
     return h
 
 
@@ -302,6 +312,7 @@ def forward_batch(
     params: dict[str, Tensor],
     config: ModelConfig,
     durations: list[float | None] | None = None,
+    per_video: bool = False,
 ) -> BatchResult:
     """Run the network once over the row-concatenated clips of several videos.
 
@@ -310,25 +321,33 @@ def forward_batch(
     tokens, for cross-attention), so no video sees another; each video's
     estimates are means over its own rows. Up to floating-point reduction
     order, the results equal separate passes over each video.
+
+    With ``per_video``, every ``linear`` also forms its matrix product one
+    video at a time (``rows``), the one op whose rounding depends on how
+    many rows it sees; every other op already works per row or per video.
+    Each video's results then equal a pass over that video alone, bit for
+    bit. Training steps leave it off: one product per layer is faster.
     """
     if durations is None:
         durations = [None] * len(bundles)
     for bundle, duration_s in zip(bundles, durations, strict=True):
         _check_bundle(bundle, config, duration_s)
     bounds = _bounds([b.n_clips for b in bundles])
-    fused = _fuse_clips(params, config, bundles, durations)
-    temporal = _temporal_stack(params, fused, bounds)
-    f1 = _head(params, "head_nawp", temporal)
-    f2 = _head(params, "head_ecr", temporal)
+    rows = bounds if per_video else None
+    fused = _fuse_clips(params, config, bundles, durations, bounds, per_video)
+    temporal = _temporal_stack(params, fused, bounds, rows)
+    f1 = _head(params, "head_nawp", temporal, rows)
+    f2 = _head(params, "head_ecr", temporal, rows)
     n_ecr = [config.ecr_clip_count(b.frame_rate, b.n_clips) for b in bundles]
     windows = [(start, start + n) for (start, _), n in zip(bounds, n_ecr)]
     if config.ecr_causal_mask:
         # A second temporal pass over the opening clips of every video, so
         # later clips cannot reach the continuation estimate via attention.
-        rows = np.concatenate([np.arange(start, stop) for start, stop in windows])
+        index = np.concatenate([np.arange(start, stop) for start, stop in windows])
         opening = _bounds(n_ecr)
-        masked = _temporal_stack(params, ad.gather_rows(fused, rows), opening)
-        ecr_node = ad.segment_mean(_head(params, "head_ecr", masked), opening)
+        opening_rows = opening if per_video else None
+        masked = _temporal_stack(params, ad.gather_rows(fused, index), opening, opening_rows)
+        ecr_node = ad.segment_mean(_head(params, "head_ecr", masked, opening_rows), opening)
     else:
         ecr_node = ad.segment_mean(f2, windows)
     return BatchResult(
@@ -370,6 +389,30 @@ def forward(
         nawp_node=nawp_node,
         ecr_node=ecr_node,
     )
+
+
+def predict(
+    bundles: list[FeatureBundle],
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    durations: list[float | None] | None = None,
+) -> list[tuple[float, float]]:
+    """The (nawp, ecr) estimates of each video, from packed passes of ``PREDICT_CHUNK`` videos.
+
+    Each pass runs ``forward_batch(..., per_video=True)``, so every video's
+    estimates are bit-identical to ``forward`` on it alone, whatever the
+    chunk size or the other videos of its chunk.
+    """
+    if durations is None:
+        durations = [None] * len(bundles)
+    if len(durations) != len(bundles):
+        raise ValueError("predict needs one duration per bundle")
+    estimates: list[tuple[float, float]] = []
+    for start in range(0, len(bundles), PREDICT_CHUNK):
+        stop = start + PREDICT_CHUNK
+        out = forward_batch(bundles[start:stop], params, config, durations[start:stop], per_video=True)
+        estimates += zip(out.nawp_node.data[:, 0].tolist(), out.ecr_node.data[:, 0].tolist())
+    return estimates
 
 
 def infer_feature_dims(bundle: FeatureBundle) -> dict[str, int]:

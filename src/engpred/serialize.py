@@ -4,7 +4,8 @@ Both formats share the named-array encoding:
 
     u32 name_len | name (UTF-8) | u32 rank | u32 dims[rank] | f64 data (row-major)
 
-with all integers little-endian and array payloads little-endian float64.
+with all integers little-endian and array payloads little-endian float64,
+and a rank of at most ``MAX_RANK``.
 An ENGW file is ``b"ENGW" | u32 version`` followed by named arrays until
 EOF. An ENGF file is ``b"ENGF" | u32 version | u32 id_len | video_id |
 u32 n_clips | f64 frame_rate`` followed by named arrays until EOF.
@@ -29,6 +30,8 @@ if TYPE_CHECKING:
 WEIGHTS_MAGIC = b"ENGW"
 FEATURES_MAGIC = b"ENGF"
 FORMAT_VERSION = 1
+# The highest array rank numpy 1.x can hold; the writers emit ranks 1 and 2.
+MAX_RANK = 32
 
 
 def _write_u32(f: IO[bytes], value: int) -> None:
@@ -83,9 +86,15 @@ def read_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
     while r.left:
         name = r.text("array name")
         rank = r.u32(f"rank of {name!r}")
-        dims = tuple(r.u32(f"dims of {name!r}") for _ in range(rank))
+        raw_dims = r.read(4 * rank, f"dims of {name!r}")
+        if rank > MAX_RANK:
+            raise DataError(f"array {name!r} declares rank {rank}, above {MAX_RANK}")
+        dims = struct.unpack(f"<{rank}I", raw_dims)
         payload = r.read(8 * math.prod(dims), f"data of {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        except ValueError as exc:  # a zero dim beside dims whose product numpy cannot index
+            raise DataError(f"array {name!r} has shape {dims}, too big to index") from exc
         if name in arrays:
             raise DataError(f"duplicate array {name!r}")
         arrays[name] = arr

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import plcc, srcc
 from .model import VISUAL_KINDS, FeatureBundle, ModelConfig
-from .records import JsonFields, VideoMeta, VideoRecord, WatchEvent, write_jsonl
+from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, row_to_json, write_jsonl
 from .serialize import save_bundle
 
 
@@ -329,13 +329,13 @@ def generate_features(
     truth: list[VideoTruth],
     cfg: SynthConfig,
     out_dir: Path | str | None = None,
-) -> tuple[list[dict], dict[str, FeatureBundle]]:
+) -> tuple[list[ManifestRow], dict[str, FeatureBundle]]:
     """Build labeled feature bundles (optionally writing .engf files + manifest)."""
     cfg.validate()
     maps = _feature_maps(cfg)
     embeddings = _text_embeddings(cfg)
     bundles: dict[str, FeatureBundle] = {}
-    rows: list[dict] = []
+    rows: list[ManifestRow] = []
     base = Path(out_dir) if out_dir is not None else None
     if base is not None:
         (base / "features").mkdir(parents=True, exist_ok=True)
@@ -346,19 +346,19 @@ def generate_features(
         if base is not None:
             save_bundle(base / feature_path, bundle)
         rows.append(
-            {
-                "video_id": info.video_id,
-                "duration_s": info.duration_s,
-                "frame_rate": cfg.frame_rate,
-                "feature_path": feature_path,
-                "nawp_label": info.nawp,
-                "ecr_label": info.ecr,
-                "awt_label": info.awt_mean_s,
-                "awp_label": info.awt_mean_s / info.duration_s,
-            }
+            ManifestRow(
+                video_id=info.video_id,
+                duration_s=info.duration_s,
+                frame_rate=cfg.frame_rate,
+                feature_path=feature_path,
+                nawp_label=info.nawp,
+                ecr_label=info.ecr,
+                awt_label=info.awt_mean_s,
+                awp_label=info.awt_mean_s / info.duration_s,
+            )
         )
     if base is not None:
-        write_jsonl(base / "manifest.jsonl", rows)
+        write_jsonl(base / "manifest.jsonl", rows, row_to_json)
     return rows, bundles
 
 
@@ -369,7 +369,7 @@ def _video_vector(bundle: FeatureBundle) -> np.ndarray:
 
 
 def ridge_oracle(
-    rows: list[dict],
+    rows: list[ManifestRow],
     bundles: dict[str, FeatureBundle],
     train_ids: list[str],
     test_ids: list[str],
@@ -381,14 +381,14 @@ def ridge_oracle(
     This is the learnability ceiling reference: a linear read-out of the
     planted signal, independent of the network.
     """
-    by_id = {row["video_id"]: row for row in rows}
+    by_id = {row.video_id: row for row in rows}
     missing = [vid for vid in list(train_ids) + list(test_ids) if vid not in bundles]
     if missing:
         raise DataError(f"no feature bundle for {missing[:3]}...")
 
     def design(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         x = np.stack([_video_vector(bundles[vid]) for vid in ids])
-        y = np.asarray([float(by_id[vid][label_key]) for vid in ids])
+        y = np.asarray([float(getattr(by_id[vid], label_key)) for vid in ids])
         return x, y
 
     x_train, y_train = design(list(train_ids))

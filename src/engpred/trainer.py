@@ -8,8 +8,10 @@ backward accumulates into it, and ``adam_step`` updates the parameters in
 place. The batch schedule is a pure function of (seed, step), which lets a
 resumed run reproduce an uninterrupted one bit for bit.
 
-Each evaluation makes one held-out prediction pass, one video at a time
-(``model.forward``); the pass at the last step is also the one
+Each evaluation makes one held-out prediction pass (``model.predict``):
+packed passes over the test videos whose matrix products are formed per
+video, so every estimate is bit-identical to ``model.forward`` on that
+video alone. The pass at the last step is also the one
 ``test_predictions.jsonl`` holds. When two or more CPUs are free, a worker
 process runs some of the mid-run passes (``_HeldOut``). The outputs are
 byte-identical for any CPU count.
@@ -36,9 +38,10 @@ from .model import (
     FeatureBundle,
     ModelConfig,
     config_for_bundle,
-    forward,
+    forward,  # noqa: F401  # benchmarks/layers.py traces the name trainer.forward
     forward_batch,
     init_params,
+    predict,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
 from .records import JsonFields, ManifestRow, PredictionRow, json_object, row_to_json, write_json, write_jsonl
@@ -277,11 +280,12 @@ def _predict(
     model_cfg: ModelConfig,
     label_scale: tuple[float, float],
 ) -> list[PredictionRow]:
-    rows = []
-    for vid in ids:
-        res = forward(cache.get(vid), params, model_cfg, duration_s=durations[vid])
-        rows.append(PredictionRow(vid, res.nawp_hat * label_scale[0], res.ecr_hat * label_scale[1]))
-    return rows
+    bundles = [cache.get(vid) for vid in ids]
+    estimates = predict(bundles, params, model_cfg, [durations[vid] for vid in ids])
+    return [
+        PredictionRow(vid, nawp * label_scale[0], ecr * label_scale[1])
+        for vid, (nawp, ecr) in zip(ids, estimates)
+    ]
 
 
 def _safe_srcc(pred, truth) -> float | None:

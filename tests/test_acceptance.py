@@ -245,7 +245,7 @@ def desk_training(desk_corpus):
 def test_criterion_5_learning_check(desk_corpus, desk_training):
     with criterion(5, "held-out SRCC >= 0.9 for NAWP and ECR; ridge ceiling >= 0.95"):
         rows, bundles = desk_corpus["rows"], desk_corpus["bundles"]
-        ids = [r["video_id"] for r in rows]
+        ids = [r.video_id for r in rows]
         train_ids, test_ids = split_dataset(ids, DESK_TRAIN.split_ratio, DESK_TRAIN.seed)
         ceiling_nawp = ridge_oracle(rows, bundles, train_ids, test_ids)
         ceiling_ecr = ridge_oracle(rows, bundles, train_ids, test_ids, label_key="ecr_label")

@@ -42,12 +42,12 @@ def _relu_masks(build):
         masks.append(x.data > 0)
         return relu(x)
 
-    def recording_linear(x, w, b, relu=False, residual=None):
+    def recording_linear(x, w, b, relu=False, residual=None, rows=None):
         if relu:
-            pre = x.data @ w.data
+            pre = np.concatenate([x.data[start:stop] @ w.data for start, stop in rows or [(0, x.shape[0])]])
             pre += b.data
             masks.append(pre > 0)
-        return linear(x, w, b, relu=relu, residual=residual)
+        return linear(x, w, b, relu=relu, residual=residual, rows=rows)
 
     with mock.patch.object(ad, "relu", recording_relu), mock.patch.object(ad, "linear", recording_linear):
         value = float(build().data)
@@ -693,6 +693,70 @@ class TestFusedForms:
         fused = _raises_non_finite(lambda: ad.layer_norm_rows(x, gain, bias))
         chain = _raises_non_finite(lambda: _layer_norm_chain(x, gain, bias))
         assert fused == chain
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear_rows_gradients(self, seed):
+        # Three unequal segments, one of a single row, through the ReLU and the residual.
+        rng = np.random.default_rng(seed)
+        x, w, b = Tensor(_rand(rng, 6, 3)), Tensor(_rand(rng, 3, 4)), Tensor(_rand(rng, 4))
+        r = Tensor(_rand(rng, 6, 4))
+        target = _rand(rng, 6, 4)
+        rows = [(0, 2), (2, 3), (3, 6)]
+        check_gradients(
+            lambda: ad.squared_error(ad.linear(x, w, b, relu=True, residual=r, rows=rows), target), [x, w, b, r]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        widths=st.sampled_from([(3, 4), (32, 32), (64, 32), (32, 1)]),
+    )
+    def test_linear_rows_give_each_segment_its_own_bits(self, seed, lengths, widths):
+        """Each segment's rows are the bits of a linear over it alone; the gradients those of ``rows=None``."""
+        rng = np.random.default_rng(seed)
+        k, n = widths
+        m = sum(lengths)
+        x, w, b = Tensor(rng.normal(size=(m, k))), Tensor(rng.normal(size=(k, n))), Tensor(rng.normal(size=n))
+        r = Tensor(rng.normal(size=(m, n)))
+        stops = np.cumsum(lengths).tolist()
+        rows = [(stop - n_rows, stop) for n_rows, stop in zip(lengths, stops)]
+        out = ad.linear(x, w, b, relu=True, residual=r, rows=rows)
+        for start, stop in rows:
+            alone = ad.linear(Tensor(x.data[start:stop]), w, b, relu=True, residual=Tensor(r.data[start:stop]))
+            assert out.data[start:stop].tobytes() == alone.data.tobytes()
+        # The backward ignores rows: under a loss whose upstream gradient does
+        # not depend on the output, the leaves get the bits of rows=None.
+        def grads(rows):
+            for t in (x, w, b, r):
+                t.grad = None
+            with Tape() as tape:
+                loss = ad.mean_axis(ad.mean_axis(ad.linear(x, w, b, relu=True, residual=r, rows=rows), 0), 0)
+            tape.backward(loss)
+            return [t.grad.tobytes() for t in (x, w, b, r)]
+
+        pre = x.data @ w.data + b.data
+        pre_rows = np.concatenate([x.data[start:stop] @ w.data for start, stop in rows]) + b.data
+        if np.array_equal(pre > 0, pre_rows > 0):  # both forms keep the same ReLU mask
+            assert grads(rows) == grads(None)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 2)],  # rows 2.. belong to no segment
+            [(0, 2), (3, 5)],  # a gap
+            [(0, 3), (2, 5)],  # an overlap
+            [(2, 5), (0, 2)],  # out of order
+            [(0, 6)],  # past the last row
+            [(0, 2), (2, 2), (2, 5)],  # an empty segment
+            [],  # no segment
+        ],
+        ids=["short", "gap", "overlap", "out_of_order", "past_the_end", "empty_segment", "none"],
+    )
+    def test_linear_rejects_rows_that_do_not_tile(self, rows):
+        x, w, b = Tensor(np.ones((5, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(x, w, b, rows=rows)
 
     def test_rejects_bad_shapes(self):
         x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import tempfile
@@ -471,6 +472,14 @@ class TestResumeValidation:
         save_weights(bad, arrays)
         assert self._resume(corpus, tmp_path / "run", bad) == EXIT_DATA
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.engw").exists()
+
+    def test_rank_past_the_limit_exits_two(self, corpus, tmp_path, capsys, trained):
+        # Rank 65 with 65 zero dims: no data bytes, and more dims than numpy can reshape to.
+        bad = tmp_path / "bad.engw"
+        bad.write_bytes(trained.read_bytes() + struct.pack("<I", 4) + b"deep" + struct.pack("<66I", 65, *[0] * 65))
+        assert self._resume(corpus, tmp_path / "run", bad) == EXIT_DATA
+        assert "array 'deep' declares rank 65, above 32" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.engw").exists()
 
     def test_missing_checkpoint_exits_two(self, corpus, tmp_path, capsys):

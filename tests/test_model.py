@@ -2,11 +2,15 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engpred import autodiff as ad
+from engpred import model
 from engpred.autodiff import Tape, Tensor
 from engpred.errors import DataError
 from engpred.model import (
@@ -19,6 +23,7 @@ from engpred.model import (
     forward,
     forward_batch,
     init_params,
+    predict,
 )
 from engpred.trainer import _batch_loss_node
 
@@ -395,6 +400,68 @@ class TestPackedBatch:
         params = init_params(TINY, seed=0)
         with pytest.raises(DataError):
             forward_batch([tiny_bundle(), tiny_bundle(dim=6)], params, TINY)
+
+
+# Model variants of the prediction property: every path ``forward_batch`` has.
+PREDICT_VARIANTS = {
+    "default": {},
+    "duration_as_input": {"duration_as_input": True},
+    "ecr_causal_mask": {"ecr_causal_mask": True},
+    "no_cross_attention": {"features": ("semantic", "distortion", "aesthetic", "text")},
+}
+
+
+def _hex_estimates(estimates):
+    return [(nawp.hex(), ecr.hex()) for nawp, ecr in estimates]
+
+
+def _forward_each(bundles, params, cfg, durations):
+    return [(res.nawp_hat, res.ecr_hat) for res in (forward(b, params, cfg, d) for b, d in zip(bundles, durations))]
+
+
+class TestPredict:
+    """``predict`` gives every video the bits of a one-video ``forward``, at any chunking."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        videos=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 5), st.sampled_from([1.0, 4.0, 16.0, 30.0])),
+            min_size=1,
+            max_size=10,
+        ),
+        widths=st.sampled_from([(8, 4), (32, 64)]),  # (d_model, feature dim); 32/64 is the desk's
+        variant=st.sampled_from(sorted(PREDICT_VARIANTS)),
+        chunk=st.integers(1, 11),
+    )
+    def test_bit_identical_to_forward(self, seed, videos, widths, variant, chunk):
+        d_model, dim = widths
+        cfg = ModelConfig(
+            d_model=d_model, feature_dims={k: dim for k in ALL_KINDS}, frames_per_clip=4, max_clips=12,
+            **PREDICT_VARIANTS[variant],
+        )
+        rng = np.random.default_rng(seed)
+        bundles = [
+            FeatureBundle(
+                video_id=f"v{i}",
+                n_clips=n_clips,
+                frame_rate=fps,
+                clip_features={k: rng.normal(size=(n_clips, dim)) for k in VISUAL_KINDS},
+                text_tokens=rng.normal(size=(n_tokens, dim)),
+            )
+            for i, (n_clips, n_tokens, fps) in enumerate(videos)
+        ]
+        durations = rng.uniform(1.0, 60.0, size=len(bundles)).tolist()
+        params = init_params(cfg, seed=seed % 1000)
+        with mock.patch.object(model, "PREDICT_CHUNK", chunk):
+            packed = predict(bundles, params, cfg, durations)
+        assert _hex_estimates(packed) == _hex_estimates(_forward_each(bundles, params, cfg, durations))
+
+    def test_empty_and_mismatched_inputs(self):
+        params = init_params(TINY, seed=0)
+        assert predict([], params, TINY) == []
+        with pytest.raises(ValueError):
+            predict([tiny_bundle()], params, TINY, [1.0, 2.0])
 
 
 class TestGradientFlow:

@@ -1,15 +1,24 @@
 """Round-trips and validation for the ENGW/ENGF binary containers."""
 
+import contextlib
 import json
+import math
 import struct
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engpred.errors import DataError
-from engpred.model import FeatureBundle
+from engpred.model import FeatureBundle, ModelConfig, init_params
+from engpred.optim import AdamState, FlatParams
 from engpred.records import write_json, write_jsonl
 from engpred.serialize import (
+    MAX_RANK,
     ManifestRow,
     load_bundle,
     load_weights,
@@ -17,6 +26,7 @@ from engpred.serialize import (
     save_bundle,
     save_weights,
 )
+from engpred.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def _arrays(rng):
@@ -108,6 +118,26 @@ class TestCorruptHeaders:
         path = tmp_path / "w.engw"
         path.write_bytes(b"ENGW" + _u32(1) + _u32(2) + b"\xff\xfe" + _u32(1, 1) + b"\0" * 8)
         with pytest.raises(DataError, match="array name is not UTF-8"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("rank", [MAX_RANK + 1, 65])
+    def test_rank_above_the_limit_rejected(self, tmp_path, rank):
+        # Zero dims need no data bytes; rank 65 is past what any numpy can reshape to.
+        bundle = tmp_path / "b.engf"
+        save_bundle(bundle, _bundle(np.random.default_rng(5)))
+        bundle.write_bytes(bundle.read_bytes() + _u32(4) + b"deep" + _u32(rank, *[0] * rank))
+        with pytest.raises(DataError, match=f"array 'deep' declares rank {rank}, above {MAX_RANK}"):
+            load_bundle(bundle)
+
+    def test_rank_at_the_limit_loads(self, tmp_path):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(MAX_RANK, *[1] * MAX_RANK) + b"\0" * 8)
+        assert load_weights(path)["a"].shape == (1,) * MAX_RANK
+
+    def test_zero_size_shape_too_big_to_index_rejected(self, tmp_path):
+        path = tmp_path / "w.engw"
+        path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(3, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(DataError, match="array 'a' has shape \\(0, 4294967295, 4294967295\\), too big"):
             load_weights(path)
 
 
@@ -242,3 +272,99 @@ class TestAtomicWrites:
             self.FAILING_WRITES[writer](path)
         assert path.read_bytes() == b"previous contents\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+def _array_fields(blob, at):
+    """Offsets of the u32 name-length, rank and dim fields of the named arrays from offset ``at``."""
+    offsets = []
+    while at < len(blob):
+        (n,) = struct.unpack_from("<I", blob, at)
+        offsets.append(at)
+        at += 4 + n
+        (rank,) = struct.unpack_from("<I", blob, at)
+        dims = struct.unpack_from(f"<{rank}I", blob, at + 4)
+        offsets += [at + 4 * i for i in range(rank + 1)]
+        at += 4 + 4 * rank + 8 * math.prod(dims)
+    return offsets
+
+
+@dataclass
+class ValidFile:
+    loader: Callable
+    path: Path
+    blob: bytes = field(repr=False)
+    fields: list[int] = field(repr=False)  # offsets of u32 length, rank and dim fields
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A bundle, a weights file and a small checkpoint, with the offsets of their u32 fields."""
+    tmp_path = tmp_path_factory.mktemp("valid")
+    bundle = _bundle(np.random.default_rng(6), n_clips=2)
+    save_bundle(tmp_path / "b.engf", bundle)
+    save_weights(tmp_path / "w.engw", _arrays(np.random.default_rng(7)))
+    model_cfg = ModelConfig(d_model=2, feature_dims={"semantic": 2, "text": 2}, features=("semantic", "text"),
+                            max_clips=4)
+    params = FlatParams(init_params(model_cfg, 0))
+    save_checkpoint(tmp_path / "c.engw", params, AdamState(params), 1, TrainConfig(), model_cfg, (1.0, 1.0))
+    id_len = len(bundle.video_id.encode("utf-8"))
+    files = {}
+    for name, loader, header_fields, arrays_at in (
+        ("b.engf", load_bundle, [4, 8, 12 + id_len], 24 + id_len),
+        ("w.engw", load_weights, [4], 8),
+        ("c.engw", load_checkpoint, [4], 8),
+    ):
+        blob = (tmp_path / name).read_bytes()
+        files[name] = ValidFile(loader, tmp_path / name, blob, header_fields + _array_fields(blob, arrays_at))
+    return files
+
+
+INTERESTING_U32 = [0, 1, 2, 3, MAX_RANK, MAX_RANK + 1, 64, 65, 2**31 - 1, 2**31, 2**32 - 1]
+
+
+@st.composite
+def _mutation(draw, blob, fields):
+    """One edit of a valid file: truncation, an overwritten u32 field, or inserted bytes."""
+    kind = draw(st.sampled_from(["truncate", "u32", "insert"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, max(len(blob) - 1, 0)))]
+    if kind == "u32":
+        at = draw(st.sampled_from(fields))
+        value = draw(st.one_of(st.sampled_from(INTERESTING_U32), st.integers(0, 2**32 - 1)))
+        return blob[:at] + _u32(value) + blob[at + 4 :]
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + draw(st.binary(min_size=1, max_size=12)) + blob[at:]
+
+
+class TestHostileBinaries:
+    """Every binary reader returns or raises DataError on any input, never another exception."""
+
+    @pytest.mark.parametrize("name", ["b.engf", "w.engw", "c.engw"])
+    def test_valid_files_load(self, valid_files, name):
+        valid = valid_files[name]
+        valid.loader(valid.path)
+        assert len(valid.fields) > 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_load_or_raise_data_error(self, valid_files, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(valid_files)))
+        valid = valid_files[name]
+        blob = valid.blob
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob = data.draw(_mutation(blob, valid.fields))
+        self._load(valid.loader, tmp_path_factory, name, blob)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["b.engf", "w.engw", "c.engw"]), prefix=st.sampled_from([b"", b"ENGF", b"ENGW"]),
+           version=st.sampled_from([b"", _u32(1)]), tail=st.binary(max_size=200))
+    def test_arbitrary_bytes_load_or_raise_data_error(self, valid_files, tmp_path_factory, name, prefix, version,
+                                                      tail):
+        self._load(valid_files[name].loader, tmp_path_factory, name, prefix + version + tail)
+
+    @staticmethod
+    def _load(loader, tmp_path_factory, name, blob):
+        path = tmp_path_factory.getbasetemp() / f"hostile-{name}"
+        path.write_bytes(blob)
+        with contextlib.suppress(DataError):
+            loader(path)

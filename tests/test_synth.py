@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -222,16 +223,16 @@ class TestFeaturesAndOracle:
         rows, bundles = generate_features(c.truth, cfg, out_dir=tmp_path)
         assert (tmp_path / "manifest.jsonl").exists()
         for row in rows:
-            bundle = bundles[row["video_id"]]
-            expected_clips = math.floor(row["duration_s"] * cfg.frame_rate) // cfg.frames_per_clip
+            bundle = bundles[row.video_id]
+            expected_clips = math.floor(row.duration_s * cfg.frame_rate) // cfg.frames_per_clip
             assert bundle.n_clips == expected_clips
             assert bundle.text_tokens.shape == (cfg.text_tokens_per_video, 6)
             for kind, arr in bundle.clip_features.items():
                 assert arr.shape == (bundle.n_clips, 8)
-            assert (tmp_path / row["feature_path"]).exists()
-            assert 0.0 <= row["nawp_label"] <= 1.0
-            assert 0.0 <= row["ecr_label"] <= 1.0
-            assert row["awt_label"] > 0.0
+            assert (tmp_path / row.feature_path).exists()
+            assert 0.0 <= row.nawp_label <= 1.0
+            assert 0.0 <= row.ecr_label <= 1.0
+            assert row.awt_label > 0.0
 
     def test_noiseless_clip_free_recovery_is_exact(self):
         # engaged_ref_p above the latent ceiling means no label saturates at
@@ -245,7 +246,7 @@ class TestFeaturesAndOracle:
         )
         c = generate_events(cfg)
         rows, bundles = generate_features(c.truth, cfg)
-        ids = [r["video_id"] for r in rows]
+        ids = [r.video_id for r in rows]
         train_ids, test_ids = split_dataset(ids, 0.9, seed=1)
         out = ridge_oracle(rows, bundles, train_ids, test_ids, ridge_lambda=1e-10)
         assert out["srcc"] >= 1.0 - 1e-6
@@ -254,7 +255,7 @@ class TestFeaturesAndOracle:
         cfg = SynthConfig(n_videos=300, views_per_video=1, seed=13)
         c = generate_events(cfg)
         rows, bundles = generate_features(c.truth, cfg)
-        ids = [r["video_id"] for r in rows]
+        ids = [r.video_id for r in rows]
         train_ids, test_ids = split_dataset(ids, 0.9, seed=13)
         nawp_oracle = ridge_oracle(rows, bundles, train_ids, test_ids)
         ecr_oracle = ridge_oracle(rows, bundles, train_ids, test_ids, label_key="ecr_label")
@@ -265,10 +266,10 @@ class TestFeaturesAndOracle:
         cfg = SynthConfig(n_videos=500, views_per_video=1, seed=17)
         c = generate_events(cfg)
         rows, bundles = generate_features(c.truth, cfg)
-        labels = [r["nawp_label"] for r in rows]
+        labels = [r.nawp_label for r in rows]
         random.Random(23).shuffle(labels)
-        shuffled = [dict(r, nawp_label=l) for r, l in zip(rows, labels)]
-        ids = [r["video_id"] for r in shuffled]
+        shuffled = [replace(r, nawp_label=l) for r, l in zip(rows, labels)]
+        ids = [r.video_id for r in shuffled]
         train_ids, test_ids = split_dataset(ids, 0.8, seed=17)
         out = ridge_oracle(shuffled, bundles, train_ids, test_ids)
         assert abs(out["srcc"]) < 0.15

@@ -14,7 +14,16 @@ import pytest
 from engpred import cli, trainer
 from engpred.autodiff import Tape
 from engpred.errors import DataError, NumericError
-from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, config_for_bundle, forward_batch, init_params
+from engpred.model import (
+    ALL_KINDS,
+    FeatureBundle,
+    ModelConfig,
+    config_for_bundle,
+    forward,
+    forward_batch,
+    init_params,
+)
+from engpred.serialize import load_bundle, read_manifest
 from engpred.synth import SynthConfig, generate_events, generate_features
 from engpred.trainer import (
     MODES,
@@ -121,14 +130,12 @@ class TestLossValue:
         """The trainer's tape loss over a packed batch is loss_value over the batch."""
         rows, bundles = generate_features(generate_events(SMALL_SYNTH).truth, SMALL_SYNTH)
         batch = rows[:8]
-        cfg = config_for_bundle(SMALL_MODEL, bundles[batch[0]["video_id"]])
+        cfg = config_for_bundle(SMALL_MODEL, bundles[batch[0].video_id])
         params = init_params(cfg, seed=3)
-        truth_nawp = [row["nawp_label"] for row in batch]
-        truth_ecr = [row["ecr_label"] for row in batch]
+        truth_nawp = [row.nawp_label for row in batch]
+        truth_ecr = [row.ecr_label for row in batch]
         with Tape():
-            out = forward_batch(
-                [bundles[row["video_id"]] for row in batch], params, cfg, [row["duration_s"] for row in batch]
-            )
+            out = forward_batch([bundles[row.video_id] for row in batch], params, cfg, [row.duration_s for row in batch])
             node = _batch_loss_node(out, truth_nawp, truth_ecr, mode)
         expected = loss_value(out.nawp_node.data[:, 0], out.ecr_node.data[:, 0], truth_nawp, truth_ecr, mode=mode)
         assert expected > 0.0
@@ -235,6 +242,23 @@ class TestTrainLoop:
             "test_predictions.jsonl": DESK_PREDICTIONS_SHA256,
         }
 
+    def test_desk_width_checkpoint_re_predicts_its_predictions(self, corpus_dir, tmp_path):
+        # The benchmark's round trip: each written prediction is the one-video
+        # forward of the saved checkpoint times its label scale, to the bit.
+        # Half the corpus is held out: with 12 test videos, one product over
+        # all rows of a pass would round some of them differently.
+        train(corpus_dir / "manifest.jsonl", replace(DESK_TRAIN, split_ratio=0.5), DESK_MODEL, out_dir=tmp_path)
+        ckpt = load_checkpoint(tmp_path / "checkpoint.engw")
+        manifest = {row.video_id: row for row in read_manifest(corpus_dir / "manifest.jsonl")}
+        rows = [json.loads(line) for line in (tmp_path / "test_predictions.jsonl").read_text().splitlines()]
+        assert rows
+        for row in rows:
+            entry = manifest[row["video_id"]]
+            res = forward(load_bundle(corpus_dir / entry.feature_path), ckpt.params, ckpt.model_cfg,
+                          duration_s=entry.duration_s)
+            assert (res.nawp_hat * ckpt.label_scale[0]).hex() == float(row["nawp_hat"]).hex()
+            assert (res.ecr_hat * ckpt.label_scale[1]).hex() == float(row["ecr_hat"]).hex()
+
     def test_resume_rejects_config_mismatch(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
         train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=out)
@@ -329,13 +353,13 @@ class TestHeldOutPasses:
     def test_one_forward_per_test_video_per_evaluation(self, corpus_dir, monkeypatch):
         monkeypatch.setattr(trainer, "available_cpus", lambda: 1)
         videos = []
-        real_forward = trainer.forward
+        real_predict = trainer.predict
 
-        def counting_forward(bundle, *args, **kwargs):
-            videos.append(bundle.video_id)
-            return real_forward(bundle, *args, **kwargs)
+        def counting_predict(bundles, *args, **kwargs):
+            videos.extend(bundle.video_id for bundle in bundles)
+            return real_predict(bundles, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "forward", counting_forward)
+        monkeypatch.setattr(trainer, "predict", counting_predict)
         result = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
         assert [row["step"] for row in result.log_rows] == [6, 12]
         assert videos == result.test_ids * 2
