@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, FitError, NumericError
-from .metrics import plcc, srcc
+from .metrics import duration_bins, plcc, srcc
 from .records import JsonFields, VideoRecord
 
 
@@ -56,15 +56,11 @@ def fit_envelope(
         raise FitError("cannot fit envelope on empty record set")
     if not 0.0 < quantile_tau < 1.0:
         raise DataError("quantile_tau must lie in (0, 1)")
-    if bin_width_s <= 0:
-        raise DataError("bin_width_s must be positive")
-    bins: dict[int, list[float]] = {}
-    for record in records:
-        bins.setdefault(int(math.floor(record.duration_s / bin_width_s)), []).append(record.awt_s)
+    bins = duration_bins([record.duration_s for record in records], bin_width_s, "bin_width_s")
     midpoints = []
     quantiles = []
     for key in sorted(bins):
-        values = bins[key]
+        values = [records[i].awt_s for i in bins[key]]
         if len(values) < min_bin_count:
             continue
         midpoints.append((key + 0.5) * bin_width_s)

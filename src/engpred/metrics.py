@@ -114,6 +114,23 @@ def rmse_topk(pred, truth, k_percent: float = 10.0, ids=None) -> float:
     return math.sqrt(float(np.dot(diff, diff)) / idx.size)
 
 
+def duration_bins(durations, width: float, name: str) -> dict[int, list[int]]:
+    """The positions of ``durations`` keyed by their bin, ``floor(duration / width)``.
+
+    ``name`` names the width in errors. A width that is not finite and
+    positive, or one so small that a quotient overflows, is a DataError.
+    """
+    if not (math.isfinite(width) and width > 0):
+        raise DataError(f"{name} must be finite and positive")
+    bins: dict[int, list[int]] = {}
+    for i, duration in enumerate(durations):
+        quotient = float(duration) / width
+        if not math.isfinite(quotient):
+            raise DataError(f"duration {duration!r} over {name} {width!r} gives no finite bin")
+        bins.setdefault(math.floor(quotient), []).append(i)
+    return bins
+
+
 def grouped_srcc(pred, truth, durations, group_width_s: float) -> dict:
     """SRCC per duration group plus the unweighted average.
 
@@ -127,11 +144,7 @@ def grouped_srcc(pred, truth, durations, group_width_s: float) -> dict:
     _check_pair(p, t)
     if d.size != p.size:
         raise DataError("durations length does not match predictions")
-    if group_width_s <= 0:
-        raise DataError("group_width_s must be positive")
-    bins: dict[int, list[int]] = {}
-    for i, dur in enumerate(d):
-        bins.setdefault(int(math.floor(dur / group_width_s)), []).append(i)
+    bins = duration_bins(d.tolist(), group_width_s, "group_width_s")
     groups = []
     for key in sorted(bins):
         idx = bins[key]

@@ -12,15 +12,11 @@ Each evaluation makes one held-out prediction pass (``model.predict``):
 packed passes over the test videos whose matrix products are formed per
 video, so every estimate is bit-identical to ``model.forward`` on that
 video alone. The pass at the last step is also the one
-``test_predictions.jsonl`` holds. When two or more CPUs are free, a worker
-process runs some of the mid-run passes (``_HeldOut``). The outputs are
-byte-identical for any CPU count.
+``test_predictions.jsonl`` holds.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import hashlib
 import json
 import math
@@ -46,7 +42,6 @@ from .model import (
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
 from .records import JsonFields, ManifestRow, PredictionRow, json_object, row_to_json, write_json, write_jsonl
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
-from .workers import available_cpus
 
 MODES = ("joint", "nawp_only", "ecr_only")
 TARGETS = ("nawp", "awt", "awp")
@@ -82,8 +77,9 @@ class TrainConfig(JsonFields):
 
 def split_dataset(ids, split_ratio: float, seed: int) -> tuple[list[str], list[str]]:
     """Deterministic shuffled train/test split; both sides are non-empty."""
+    ids = list(ids)
     unique = sorted(set(ids))
-    if len(unique) != len(list(ids)):
+    if len(unique) != len(ids):
         raise DataError("duplicate video ids in manifest")
     n = len(unique)
     if n < 2:
@@ -295,96 +291,12 @@ def _safe_srcc(pred, truth) -> float | None:
         return None
 
 
-# The held-out worker's own bundle cache and durations over the manifest rows,
-# set by ``_start_worker`` in the worker process only.
-_worker_state: tuple[BundleCache, dict[str, float]] | None = None
-
-
-def _start_worker(manifest_dir: Path, rows: list[ManifestRow]) -> None:
-    global _worker_state
-    _worker_state = (BundleCache(manifest_dir, rows), {row.video_id: row.duration_s for row in rows})
-
-
-def _predict_in_worker(
-    ids: list[str], params: dict[str, Tensor], model_cfg: ModelConfig, label_scale: tuple[float, float]
-) -> list[PredictionRow]:
-    cache, durations = _worker_state
-    return _predict(ids, cache, durations, params, model_cfg, label_scale)
-
-
-def _snapshot(params: FlatParams) -> dict[str, Tensor]:
-    """Tensors over one copy of the parameters, without gradients.
-
-    A waiting pass must see the parameters of its evaluation while
-    ``adam_step`` goes on writing ``params.data`` in place.
-    """
-    return {name: Tensor(view) for name, view in params.views(params.data.copy()).items()}
-
-
-@dataclass
-class _HeldOut:
-    """The held-out prediction passes of one ``train`` call.
-
-    Without a pool every pass runs here, at its evaluation. With one, the
-    worker never runs beside a training step, which it would slow: a mid-run
-    evaluation keeps a copy of the parameters (at most one waits), and its
-    pass runs in the worker at the next evaluation, beside that evaluation's
-    own pass here. Errors keep the one-process order: the waiting pass is the
-    earlier one, so its error wins, and a step that fails while a pass waits
-    runs that pass first.
-    """
-
-    pool: concurrent.futures.Executor | None
-    ids: list[str]
-    cache: BundleCache
-    durations: dict[str, float]
-    model_cfg: ModelConfig
-    label_scale: tuple[float, float]
-    truth: tuple[list[float], list[float]]
-    waiting: tuple[dict, dict[str, Tensor]] | None = None
-
-    def _here(self, params: dict[str, Tensor]) -> list[PredictionRow]:
-        return _predict(self.ids, self.cache, self.durations, params, self.model_cfg, self.label_scale)
-
-    def scores(self, preds: list[PredictionRow]) -> dict[str, float | None]:
-        return {
-            "eval_srcc_nawp": _safe_srcc([p.nawp_hat for p in preds], self.truth[0]),
-            "eval_srcc_ecr": _safe_srcc([p.ecr_hat for p in preds], self.truth[1]),
-        }
-
-    def _with_waiting(self, params: FlatParams) -> list[PredictionRow]:
-        """A pass over ``params`` here while the worker runs the waiting pass and scores its row.
-
-        The worker's result is read even when the pass here fails.
-        """
-        (log_row, snapshot), self.waiting = self.waiting, None
-        future = self.pool.submit(_predict_in_worker, self.ids, snapshot, self.model_cfg, self.label_scale)
-        try:
-            preds = self._here(params)
-        finally:
-            log_row.update(self.scores(future.result()))
-        return preds
-
-    def evaluate(self, log_row: dict, params: FlatParams) -> None:
-        """Add the scores of a pass over ``params`` to ``log_row``, now or at the next evaluation."""
-        if self.pool is None:
-            log_row.update(self.scores(self._here(params)))
-        elif self.waiting is None:
-            self.waiting = (log_row, _snapshot(params))
-        else:
-            log_row.update(self.scores(self._with_waiting(params)))
-
-    def flush(self) -> None:
-        """Run the waiting pass here and score its row; raises the pass's error."""
-        if self.waiting is not None:
-            (log_row, snapshot), self.waiting = self.waiting, None
-            log_row.update(self.scores(self._here(snapshot)))
-
-    def final(self, params: FlatParams) -> list[PredictionRow]:
-        """The pass over the trained ``params`` that ``test_predictions.jsonl`` holds."""
-        if self.waiting is None:
-            return self._here(params)
-        return self._with_waiting(params)
+def _scores(preds: list[PredictionRow], truth: tuple[list[float], list[float]]) -> dict[str, float | None]:
+    """The held-out SRCC of one prediction pass, as a log row's fields."""
+    return {
+        "eval_srcc_nawp": _safe_srcc([p.nawp_hat for p in preds], truth[0]),
+        "eval_srcc_ecr": _safe_srcc([p.ecr_hat for p in preds], truth[1]),
+    }
 
 
 def train(
@@ -449,44 +361,33 @@ def train(
     perm_cache: dict = {}
     schedule_total = max(train_cfg.iterations - 1, 1)
     truth = ([y1_raw[vid] for vid in test_ids], [y2_raw[vid] for vid in test_ids])
-    if available_cpus() >= 2:
-        worker_pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=_start_worker, initargs=(manifest_path.parent, rows)
-        )
-    else:
-        worker_pool = contextlib.nullcontext()
-
-    with worker_pool as pool:
-        held_out = _HeldOut(pool, test_ids, cache, durations, model_cfg, label_scale, truth)
-        try:
-            for step in range(start_step, end_step):
-                lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
-                batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
-                bundles = [cache.get(vid) for vid in batch]
-                y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
-                y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
-                with Tape() as tape:
-                    out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
-                    node = _batch_loss_node(out, y1, y2, train_cfg.mode)
-                params.grad.fill(0.0)
-                tape.backward(node)
-                batch_loss = float(node.data)
-                if not math.isfinite(batch_loss):
-                    raise NumericError(f"training loss became non-finite at step {step}")
-                adam_step(params, state, lr)
-                done = step + 1
-                if done % train_cfg.eval_interval == 0 or done == end_step:
-                    log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
-                    if done < end_step:
-                        held_out.evaluate(log_rows[-1], params)
-        except Exception:
-            held_out.flush()  # a one-process run met the waiting pass's error first
-            raise
-        # The last step's evaluation is the final pass, made once.
-        predictions = held_out.final(params)
-    scores = held_out.scores(predictions)
+    for step in range(start_step, end_step):
+        lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
+        batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
+        bundles = [cache.get(vid) for vid in batch]
+        y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
+        y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
+        with Tape() as tape:
+            out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
+            node = _batch_loss_node(out, y1, y2, train_cfg.mode)
+        params.grad.fill(0.0)
+        tape.backward(node)
+        batch_loss = float(node.data)
+        if not math.isfinite(batch_loss):
+            raise NumericError(f"training loss became non-finite at step {step}")
+        adam_step(params, state, lr)
+        done = step + 1
+        if done % train_cfg.eval_interval == 0 or done == end_step:
+            log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
+            if done < end_step:
+                preds = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
+                log_rows[-1].update(_scores(preds, truth))
+    # The last step's evaluation is the final pass, made once; it is made
+    # also when a resumed run starts at the last step.
+    predictions = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
+    final_scores = _scores(predictions, truth)
     if start_step < end_step:
-        log_rows[-1].update(scores)
+        log_rows[-1].update(final_scores)
     result = TrainResult(
         params=params,
         state=state,
@@ -496,8 +397,8 @@ def train(
         label_scale=label_scale,
         log_rows=log_rows,
         predictions=predictions,
-        final_srcc_nawp=scores["eval_srcc_nawp"],
-        final_srcc_ecr=scores["eval_srcc_ecr"],
+        final_srcc_nawp=final_scores["eval_srcc_nawp"],
+        final_srcc_ecr=final_scores["eval_srcc_ecr"],
     )
 
     if out_dir is not None:

@@ -615,8 +615,33 @@ def _float_flags():
 FLOAT_FLAGS = _float_flags()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _valid_stage_args(command, corpus, tmp_path):
+    """Valid inputs for ``command``, so that a float flag's value reaches the stage."""
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"video_id": row["video_id"], "nawp_hat": row["nawp_label"], "ecr_hat": row["ecr_label"]})
+        + "\n" for row in map(json.loads, (corpus / "manifest.jsonl").read_text().splitlines())
+    ))
+    valid = {
+        "synth": ["--out", tmp_path / "synth", "--n-videos", "3", "--views", "2"],
+        "aggregate": ["--events", corpus / "events.jsonl", "--metas", corpus / "metas.jsonl",
+                      "--out", tmp_path / "records.jsonl"],
+        "fit-norm": ["--records", corpus / "truth_records.jsonl", "--out-envelope", tmp_path / "env.json"],
+        "train": ["--manifest", corpus / "manifest.jsonl", "--out-dir", tmp_path / "run",
+                  "--iterations", "1", "--d-model", "4", "--max-clips", "4"],
+        "eval": ["--predictions", predictions, "--manifest", corpus / "manifest.jsonl",
+                 "--out", tmp_path / "eval.json"],
+    }
+    assert command in valid, f"give {command} valid inputs in this test"
+    return list(map(str, valid[command]))
+
+
 class TestFloatFlags:
-    """Every float flag of every subcommand refuses NaN without a traceback."""
+    """Every float flag of every subcommand refuses NaN, and takes extreme values, without a traceback."""
 
     def test_walk_finds_the_float_flags(self):
         assert {("aggregate", "--ecr-threshold"), ("fit-norm", "--bin-width"),
@@ -624,26 +649,23 @@ class TestFloatFlags:
 
     @pytest.mark.parametrize("command, option", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
     def test_nan_is_refused(self, corpus, tmp_path, capsys, command, option):
-        predictions = tmp_path / "predictions.jsonl"
-        predictions.write_text("".join(
-            json.dumps({"video_id": row["video_id"], "nawp_hat": row["nawp_label"], "ecr_hat": row["ecr_label"]})
-            + "\n" for row in map(json.loads, (corpus / "manifest.jsonl").read_text().splitlines())
-        ))
-        # Valid inputs, so that a NaN that got through would reach the stage.
-        valid = {
-            "synth": ["--out", tmp_path / "synth", "--n-videos", "3", "--views", "2"],
-            "aggregate": ["--events", corpus / "events.jsonl", "--metas", corpus / "metas.jsonl",
-                          "--out", tmp_path / "records.jsonl"],
-            "fit-norm": ["--records", corpus / "truth_records.jsonl", "--out-envelope", tmp_path / "env.json"],
-            "train": ["--manifest", corpus / "manifest.jsonl", "--out-dir", tmp_path / "run",
-                      "--iterations", "1", "--d-model", "4", "--max-clips", "4"],
-            "eval": ["--predictions", predictions, "--manifest", corpus / "manifest.jsonl",
-                     "--out", tmp_path / "eval.json"],
-        }
-        assert command in valid, f"give {command} valid inputs in this test"
-        code = run_cli(command, *map(str, valid[command]), option, "nan")
+        code = run_cli(command, *_valid_stage_args(command, corpus, tmp_path), option, "nan")
         assert code in (EXIT_USAGE, EXIT_DATA)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e308", "5e-324"])
+    @pytest.mark.parametrize("command, option", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
+    def test_extreme_value_exits_with_a_code_and_strict_json(self, corpus, tmp_path, capsys, command, option,
+                                                             value):
+        # "--flag=-inf", as "-inf" alone would read as an option.
+        code = run_cli(command, *_valid_stage_args(command, corpus, tmp_path), f"{option}={value}")
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+        for path in tmp_path.rglob("*"):
+            if path.suffix in (".json", ".jsonl"):
+                text = path.read_text()
+                for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                    json.loads(doc, parse_constant=_refuse_constant)
 
 
 class TestPipeline:

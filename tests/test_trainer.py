@@ -3,7 +3,6 @@
 import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -101,6 +100,9 @@ class TestSplitDataset:
         with pytest.raises(DataError):
             split_dataset(["only"], 0.9, seed=0)
 
+    def test_iterator_of_distinct_ids(self):
+        assert split_dataset(iter(["a", "b", "c"]), 0.5, seed=0) == split_dataset(["a", "b", "c"], 0.5, seed=0)
+
 
 class TestLossValue:
     def test_perfect_predictions(self):
@@ -145,7 +147,6 @@ class TestLossValue:
 DESK_TRAIN = TrainConfig(batch_size=8, iterations=6, seed=7, eval_interval=3)
 DESK_MODEL = ModelConfig(d_model=32, frames_per_clip=4, max_clips=64)
 DESK_PREDICTIONS_SHA256 = "1fd19809367861db4bbb27a6154c42b5b6c8d62a2423a69f22d0aeb53498eef0"
-OUTPUTS = ("checkpoint.engw", "train_log.jsonl", "test_predictions.jsonl", "train_summary.json")
 
 
 class TestTrainLoop:
@@ -299,59 +300,10 @@ class TestTrainLoop:
             train(stripped, cfg, SMALL_MODEL)
 
 
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
-def cpus(request, monkeypatch):
-    """The CPU count ``train`` sees: 2 lets it run held-out passes in a worker process."""
-    monkeypatch.setattr(trainer, "available_cpus", lambda: request.param)
-    return request.param
-
-
 class TestHeldOutPasses:
-    """One prediction pass per evaluation; with 2 CPUs in a worker, with the same bytes."""
-
-    # With eval_interval 3, the step-3 pass runs in the worker beside the final
-    # pass; with 2, the step-2 pass runs there beside the step-4 pass, and the
-    # final pass runs here alone.
-    @pytest.mark.parametrize("eval_interval", [3, 2])
-    def test_outputs_identical_for_one_and_two_cpus(self, corpus_dir, tmp_path, monkeypatch, eval_interval):
-        submitted = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, ids, *args):
-                submitted.append(len(ids))
-                return super().submit(fn, ids, *args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        # Every pass's rows, in evaluation order: a pass that saw later
-        # parameters could still rank three videos alike.
-        passes = []
-        real_scores = trainer._HeldOut.scores
-
-        def recording_scores(self, preds):
-            passes.append(preds)
-            return real_scores(self, preds)
-
-        monkeypatch.setattr(trainer._HeldOut, "scores", recording_scores)
-        runs = {}
-        for n in (1, 2):
-            monkeypatch.setattr(trainer, "available_cpus", lambda n=n: n)
-            cfg = replace(DESK_TRAIN, eval_interval=eval_interval)
-            result = train(corpus_dir / "manifest.jsonl", cfg, DESK_MODEL, out_dir=tmp_path / str(n))
-            outputs = {name: (tmp_path / str(n) / name).read_bytes() for name in OUTPUTS}
-            runs[n] = (result.log_rows, outputs, passes[:])
-            passes.clear()
-        assert runs[1] == runs[2]
-        assert len(runs[2][2]) == len(runs[2][0])
-        assert submitted == [len(result.test_ids)]
-        if eval_interval == 3:
-            assert [row["step"] for row in runs[2][0]] == [3, 6]
-            digest = hashlib.sha256(runs[2][1]["test_predictions.jsonl"]).hexdigest()
-            assert digest == DESK_PREDICTIONS_SHA256
-        else:
-            assert [row["step"] for row in runs[2][0]] == [2, 4, 6]
+    """One prediction pass per evaluation, made in the training process."""
 
     def test_one_forward_per_test_video_per_evaluation(self, corpus_dir, monkeypatch):
-        monkeypatch.setattr(trainer, "available_cpus", lambda: 1)
         videos = []
         real_predict = trainer.predict
 
@@ -364,23 +316,14 @@ class TestHeldOutPasses:
         assert [row["step"] for row in result.log_rows] == [6, 12]
         assert videos == result.test_ids * 2
 
-    def test_no_process_left_after_return_or_error(self, corpus_dir, monkeypatch):
-        monkeypatch.setattr(trainer, "available_cpus", lambda: 2)
-        cfg = replace(SMALL_TRAIN, eval_interval=2)
-        train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
-        assert multiprocessing.active_children() == []
-        real_adam = trainer.adam_step
+    def test_two_evaluations_start_no_process(self, corpus_dir, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("train started a process pool")
 
-        def failing_adam(params, state, lr):
-            # Step 7: the worker ran the step-2 pass at step 4; the step-6 pass waits.
-            if state.t == 6:
-                raise NumericError("adam failed")
-            real_adam(params, state, lr)
-
-        monkeypatch.setattr(trainer, "adam_step", failing_adam)
-        with pytest.raises(NumericError, match="adam failed"):
-            train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        result = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
+        assert [row["step"] for row in result.log_rows] == [6, 12]
+        assert all(row["eval_srcc_nawp"] is not None for row in result.log_rows)
 
     @pytest.mark.parametrize(
         "eval_interval, failing_step",
@@ -395,15 +338,14 @@ class TestHeldOutPasses:
                  for row in map(json.loads, (copy / "manifest.jsonl").read_text().splitlines())}
         ids = sorted(paths)
         _, test_ids = split_dataset(ids, SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
-        # The step-6 pass meets test_ids[0] first, in the worker at step 12 or
-        # here when step 9 fails; it is not opened to size the model.
+        # The step-6 pass meets test_ids[0] first; it is not opened to size the model.
         assert ids[0] not in test_ids
         (copy / paths[test_ids[0]]).write_bytes((copy / paths[ids[0]]).read_bytes())
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**replace(SMALL_TRAIN, eval_interval=eval_interval).to_dict(),
                                       "d_model": 8, "frames_per_clip": 4, "max_clips": 64}))
         if failing_step is not None:
-            # One process meets the bad bundle at step 6, before this step fails.
+            # The bad bundle is met at step 6, before this step fails.
             real_adam = trainer.adam_step
 
             def failing_adam(params, state, lr):
@@ -412,35 +354,14 @@ class TestHeldOutPasses:
                 real_adam(params, state, lr)
 
             monkeypatch.setattr(trainer, "adam_step", failing_adam)
-        runs = {}
-        for n in (1, 2):
-            monkeypatch.setattr(trainer, "available_cpus", lambda n=n: n)
-            out = tmp_path / f"run{n}"
-            code = cli.main(["train", "--manifest", str(copy / "manifest.jsonl"), "--out-dir", str(out),
-                             "--config", str(config)])
-            runs[n] = (code, capsys.readouterr().err)
-            assert not out.exists()
-        assert runs[2] == runs[1]
-        assert runs[1] == (cli.EXIT_DATA, f"data error: bundle {copy / paths[test_ids[0]]} carries id {ids[0]!r}\n")
-        assert multiprocessing.active_children() == []
+        out = tmp_path / "run"
+        code = cli.main(["train", "--manifest", str(copy / "manifest.jsonl"), "--out-dir", str(out),
+                         "--config", str(config)])
+        assert not out.exists()
+        assert (code, capsys.readouterr().err) == (
+            cli.EXIT_DATA, f"data error: bundle {copy / paths[test_ids[0]]} carries id {ids[0]!r}\n")
 
-    def test_waiting_pass_error_wins_over_the_pass_here(self, monkeypatch):
-        # A one-process run meets the waiting (earlier) pass's error first.
-        class FailedPool:
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_exception(DataError("earlier pass failed"))
-                return future
-
-        def failing_here(self, params):
-            raise NumericError("later pass failed")
-
-        monkeypatch.setattr(trainer._HeldOut, "_here", failing_here)
-        held_out = trainer._HeldOut(FailedPool(), [], None, {}, SMALL_MODEL, (1.0, 1.0), ([], []), waiting=({}, {}))
-        with pytest.raises(DataError, match="earlier pass failed"):
-            held_out.final(None)
-
-    def test_resume_at_last_step_writes_the_same_predictions(self, corpus_dir, tmp_path, cpus):
+    def test_resume_at_last_step_writes_the_same_predictions(self, corpus_dir, tmp_path):
         train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=tmp_path / "full")
         resumed = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL, out_dir=tmp_path / "resumed",
                         resume_from=tmp_path / "full" / "checkpoint.engw")
