@@ -1,19 +1,20 @@
 """Watch-event log parsing and per-video engagement aggregation.
 
-The log is parsed in blocks of lines, one ``json.loads`` per block
-(``parse_event_blocks``); ``parse_events`` is the reference path and takes
-every line that does not decode to one valid event. Aggregation is a
-commutative-monoid reduction of integers: per video, counts and the
-watch-time sum in units of 2**-1074. Every finite double is an integer
-multiple of that unit, so the sum is exact (a superaccumulator, Neal 2015,
-arXiv:1505.05571) and is rounded once, when ``finish`` divides it. Events
-reach a ``CorpusAggregator`` as batches of columns: ``add_columns`` takes one
-batch, and ``add`` cuts a stream of ``WatchEvent``s into such batches. A batch
-is reduced by ``np.bincount`` and one integer sum per (video, binary
-exponent). Events can be processed in any order and in any sharding: merged
-shard aggregates are bit-identical to a single pass. ``engpred aggregate
---shards N`` relies on this: it cuts the log into byte ranges of whole lines,
-reduces each in its own worker process and merges the shards in range order.
+The log is parsed in blocks of lines (``parse_event_blocks``): a line in
+the writer's own form (``records.EVENT_LINE``) is taken by one pattern
+match, and ``parse_events``, the reference path, takes every other line.
+Aggregation is a commutative-monoid reduction of integers: per video,
+counts and the watch-time sum in units of 2**-1074. Every finite double is
+an integer multiple of that unit, so the sum is exact (a superaccumulator,
+Neal 2015, arXiv:1505.05571) and is rounded once, when ``finish`` divides
+it. Events reach a ``CorpusAggregator`` as batches of columns:
+``add_columns`` takes one batch, and ``add`` cuts a stream of
+``WatchEvent``s into such batches. A batch is reduced by ``np.bincount``
+and one integer sum per (video, binary exponent). Events can be processed
+in any order and in any sharding: merged shard aggregates are bit-identical
+to a single pass. ``engpred aggregate --shards N`` relies on this: it cuts
+the log into byte ranges of whole lines, reduces each in its own worker
+process and merges the shards in range order.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DataError
-from .records import VideoMeta, VideoRecord, WatchEvent
+from .records import EVENT_LINE, VideoMeta, VideoRecord, WatchEvent
 
 logger = logging.getLogger(__name__)
 
@@ -124,38 +124,7 @@ class EventColumns:
         self.liked.append(event.liked)
 
 
-def _joint_rows(lines: list[str], stops: list[int]) -> list[list | None]:
-    """Each line's JSON values as a list, or None for a line to parse alone.
-
-    ``stops`` are the indices of the lines holding a bracket, then
-    ``len(lines)``; those lines are parsed alone. The lines between stops are
-    decoded together, each wrapped in a list of its own: a line without a
-    bracket cannot close its list early, and a string cannot run past the
-    newline kept at the line's end, so when a decode succeeds its k-th list
-    is exactly line k. A decode that fails is retried on the lines before
-    the failing position, which that decode got past; the line at the
-    position is left to ``parse_events``.
-    """
-    rows: list[list | None] = []
-    end = None
-    while (done := len(rows)) < len(lines):
-        if end is None:
-            end = stops[bisect_left(stops, done)]
-        if end == done:
-            rows.append(None)
-            end = None
-            continue
-        run = lines[done:end]
-        try:
-            rows += json.loads("[[" + "\n],[".join(run) + "\n]]")
-        except json.JSONDecodeError as exc:
-            starts = list(accumulate((len(line) + 4 for line in run), initial=2))
-            end = done + min(max(bisect_right(starts, exc.pos) - 1, 0), len(run) - 1)
-            continue
-        except (ValueError, RecursionError):  # past the digit or nesting limit, at no known position
-            rows += [None] * len(run)
-        end = None
-    return rows
+_LIKED = {None: None, "null": None, "true": True, "false": False}
 
 
 def _parse_alone(parse_line, line: str, line_no: int, columns: EventColumns) -> Iterator[ParseFailure]:
@@ -173,32 +142,24 @@ def parse_event_blocks(
 
     Yields the valid events as columns of up to about ``REDUCE_BATCH``
     events, and a ParseFailure per rejected line, all in log order. A line
-    whose decoded values are not exactly one object with the fields that
-    ``parse_events`` accepts goes through ``parse_line`` alone, so events,
-    failure texts and line numbers equal those of ``parse_events`` over
-    the same lines.
+    that ``records.EVENT_LINE`` matches with a finite watch time is taken
+    as its groups say; every other line goes through ``parse_line`` alone,
+    so events, failure texts and line numbers equal those of
+    ``parse_events`` over the same lines.
     """
     columns = EventColumns()
     line_no = 0
     for block in blocks:
         lines = block.split("\n")
         tail = lines.pop()  # the final line when it lacks a newline, else ""
-        stops = [len(lines)]
-        if "[" in block or "]" in block:
-            stops[:0] = [k for k, line in enumerate(lines) if "[" in line or "]" in line]
-        for line, row in zip(lines, _joint_rows(lines, stops)):
+        for line in lines:
             line_no += 1
-            if row is not None and len(row) == 1 and type(payload := row[0]) is dict:
-                video_id = payload.get("video_id")
-                watch = payload.get("watch_time_s")
-                liked = payload.get("liked")
-                if (type(video_id) is str and video_id and type(watch) is float
-                        and 0.0 <= watch < math.inf and (liked is None or type(liked) is bool)):
-                    columns.video_ids.append(video_id)
-                    columns.watch_s.append(watch)
-                    columns.liked.append(liked)
-                    continue
-            yield from _parse_alone(parse_line, line + "\n", line_no, columns)
+            if (match := EVENT_LINE.fullmatch(line)) and (watch := float(match[2])) < math.inf:
+                columns.video_ids.append(match[1])
+                columns.watch_s.append(watch)
+                columns.liked.append(_LIKED[match[3]])
+            else:
+                yield from _parse_alone(parse_line, line + "\n", line_no, columns)
         if tail:
             line_no += 1
             yield from _parse_alone(parse_line, tail, line_no, columns)

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import types
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
@@ -318,6 +319,15 @@ def event_to_json(event: WatchEvent) -> str:
     if event.liked is not None:
         payload["liked"] = event.liked
     return json.dumps(payload, separators=(",", ":"))
+
+
+# The line ``event_to_json`` writes for an id that JSON leaves unescaped, with
+# groups id, watch time and liked. ``aggregate.parse_events`` reads each line
+# this matches as the event of its groups, when the watch time is finite.
+EVENT_LINE = re.compile(
+    r'\{"video_id":"([^"\\\x00-\x1f]+)","watch_time_s":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)'
+    r'(?:,"liked":(true|false|null))?\}'
+)
 
 
 def write_events(f: IO[str], events: Iterable[WatchEvent]) -> None:

@@ -83,8 +83,8 @@ class SynthConfig(JsonFields):
             raise DataError("mixture sigmas must be positive")
         if not 0.0 <= self.coupling <= 1.0:
             raise DataError("coupling must lie in [0, 1]")
-        if self.feature_noise < 0:
-            raise DataError("feature_noise must be >= 0")
+        if not 0 <= self.feature_noise <= 1e300:  # a unit normal draw times 1e300 stays finite
+            raise DataError("feature_noise must lie in [0, 1e300]")
         if not 0.0 < self.engaged_halfwidth < 1.0:
             raise DataError("engaged_halfwidth must lie in (0, 1)")
         if not 0.0 < self.envelope_tau < 1.0:

@@ -321,7 +321,7 @@ def train(
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
     cache = BundleCache(manifest_path.parent, rows)
 
-    model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input)
+    model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
     model_cfg = config_for_bundle(model_cfg, cache.get(ids[0]))
     model_cfg.validate()
 

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 from unittest import mock
 
 import pytest
@@ -446,6 +447,11 @@ HOSTILE_FRAGMENTS = st.one_of(
         b"\xe2\x82", b"\xac", b"\xff", b"\xf0\x9f\x98",
         b'{"video_id":"v1","watch_time_s":2.5,"pad":"' + b"x" * 100 + b'"}\n',
         b'{"video_id":"v1","watch_time_s":7.25}',
+        b'{"video_id":"v\x01","watch_time_s":1.5}\n', b'{"video_id":"v\x7f","watch_time_s":1.5}\n',
+        b'{"video_id":"v\\u0031","watch_time_s":1.5}\n', b'{"video_id":"v1","watch_time_s":1.5,"liked":null}\n',
+        *(b'{"video_id":"v1","watch_time_s":' + number + b'}\n'
+          for number in (b"1.5E+2", b"1e5", b"01.5", b"1.", b".5", b"+1.5", b"-1.5", b"1\xd9\xa1")),
+        b'{"video_id":"v1","watch_time_s":1.5 }\n',
     ]),
 )
 
@@ -470,6 +476,23 @@ class TestBlockParse:
                   for video_id, watch, liked in zip(columns.video_ids, columns.watch_s, columns.liked)]
         assert events == [(e.video_id, repr(e.watch_time_s), e.liked) for e in expected
                           if isinstance(e, WatchEvent)]
+
+    @given(st.lists(st.builds(
+        WatchEvent,
+        st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), min_size=1),
+        st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([5e-324, sys.float_info.max])),
+        st.sampled_from([None, True, False]),
+    ), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_written_events_take_the_pattern(self, events):
+        text = io.StringIO()
+        records.write_events(text, events)
+        spy = mock.Mock(side_effect=parse_events)
+        with mock.patch.object(records, "BLOCK_BYTES", 64):
+            items = list(parse_event_blocks(LineRange(io.BytesIO(text.getvalue().encode())).blocks(), spy))
+        spy.assert_not_called()
+        assert [WatchEvent(*row) for columns in items
+                for row in zip(columns.video_ids, columns.watch_s, columns.liked)] == events
 
     def test_lines_iterate_as_in_the_file(self):
         log = b'a\x1cb\n\xe2\x80\xa8\r\n\n{"x":1}'

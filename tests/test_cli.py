@@ -25,7 +25,7 @@ from engpred import cli
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from engpred.records import LineRange, WatchEvent, line_ranges
-from engpred.serialize import load_weights, save_weights
+from engpred.serialize import load_bundle, load_weights, save_weights
 
 
 SYNTH_ARGS = ["--n-videos", "40", "--views", "60", "--seed", "21"]
@@ -666,6 +666,8 @@ class TestFloatFlags:
                 text = path.read_text()
                 for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
                     json.loads(doc, parse_constant=_refuse_constant)
+            elif path.suffix == ".engf":
+                load_bundle(path)
 
 
 class TestPipeline:

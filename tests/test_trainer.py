@@ -285,6 +285,13 @@ class TestTrainLoop:
         assert result.model_cfg.duration_as_input
         assert "fusion.0.w" in result.params
 
+    def test_duration_as_input_in_the_model_config_is_honoured(self, corpus_dir):
+        cfg = replace(SMALL_TRAIN, iterations=2, eval_interval=2)
+        result = train(corpus_dir / "manifest.jsonl", cfg, replace(SMALL_MODEL, duration_as_input=True))
+        assert result.model_cfg.duration_as_input
+        fusion_in, d = result.params["fusion.0.w"].shape
+        assert (fusion_in % d, d) == (1, SMALL_MODEL.d_model)  # one column of duration
+
     def test_missing_labels_rejected(self, corpus_dir, tmp_path):
         manifest = corpus_dir / "manifest.jsonl"
         rows = [json.loads(l) for l in manifest.read_text().splitlines()]
