@@ -20,6 +20,8 @@ import types
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
@@ -136,8 +138,8 @@ def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
-def _compact_json(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# ``json.dumps(obj, separators=(",", ":"))``, without building an encoder per call.
+_compact_json: Callable[[Any], str] = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def row_to_json(row: JsonFields) -> str:
@@ -152,10 +154,15 @@ def write_json(path: Path | str, obj: Any) -> None:
         f.write("\n")
 
 
+# Rows encoded and written per ``f.write``; rows are pulled lazily, so a log
+# of any length is written with at most this many lines in memory.
+WRITE_CHUNK_ROWS = 65536
+
+
 def _write_lines(f: IO[str], rows: Iterable, encode: Callable[[Any], str]) -> None:
-    for row in rows:
-        f.write(encode(row))
-        f.write("\n")
+    lines = map(encode, rows)
+    while chunk := list(islice(lines, WRITE_CHUNK_ROWS)):
+        f.write("\n".join(chunk) + "\n")
 
 
 def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] = _compact_json) -> None:
@@ -312,13 +319,22 @@ class PredictionRow(JsonFields):
 
 
 def event_to_json(event: WatchEvent) -> str:
-    payload: dict[str, object] = {
-        "video_id": event.video_id,
-        "watch_time_s": event.watch_time_s,
-    }
-    if event.liked is not None:
-        payload["liked"] = event.liked
-    return json.dumps(payload, separators=(",", ":"))
+    """The event's line: compact JSON with the keys in field order and ``liked`` left out when None.
+
+    A ``str`` id, a finite ``float`` watch time and a liked of None, True or
+    False (every event ``synth`` makes) are formatted directly, as ``json``
+    formats them; any other value goes through ``json`` itself.
+    """
+    video_id, watch, liked = event.video_id, event.watch_time_s, event.liked
+    if type(video_id) is str and isinstance(watch, float) and math.isfinite(watch) and (
+        liked is None or type(liked) is bool
+    ):
+        tail = "}" if liked is None else ',"liked":true}' if liked else ',"liked":false}'
+        return f'{{"video_id":{encode_basestring_ascii(video_id)},"watch_time_s":{float.__repr__(watch)}{tail}'
+    payload: dict[str, object] = {"video_id": video_id, "watch_time_s": watch}
+    if liked is not None:
+        payload["liked"] = liked
+    return _compact_json(payload)
 
 
 # The line ``event_to_json`` writes for an id that JSON leaves unescaped, with

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -243,8 +244,7 @@ def generate_events(cfg: SynthConfig) -> SynthCorpus:
         liked = rng.random(n) < info.like_rate
         metas.append(VideoMeta(video_id=video_id, duration_s=duration, frame_rate=cfg.frame_rate))
         truth.append(info)
-        for watch, like in zip(watches, liked):
-            events.append(WatchEvent(video_id=video_id, watch_time_s=float(watch), liked=bool(like)))
+        events.extend(map(WatchEvent, repeat(video_id, n), watches.tolist(), liked.tolist()))
     return SynthCorpus(
         config=cfg,
         ref_p=ref_p,

@@ -670,6 +670,17 @@ class TestFloatFlags:
                 load_bundle(path)
 
 
+# sha256 of the files ``engpred synth --seed 3 --n-videos 30 --views 40`` wrote
+# with the per-event ``json.dumps`` writer and the per-scalar event builder
+# that the direct line formatter and the whole-array builder replaced.
+SYNTH_SHA256 = {
+    "events.jsonl": "55063e0db5ea02e01467702c7adef48b575473076236bc93e8b1403fc02b21aa",
+    "metas.jsonl": "47cadb3c9c41826f186b10901dd526ed4ca2b706e51132d0a0d8a2474782dbb9",
+    "truth_records.jsonl": "efd452513f241f610c0bd34826060c773ca2870bba597a6679dddccdc9b60e65",
+    "manifest.jsonl": "2809b455bab03471d6b9187fee20196ad8700af5f131f0b61a9896b8ef0d6a33",
+}
+
+
 class TestPipeline:
     def test_synth_writes_expected_artifacts(self, corpus):
         for name in ("events.jsonl", "metas.jsonl", "truth_records.jsonl",
@@ -791,6 +802,11 @@ class TestPipeline:
         assert [f.name for f in features_a] == [f.name for f in features_b]
         for fa, fb in zip(features_a, features_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+    def test_synth_outputs_pinned(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path), "--seed", "3", "--n-videos", "30", "--views", "40") == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SYNTH_SHA256}
+        assert digests == SYNTH_SHA256
 
 
 def _inline_executor(calls):

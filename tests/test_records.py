@@ -1,20 +1,26 @@
-"""The one typed row reader behind every JSONL input except the event log."""
+"""The JSON-lines writers, and the one typed row reader behind every JSONL input except the event log."""
 
+import io
 import json
+import math
+import sys
 import tempfile
 import typing
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from engpred import records
 from engpred.errors import DataError
 from engpred.records import (
     PredictionRow,
     VideoMeta,
     VideoRecord,
+    WatchEvent,
     read_metas,
     read_records,
     read_rows,
@@ -154,3 +160,98 @@ def test_meta_errors_name_the_line(tmp_path, line, message):
     with pytest.raises(DataError) as info:
         read_metas(path)
     assert str(info.value) == message
+
+
+# Text with every code point, lone surrogates included, and JSON's escaped characters made likely.
+ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9'))
+NESTED_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(NESTED_JSON)
+@settings(max_examples=200)
+def test_compact_encoder_equals_json_dumps(value):
+    assert records._compact_json(value) == json.dumps(value, separators=(",", ":"))
+
+
+def reference_event_to_json(watch_event: WatchEvent) -> str:
+    """``records.event_to_json`` before it formatted lines directly: one ``json.dumps`` per event."""
+    payload = {"video_id": watch_event.video_id, "watch_time_s": watch_event.watch_time_s}
+    if watch_event.liked is not None:
+        payload["liked"] = watch_event.liked
+    return json.dumps(payload, separators=(",", ":"))
+
+
+class _StrId(str):
+    """A ``str`` subclass: its events go through ``json``."""
+
+
+WATCH_TIMES = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, sys.float_info.max])
+    | st.floats().map(np.float64)
+    | st.integers()
+    | st.booleans()
+)
+ANY_EVENT = st.builds(
+    WatchEvent,
+    ANY_TEXT | ANY_TEXT.map(_StrId) | st.integers() | st.none() | st.floats(),
+    WATCH_TIMES,
+    # ``1 == True`` and ``0 == False``: these must still be written as the integers they are.
+    st.sampled_from([None, True, False, 0, 1]),
+)
+# Events whose line the parser's pattern takes: JSON leaves the id unescaped,
+# and the watch time is finite and unsigned.
+PLAIN_WATCH = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([5e-324, sys.float_info.max])
+PLAIN_EVENT = st.builds(
+    WatchEvent,
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7F, exclude_characters='"\\'), min_size=1),
+    PLAIN_WATCH | PLAIN_WATCH.map(np.float64),
+    st.sampled_from([None, True, False]),
+)
+
+
+class TestEventWriter:
+    @given(ANY_EVENT | PLAIN_EVENT)
+    @settings(max_examples=1000)
+    def test_line_equals_the_json_dumps_reference(self, watch_event):
+        line = records.event_to_json(watch_event)
+        assert line == reference_event_to_json(watch_event)
+        video_id, watch, liked = watch_event.video_id, watch_event.watch_time_s, watch_event.liked
+        plain = (
+            type(video_id) is str and video_id and json.dumps(video_id) == f'"{video_id}"'
+            and isinstance(watch, float) and math.isfinite(watch) and math.copysign(1.0, watch) > 0
+            and any(liked is value for value in (None, True, False))
+        )
+        event("plain" if plain else "other")
+        if plain:  # the parser's fast pattern takes every such line
+            match = records.EVENT_LINE.fullmatch(line)
+            assert match and (match[1], float(match[2])) == (video_id, watch)
+            assert match[3] == (None if liked is None else json.dumps(liked))
+
+    @pytest.mark.parametrize("n_events, writes", [(0, []), (3, [3]), (10, [3, 3, 3, 1])])
+    def test_write_events_streams_in_chunks(self, monkeypatch, n_events, writes):
+        events = [WatchEvent(f"v{i}", i / 4, (None, True, False)[i % 3]) for i in range(n_events)]
+        written = []  # lines in each write
+        lines_written_at_pull = []
+
+        class File(io.StringIO):
+            def write(self, text):
+                written.append(text.count("\n"))
+                return super().write(text)
+
+        f = File()
+
+        def one_shot():
+            for watch_event in events:
+                lines_written_at_pull.append(sum(written))
+                yield watch_event
+
+        monkeypatch.setattr(records, "WRITE_CHUNK_ROWS", 3)
+        records.write_events(f, one_shot())
+        assert f.getvalue() == "".join(reference_event_to_json(e) + "\n" for e in events)
+        assert written == writes
+        assert all(i < done + 3 for i, done in enumerate(lines_written_at_pull))

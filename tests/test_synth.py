@@ -13,7 +13,7 @@ from engpred.aggregate import aggregate_corpus
 from engpred.envelope import EnvelopeModel, annotate_nawp, bimodality_coefficient, fit_envelope
 from engpred.errors import DataError
 from engpred.metrics import srcc
-from engpred.records import row_to_json
+from engpred.records import WatchEvent, row_to_json
 from engpred.synth import (
     SynthConfig,
     analytic_correlation_targets,
@@ -159,6 +159,35 @@ class TestGeneratedCorpus:
 
     def test_likes_present_on_all_events(self, corpus):
         assert all(e.liked is not None for e in corpus.events[:1000])
+
+    @pytest.mark.parametrize("views", [1, 40])
+    def test_events_equal_the_per_event_reference(self, views):
+        cfg = SynthConfig(n_videos=7, views_per_video=views, seed=5)
+        fields = [[(type(v), v) for v in (e.video_id, e.watch_time_s, e.liked)] for e in generate_events(cfg).events]
+        assert fields == [[(type(v), v) for v in (e.video_id, e.watch_time_s, e.liked)] for e in _reference_events(cfg)]
+
+
+def _reference_events(cfg):
+    """``generate_events``' event log built one event at a time from numpy scalars, kept as the reference."""
+    ref_p = reference_engagement(cfg)
+    lattice = synth.duration_lattice(cfg)
+    id_width = max(5, len(str(cfg.n_videos - 1)))
+    events = []
+    for index in range(cfg.n_videos):
+        video_id = f"v{index:0{id_width}d}"
+        rng = np.random.default_rng([cfg.seed, 11, index])
+        q = synth._draw_quality(cfg, rng)
+        u = float(rng.standard_normal())
+        duration = float(lattice[rng.integers(len(lattice))])
+        info = synth._video_truth(cfg, ref_p, video_id, duration, q, u)
+        n = cfg.views_per_video
+        engaged = rng.random(n) < info.p_engaged
+        uniform_watch = rng.uniform(info.engaged_lo_s, info.engaged_hi_s, n)
+        skip_watch = rng.exponential(info.theta_s, n)
+        liked = rng.random(n) < info.like_rate
+        for watch, like in zip(np.where(engaged, uniform_watch, skip_watch), liked):
+            events.append(WatchEvent(video_id=video_id, watch_time_s=float(watch), liked=bool(like)))
+    return events
 
 
 class TestPlantedEnvelope:
