@@ -1,8 +1,9 @@
 """Watch-event log parsing and per-video engagement aggregation.
 
-The log is parsed in blocks of lines (``parse_event_blocks``): a line in
-the writer's own form (``records.EVENT_LINE``) is taken by one pattern
-match, and ``parse_events``, the reference path, takes every other line.
+The log is parsed in blocks of lines (``parse_event_blocks``). One regex
+scan per block matches every line: runs of lines in the writer's own form
+(``records.EVENT_LINE``) go into the event columns in bulk, and
+``parse_events``, the reference path, takes every other line alone.
 Aggregation is a commutative-monoid reduction of integers: per video,
 counts and the watch-time sum in units of 2**-1074. Every finite double is
 an integer multiple of that unit, so the sum is exact (a superaccumulator,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Iterator
@@ -124,7 +126,14 @@ class EventColumns:
         self.liked.append(event.liked)
 
 
-_LIKED = {None: None, "null": None, "true": True, "false": False}
+_LIKED = {"": None, "null": None, "true": True, "false": False}
+
+# One match per line of a block, cut as ``str.split("\n")`` cuts it: the
+# groups of ``records.EVENT_LINE`` when it takes the whole line, else
+# ("", "", ""). ``$`` matches only before "\n" or at the end, and ``.``
+# matches every other character ("\r", U+0085 and U+2028 too). A block that
+# ends in "\n" gives one more, empty, match after it.
+_BLOCK_LINES = re.compile(rf"^(?:{EVENT_LINE.pattern}|.*)$", re.MULTILINE)
 
 
 def _parse_alone(parse_line, line: str, line_no: int, columns: EventColumns) -> Iterator[ParseFailure]:
@@ -141,26 +150,40 @@ def parse_event_blocks(
     """Parse blocks of event-log lines (``records.LineRange.blocks``).
 
     Yields the valid events as columns of up to about ``REDUCE_BATCH``
-    events, and a ParseFailure per rejected line, all in log order. A line
-    that ``records.EVENT_LINE`` matches with a finite watch time is taken
-    as its groups say; every other line goes through ``parse_line`` alone,
-    so events, failure texts and line numbers equal those of
-    ``parse_events`` over the same lines.
+    events, and a ParseFailure per rejected line, all in log order. One
+    scan per block matches each line; a run of lines that
+    ``records.EVENT_LINE`` takes with finite watch times is added to the
+    columns as its groups say. Every other line, and a final line without a
+    newline, goes through ``parse_line`` alone, so events, failure texts and
+    line numbers equal those of ``parse_events`` over the same lines.
     """
     columns = EventColumns()
     line_no = 0
     for block in blocks:
-        lines = block.split("\n")
-        tail = lines.pop()  # the final line when it lacks a newline, else ""
-        for line in lines:
-            line_no += 1
-            if (match := EVENT_LINE.fullmatch(line)) and (watch := float(match[2])) < math.inf:
-                columns.video_ids.append(match[1])
-                columns.watch_s.append(watch)
-                columns.liked.append(_LIKED[match[3]])
-            else:
-                yield from _parse_alone(parse_line, line + "\n", line_no, columns)
-        if tail:
+        ids, watches, likes = zip(*_BLOCK_LINES.findall(block))
+        # The last match is the text after the block's last "\n": empty, or a
+        # final line without a newline, which is taken below.
+        start, n = 0, len(ids) - 1
+        lines = None  # the block's lines, cut once a line goes alone
+        while start < n:
+            try:
+                stop = ids.index("", start, n)  # the next line the pattern does not take
+            except ValueError:
+                stop = n
+            watch = list(map(float, watches[start:stop]))
+            if watch and max(watch) == math.inf:  # no sign in the pattern, so no NaN or -inf
+                stop = start + watch.index(math.inf)
+                del watch[stop - start:]
+            columns.video_ids += ids[start:stop]
+            columns.watch_s += watch
+            columns.liked += map(_LIKED.__getitem__, likes[start:stop])
+            line_no += stop - start
+            if stop < n:
+                lines = lines or block.split("\n")
+                line_no += 1
+                yield from _parse_alone(parse_line, lines[stop] + "\n", line_no, columns)
+            start = stop + 1
+        if tail := block[block.rfind("\n") + 1:]:
             line_no += 1
             yield from _parse_alone(parse_line, tail, line_no, columns)
         if len(columns) >= REDUCE_BATCH:

@@ -149,15 +149,20 @@ def bimodality_coefficient(values) -> float:
     return (skew**2 + 1.0) / (kurt + 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
 
 
+# The most bins ``distribution_report`` builds: a report of 10,000 bins is
+# already about 0.7 MB of JSON.
+MAX_BINS = 10_000
+
+
 def distribution_report(values, bins: int, metric_name: str = "metric") -> DistributionReport:
-    """Histogram over [min, max] with the bimodality coefficient."""
+    """Histogram over [min, max] in 1 to ``MAX_BINS`` bins, with the bimodality coefficient."""
+    if not 1 <= bins <= MAX_BINS:
+        raise DataError(f"bins must be between 1 and {MAX_BINS}")
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     if x.size == 0:
         raise DataError("cannot report on empty values")
     if not np.all(np.isfinite(x)):
         raise NumericError("values contain non-finite entries")
-    if bins < 1:
-        raise DataError("bins must be >= 1")
     bc = bimodality_coefficient(x)
     counts, edges = np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
     return DistributionReport(

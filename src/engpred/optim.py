@@ -1,8 +1,8 @@
 """Adam with bias correction over flat buffers, plus the cosine learning-rate schedule.
 
 Parameters, gradients and both moments are each one flat float64 buffer,
-so ``adam_step`` is one elementwise pass; being elementwise, it equals a
-per-tensor update bit for bit.
+so ``adam_step`` is one elementwise pass, made block by block in place;
+being elementwise, it equals a per-tensor update bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import NumericError
+
+# Elements per block of ``adam_step``: two scratch blocks of this size stand in
+# for the full-size temporaries of the unblocked expressions.
+ADAM_BLOCK = 32768
 
 
 class FlatParams(dict):
@@ -75,13 +79,21 @@ def adam_step(
     state.t += 1
     bias1 = 1.0 - beta1**state.t
     bias2 = 1.0 - beta2**state.t
-    m, v = state.m_flat, state.v_flat
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    update = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-    np.subtract(params.data, update, out=params.data)
+    # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
+    # data -= lr*(m/bias1) / (sqrt(v/bias2) + eps): each operation of these
+    # expressions, in their order, in place over one block at a time.
+    scratch = np.empty((2, min(g.size, ADAM_BLOCK)))
+    for start in range(0, g.size, ADAM_BLOCK):
+        span = slice(start, start + ADAM_BLOCK)
+        gb, m, v, p = g[span], state.m_flat[span], state.v_flat[span], params.data[span]
+        a, b = scratch[:, : gb.size]
+        m *= beta1
+        m += np.multiply(1.0 - beta1, gb, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(1.0 - beta2, gb, out=a), gb, out=a)
+        np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), eps, out=a)
+        np.multiply(lr, np.divide(m, bias1, out=b), out=b)
+        p -= np.divide(b, a, out=b)
     if not np.isfinite(params.data).all():
         raise NumericError(f"non-finite update for {params.first_non_finite(params.data)!r}")
 

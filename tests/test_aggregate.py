@@ -452,8 +452,34 @@ HOSTILE_FRAGMENTS = st.one_of(
         *(b'{"video_id":"v1","watch_time_s":' + number + b'}\n'
           for number in (b"1.5E+2", b"1e5", b"01.5", b"1.", b".5", b"+1.5", b"-1.5", b"1\xd9\xa1")),
         b'{"video_id":"v1","watch_time_s":1.5 }\n',
+        b'{"video_id":"v1","watch_time_s":1.5}}\n', b'{"video_id":"v1","watch_time_s":1.5} \n',
+        b'{"video_id":"v1","watch_time_s":1.5,"liked":true}\r\n',
     ]),
 )
+
+
+def _parse_both(log, block_bytes):
+    """``parse_event_blocks`` over ``log`` in blocks of ``block_bytes``, checked against
+    ``parse_events`` line by line; gives its events, its failures and the lines it parsed alone."""
+    lines = [line.decode("utf-8", errors="replace") for line in io.BytesIO(log)]
+    expected = list(parse_events(lines))
+    alone = mock.Mock(side_effect=parse_events)
+    with mock.patch.object(records, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(aggregate, "REDUCE_BATCH", 3):
+        reader = LineRange(io.BytesIO(log))
+        items = list(parse_event_blocks(reader.blocks(), alone))
+    assert reader.count == len(lines)
+    failures = [item for item in items if isinstance(item, ParseFailure)]
+    assert failures == [item for item in expected if isinstance(item, ParseFailure)]
+    events = [(video_id, repr(watch), liked) for columns in items if isinstance(columns, EventColumns)
+              for video_id, watch, liked in zip(columns.video_ids, columns.watch_s, columns.liked)]
+    assert events == [(e.video_id, repr(e.watch_time_s), e.liked) for e in expected
+                      if isinstance(e, WatchEvent)]
+    return events, failures, [call.args[0][0] for call in alone.call_args_list]
+
+
+def _canonical(k):
+    return b'{"video_id":"v%d","watch_time_s":%d.5}\n' % (k, k)
 
 
 class TestBlockParse:
@@ -462,20 +488,45 @@ class TestBlockParse:
     @given(st.lists(HOSTILE_FRAGMENTS, max_size=30), st.sampled_from([1, 16, 64, 8192]))
     @settings(max_examples=300, deadline=None)
     def test_blocks_equal_per_line_parsing(self, fragments, block_bytes):
-        log = b"".join(fragments)
-        lines = [line.decode("utf-8", errors="replace") for line in io.BytesIO(log)]
-        expected = list(parse_events(lines))
-        with mock.patch.object(records, "BLOCK_BYTES", block_bytes), \
-                mock.patch.object(aggregate, "REDUCE_BATCH", 3):
-            reader = LineRange(io.BytesIO(log))
-            items = list(parse_event_blocks(reader.blocks()))
-        assert reader.count == len(lines)
-        failures = [item for item in items if isinstance(item, ParseFailure)]
-        assert failures == [item for item in expected if isinstance(item, ParseFailure)]
-        events = [(video_id, repr(watch), liked) for columns in items if isinstance(columns, EventColumns)
-                  for video_id, watch, liked in zip(columns.video_ids, columns.watch_s, columns.liked)]
-        assert events == [(e.video_id, repr(e.watch_time_s), e.liked) for e in expected
-                          if isinstance(e, WatchEvent)]
+        _parse_both(b"".join(fragments), block_bytes)
+
+    @pytest.mark.parametrize("block_bytes", [64, 8192])
+    def test_overflowing_watch_time_inside_a_run_goes_alone(self, block_bytes):
+        overflow = b'{"video_id":"v5","watch_time_s":1e999}\n'
+        log = b"".join(map(_canonical, range(5))) + overflow + b"".join(map(_canonical, range(6, 11)))
+        events, failures, alone = _parse_both(log, block_bytes)
+        assert [video_id for video_id, _, _ in events] == [f"v{k}" for k in range(11) if k != 5]
+        assert failures == [ParseFailure(6, "watch_time_s is not finite")]
+        assert alone == [overflow.decode()]
+
+    @pytest.mark.parametrize("block_bytes", [64, 8192])
+    def test_trailing_junk_after_a_canonical_line_goes_alone(self, block_bytes):
+        junk = [b'{"video_id":"v1","watch_time_s":1.5}}\n', b'{"video_id":"v2","watch_time_s":2.5} \n',
+                b'{"video_id":"v3","watch_time_s":3.5}\r\n']
+        log = _canonical(0) + junk[0] + _canonical(4) + junk[1] + junk[2] + _canonical(5)
+        events, failures, alone = _parse_both(log, block_bytes)
+        # JSON reads a trailing space or "\r" as whitespace, but not a second "}".
+        assert [video_id for video_id, _, _ in events] == ["v0", "v4", "v2", "v3", "v5"]
+        assert failures == [ParseFailure(2, "invalid JSON: Extra data")]
+        assert alone == [line.decode() for line in junk]
+
+    @pytest.mark.parametrize("block_bytes", [64, 8192])
+    def test_malformed_line_between_canonical_lines(self, block_bytes):
+        log = b"".join(map(_canonical, range(3))) + b'{"video_id":"v9"\n' + b"".join(map(_canonical, range(3, 6)))
+        events, failures, alone = _parse_both(log, block_bytes)
+        assert [video_id for video_id, _, _ in events] == [f"v{k}" for k in range(6)]
+        assert [(f.line_no, f.message.split(":")[0]) for f in failures] == [(4, "invalid JSON")]
+        assert alone == ['{"video_id":"v9"\n']
+
+    @pytest.mark.parametrize("final", [b'{"video_id":"v7","watch_time_s":7.25}', b'{"video_id":"v7"'])
+    @pytest.mark.parametrize("block_bytes", [64, 8192])
+    def test_final_line_without_a_newline(self, block_bytes, final):
+        log = b"".join(map(_canonical, range(4))) + final
+        events, failures, alone = _parse_both(log, block_bytes)
+        assert [video_id for video_id, _, _ in events][:4] == ["v0", "v1", "v2", "v3"]
+        assert len(events) + len(failures) == 5
+        assert [f.line_no for f in failures] == ([] if final.endswith(b"}") else [5])
+        assert alone == [final.decode()]
 
     @given(st.lists(st.builds(
         WatchEvent,

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from engpred import cli
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from engpred.records import LineRange, WatchEvent, line_ranges
+from engpred.envelope import MAX_BINS
+from engpred.records import LineRange, WatchEvent, line_ranges, read_metas
 from engpred.serialize import load_bundle, load_weights, save_weights
 
 
@@ -681,6 +682,24 @@ SYNTH_SHA256 = {
 }
 
 
+class TestReportBins:
+    def test_bins_past_the_cap_exit_two_at_once_and_write_nothing(self, corpus, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with mock.patch.object(np, "histogram", side_effect=AssertionError("a histogram was built")):
+            code = run_cli("report", "--records", str(corpus / "truth_records.jsonl"), "--out", str(out),
+                           "--bins", str(10**12))
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert f"bins must be between 1 and {MAX_BINS}" in capsys.readouterr().err
+
+    def test_the_cap_is_accepted(self, corpus, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("report", "--records", str(corpus / "truth_records.jsonl"), "--out", str(out),
+                       "--bins", str(MAX_BINS)) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert len(payload["nawp"]["counts"]) == len(payload["ecr"]["counts"]) == MAX_BINS
+
+
 class TestPipeline:
     def test_synth_writes_expected_artifacts(self, corpus):
         for name in ("events.jsonl", "metas.jsonl", "truth_records.jsonl",
@@ -809,9 +828,10 @@ class TestPipeline:
         assert digests == SYNTH_SHA256
 
 
-def _inline_executor(calls):
+def _inline_executor(calls, pickled_args=None):
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each task
-    at once, pickling its arguments and result as a worker process would."""
+    at once, pickling its arguments and result as a worker process would. Each
+    task's pickled arguments are appended to ``pickled_args`` when it is given."""
 
     class InlineExecutor:
         def __init__(self, max_workers):
@@ -825,7 +845,10 @@ def _inline_executor(calls):
 
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
-            result = fn(*pickle.loads(pickle.dumps(args)))
+            data = pickle.dumps(args)
+            if pickled_args is not None:
+                pickled_args.append(data)
+            result = fn(*pickle.loads(data))
             future.set_result(pickle.loads(pickle.dumps(result)))
             return future
 
@@ -907,6 +930,23 @@ class TestShardedAggregate:
         code, records, out, err = _aggregate_outputs(events, corpus / "metas.jsonl", tmp_path / "r.jsonl", shards)
         digests = tuple(hashlib.sha256(b).hexdigest() for b in (records, out.encode(), err.encode()))
         assert (code, digests) == (EXIT_OK, HOSTILE_LOG_SHA256)
+
+    def test_workers_receive_the_meta_table_as_columns(self, corpus, tmp_path, monkeypatch):
+        pickled = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_executor([], pickled))
+        monkeypatch.setattr(cli, "available_cpus", lambda: 8)
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(_hostile_log(corpus))
+        metas = corpus / "metas.jsonl"
+        single = _aggregate_outputs(events, metas, tmp_path / "one.jsonl", 1)
+        assert _aggregate_outputs(events, metas, tmp_path / "four.jsonl", 4) == single
+        with open(events, "rb") as f:
+            assert len(pickled) == len(line_ranges(f, 4)) > 1
+        assert b"VideoMeta" in pickle.dumps(read_metas(metas))
+        for data in pickled:
+            assert b"VideoMeta" not in data
+            _, _, _, table, _ = pickle.loads(data)
+            assert table == cli.meta_columns(read_metas(metas))
 
     def test_worker_processes_match_single_pass(self, corpus, tmp_path):
         events = tmp_path / "events.jsonl"

@@ -1,6 +1,7 @@
 """Envelope fitting, NAWP, and distribution reports."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engpred.envelope import (
+    MAX_BINS,
     EnvelopeModel,
     annotate_nawp,
     bimodality_coefficient,
@@ -214,6 +216,12 @@ class TestDistributionReport:
         assert report.metric_name == "nawp"
         assert len(report.counts) == 16
         assert len(edges) == 17
+
+    @pytest.mark.parametrize("bins", [0, -1, MAX_BINS + 1, 10**12])
+    def test_bins_out_of_range_raise_before_any_histogram(self, bins):
+        with mock.patch.object(np, "histogram", side_effect=AssertionError("a histogram was built")), \
+                pytest.raises(DataError, match=f"bins must be between 1 and {MAX_BINS}"):
+            distribution_report([0.1, 0.9] * 5, bins=bins)
 
 
 class TestMetricCorrelation:
