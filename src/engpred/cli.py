@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
     nawp_s = "n/a" if result.final_srcc_nawp is None else f"{result.final_srcc_nawp:.4f}"
     ecr_s = "n/a" if result.final_srcc_ecr is None else f"{result.final_srcc_ecr:.4f}"
     print(
-        f"trained {train_cfg.iterations} iterations "
+        f"trained to iteration {train_cfg.iterations} "
         f"(held-out srcc nawp={nawp_s}, ecr={ecr_s})"
     )
     return EXIT_OK
@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
     # A comparison trains each mode from scratch, so it has no checkpoint to resume.
     once = p.add_mutually_exclusive_group()
     once.add_argument("--compare-modes", action="store_true", dest="compare_modes")
-    once.add_argument("--resume", help="checkpoint to continue from")
+    once.add_argument("--resume", help="checkpoint of a finished run with the same config, to re-predict it")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score predictions against labels")

@@ -17,15 +17,13 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 import numpy as np
 
 from .errors import DataError
+from .model import TEXT_KIND, FeatureBundle
 from .records import ManifestRow, atomic_write, open_input, read_rows, rows_by_id
-
-if TYPE_CHECKING:
-    from .model import FeatureBundle
 
 WEIGHTS_MAGIC = b"ENGW"
 FEATURES_MAGIC = b"ENGF"
@@ -120,9 +118,7 @@ def load_weights(path: Path | str) -> dict[str, np.ndarray]:
         return read_named_arrays(r)
 
 
-def save_bundle(path: Path | str, bundle: "FeatureBundle") -> None:
-    from .model import TEXT_KIND
-
+def save_bundle(path: Path | str, bundle: FeatureBundle) -> None:
     with atomic_write(path, "wb") as f:
         f.write(FEATURES_MAGIC)
         _write_u32(f, FORMAT_VERSION)
@@ -136,9 +132,7 @@ def save_bundle(path: Path | str, bundle: "FeatureBundle") -> None:
         write_named_arrays(f, arrays)
 
 
-def load_bundle(path: Path | str) -> "FeatureBundle":
-    from .model import TEXT_KIND, FeatureBundle
-
+def load_bundle(path: Path | str) -> FeatureBundle:
     with open_input(path, "feature bundle") as f:
         r = _Reader(f)
         magic = r.read(4, "magic")

@@ -31,6 +31,16 @@ from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent
 from .serialize import save_bundle
 
 
+# Fixed generator shape: the docstring's w and mean skip theta, text bands, like rate.
+ENGAGED_HALFWIDTH = 0.3
+SKIP_MEAN_S = 1.2
+THETA_JITTER_MAX = 1.0
+TEXT_VOCAB = 64
+TEXT_BANDS = 8
+LIKE_BASE = 0.002
+LIKE_SLOPE = 0.03
+
+
 @dataclass(frozen=True)
 class SynthConfig(JsonFields):
     n_videos: int = 500
@@ -46,19 +56,12 @@ class SynthConfig(JsonFields):
     envelope_b: float = 5.64
     envelope_tau: float = 0.97
     engaged_ref_p: float | None = None
-    engaged_halfwidth: float = 0.3
-    skip_mean_s: float = 1.2
     coupling: float = 0.9
-    theta_jitter_max: float = 1.0
     ecr_threshold_s: float = 5.0
     feature_noise: float = 0.08
     feature_dim: int = 64
     text_dim: int = 64
-    text_vocab: int = 64
-    text_bands: int = 8
     text_tokens_per_video: int = 6
-    like_base: float = 0.002
-    like_slope: float = 0.03
     seed: int = 0
 
     def validate(self) -> None:
@@ -86,14 +89,8 @@ class SynthConfig(JsonFields):
             raise DataError("coupling must lie in [0, 1]")
         if not 0 <= self.feature_noise <= 1e300:  # a unit normal draw times 1e300 stays finite
             raise DataError("feature_noise must lie in [0, 1e300]")
-        if not 0.0 < self.engaged_halfwidth < 1.0:
-            raise DataError("engaged_halfwidth must lie in (0, 1)")
         if not 0.0 < self.envelope_tau < 1.0:
             raise DataError("envelope_tau must lie in (0, 1)")
-        if self.skip_mean_s <= 0:
-            raise DataError("skip_mean_s must be positive")
-        if self.text_vocab < self.text_bands or self.text_bands < 1:
-            raise DataError("text_vocab must cover at least one word per band")
 
 
 def _normal_cdf(x: float) -> float:
@@ -179,14 +176,14 @@ def _video_truth(
     cfg: SynthConfig, ref_p: float, video_id: str, duration: float, q: float, u: float
 ) -> VideoTruth:
     p = min(max(q, 0.0), 1.0)
-    sigma_theta = cfg.theta_jitter_max * (1.0 - cfg.coupling)
-    theta = cfg.skip_mean_s * math.exp(sigma_theta * u - 0.5 * sigma_theta**2)
+    sigma_theta = THETA_JITTER_MAX * (1.0 - cfg.coupling)
+    theta = SKIP_MEAN_S * math.exp(sigma_theta * u - 0.5 * sigma_theta**2)
     ceiling = cfg.envelope_a * duration + cfg.envelope_b
-    mu_eng = (ceiling - cfg.skip_mean_s * (1.0 - ref_p)) / ref_p
+    mu_eng = (ceiling - SKIP_MEAN_S * (1.0 - ref_p)) / ref_p
     if mu_eng <= 0:
         raise DataError("engaged watch mean is non-positive; check envelope settings")
-    lo = (1.0 - cfg.engaged_halfwidth) * mu_eng
-    hi = (1.0 + cfg.engaged_halfwidth) * mu_eng
+    lo = (1.0 - ENGAGED_HALFWIDTH) * mu_eng
+    hi = (1.0 + ENGAGED_HALFWIDTH) * mu_eng
     thr = cfg.ecr_threshold_s
     tail_eng = min(max((hi - thr) / (hi - lo), 0.0), 1.0)
     ecr = (1.0 - p) * math.exp(-thr / theta) + p * tail_eng
@@ -194,7 +191,7 @@ def _video_truth(
     second_moment = (1.0 - p) * 2.0 * theta**2 + p * (mu_eng**2 + (hi - lo) ** 2 / 12.0)
     var_w = max(second_moment - mean_w**2, 0.0)
     nawp = min(max(mean_w / ceiling, 0.0), 1.0)
-    like = min(max(cfg.like_base + cfg.like_slope * p, 0.0), 1.0)
+    like = min(max(LIKE_BASE + LIKE_SLOPE * p, 0.0), 1.0)
     return VideoTruth(
         video_id=video_id,
         duration_s=duration,
@@ -285,7 +282,7 @@ def _feature_maps(cfg: SynthConfig) -> dict[str, np.ndarray]:
 
 def _text_embeddings(cfg: SynthConfig) -> np.ndarray:
     rng = np.random.default_rng([cfg.seed, 23])
-    return rng.normal(0.0, 0.6, size=(cfg.text_vocab, cfg.text_dim))
+    return rng.normal(0.0, 0.6, size=(TEXT_VOCAB, cfg.text_dim))
 
 
 def make_bundle(cfg: SynthConfig, info: VideoTruth, maps, embeddings) -> FeatureBundle:
@@ -308,8 +305,8 @@ def make_bundle(cfg: SynthConfig, info: VideoTruth, maps, embeddings) -> Feature
         clean = basis @ maps[kind].T
         noise = rng.normal(0.0, 1.0, size=clean.shape)
         clip_features[kind] = clean + cfg.feature_noise * noise
-    band = min(cfg.text_bands - 1, int(quality * cfg.text_bands))
-    words_per_band = cfg.text_vocab // cfg.text_bands
+    band = min(TEXT_BANDS - 1, int(quality * TEXT_BANDS))
+    words_per_band = TEXT_VOCAB // TEXT_BANDS
     token_ids = band * words_per_band + rng.integers(
         words_per_band, size=cfg.text_tokens_per_video
     )

@@ -1,9 +1,11 @@
 """Joint NAWP+ECR training with cosine-annealed Adam, plus ablation modes.
 
-Batches group whole videos. A training step packs the batch's clips row-wise
-and records one tape for the whole batch (``model.forward_batch``), with
-attention kept inside each video, so there is no padding and no video sees
-another. A step zeroes the flat gradient buffer (``optim.FlatParams``),
+``train`` reads and checks every feature bundle the manifest names before
+step 0, so a missing, corrupt or mislabelled bundle is a ``DataError`` before
+any step runs. Batches group whole videos. A training step packs the batch's clips
+row-wise and records one tape for the whole batch (``model.forward_batch``),
+with attention kept inside each video, so there is no padding and no video
+sees another. A step zeroes the flat gradient buffer (``optim.FlatParams``),
 backward accumulates into it, and ``adam_step`` updates the parameters in
 place. The batch schedule is a pure function of (seed, step), which lets a
 resumed run reproduce an uninterrupted one bit for bit.
@@ -106,36 +108,23 @@ def loss_value(pred_nawp, pred_ecr, truth_nawp, truth_ecr, mode: str = "joint") 
     return total
 
 
-class BundleCache:
-    """Lazy feature-bundle loader keyed by video id."""
-
-    def __init__(self, manifest_dir: Path, rows: list[ManifestRow]) -> None:
-        self._paths = {row.video_id: manifest_dir / row.feature_path for row in rows}
-        self._cache: dict[str, FeatureBundle] = {}
-
-    def get(self, video_id: str) -> FeatureBundle:
-        bundle = self._cache.get(video_id)
-        if bundle is None:
-            path = self._paths.get(video_id)
-            if path is None:
-                raise DataError(f"no manifest entry for video {video_id!r}")
-            bundle = load_bundle(path)
-            if bundle.video_id != video_id:
-                raise DataError(f"bundle {path} carries id {bundle.video_id!r}")
-            self._cache[video_id] = bundle
-        return bundle
-
-
-def _batch_ids(train_ids: list[str], cfg: TrainConfig, step: int, perm_cache: dict) -> list[str]:
-    n = len(train_ids)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    epoch, slot = divmod(step, steps_per_epoch)
-    if perm_cache.get("epoch") != epoch:
-        perm_cache["epoch"] = epoch
-        perm_cache["perm"] = np.random.default_rng([cfg.seed, 202, epoch]).permutation(n)
-    perm = perm_cache["perm"]
+def _batch_ids(train_ids: list[str], cfg: TrainConfig, step: int) -> list[str]:
+    epoch, slot = divmod(step, math.ceil(len(train_ids) / cfg.batch_size))
+    perm = np.random.default_rng([cfg.seed, 202, epoch]).permutation(len(train_ids))
     start = slot * cfg.batch_size
     return [train_ids[i] for i in perm[start : start + cfg.batch_size]]
+
+
+def _load_bundles(manifest_dir: Path, rows: list[ManifestRow]) -> dict[str, FeatureBundle]:
+    """Every bundle the manifest names, read in manifest order and keyed by video id."""
+    bundles = {}
+    for row in rows:
+        path = manifest_dir / row.feature_path
+        bundle = load_bundle(path)
+        if bundle.video_id != row.video_id:
+            raise DataError(f"bundle {path} carries id {bundle.video_id!r}")
+        bundles[row.video_id] = bundle
+    return bundles
 
 
 def config_hash(train_cfg: TrainConfig, model_cfg: ModelConfig) -> bytes:
@@ -269,18 +258,16 @@ def _batch_loss_node(out: BatchResult, y1, y2, mode: str) -> Tensor:
 
 
 def _predict(
-    ids: list[str],
-    cache: BundleCache,
-    durations: dict[str, float],
+    bundles: list[FeatureBundle],
+    durations: list[float],
     params: dict[str, Tensor],
     model_cfg: ModelConfig,
     label_scale: tuple[float, float],
 ) -> list[PredictionRow]:
-    bundles = [cache.get(vid) for vid in ids]
-    estimates = predict(bundles, params, model_cfg, [durations[vid] for vid in ids])
+    estimates = predict(bundles, params, model_cfg, durations)
     return [
-        PredictionRow(vid, nawp * label_scale[0], ecr * label_scale[1])
-        for vid, (nawp, ecr) in zip(ids, estimates)
+        PredictionRow(bundle.video_id, nawp * label_scale[0], ecr * label_scale[1])
+        for bundle, (nawp, ecr) in zip(bundles, estimates)
     ]
 
 
@@ -315,20 +302,20 @@ def train(
     """
     train_cfg.validate()
     manifest_path = Path(manifest_path)
-    rows = sorted(read_manifest(manifest_path), key=lambda r: r.video_id)
-    ids = [row.video_id for row in rows]
+    rows = read_manifest(manifest_path)
+    ids = sorted(row.video_id for row in rows)
     durations = {row.video_id: row.duration_s for row in rows}
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
-    cache = BundleCache(manifest_path.parent, rows)
+    bundles = _load_bundles(manifest_path.parent, rows)
 
     model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
-    model_cfg = config_for_bundle(model_cfg, cache.get(ids[0]))
+    model_cfg = config_for_bundle(model_cfg, bundles[ids[0]])
     model_cfg.validate()
 
     target_key = f"{train_cfg.target}_label"
     y1_raw = {row.video_id: getattr(row, target_key) for row in rows}
     y2_raw = {row.video_id: row.ecr_label for row in rows}
-    if missing := [vid for vid, y in y1_raw.items() if y is None]:
+    if missing := [vid for vid in ids if y1_raw[vid] is None]:
         raise DataError(f"manifest row {missing[0]!r} is missing {target_key!r}")
     if train_cfg.target == "nawp":
         scale1 = 1.0
@@ -358,17 +345,16 @@ def train(
         end_step = min(max(stop_after_step, start_step), end_step)
 
     log_rows: list[dict] = []
-    perm_cache: dict = {}
     schedule_total = max(train_cfg.iterations - 1, 1)
     truth = ([y1_raw[vid] for vid in test_ids], [y2_raw[vid] for vid in test_ids])
+    held_out = ([bundles[vid] for vid in test_ids], [durations[vid] for vid in test_ids])
     for step in range(start_step, end_step):
         lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
-        batch = _batch_ids(train_ids, train_cfg, step, perm_cache)
-        bundles = [cache.get(vid) for vid in batch]
+        batch = _batch_ids(train_ids, train_cfg, step)
         y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
         y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
         with Tape() as tape:
-            out = forward_batch(bundles, params, model_cfg, [durations[vid] for vid in batch])
+            out = forward_batch([bundles[vid] for vid in batch], params, model_cfg, [durations[vid] for vid in batch])
             node = _batch_loss_node(out, y1, y2, train_cfg.mode)
         params.grad.fill(0.0)
         tape.backward(node)
@@ -380,11 +366,11 @@ def train(
         if done % train_cfg.eval_interval == 0 or done == end_step:
             log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
             if done < end_step:
-                preds = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
+                preds = _predict(*held_out, params, model_cfg, label_scale)
                 log_rows[-1].update(_scores(preds, truth))
     # The last step's evaluation is the final pass, made once; it is made
     # also when a resumed run starts at the last step.
-    predictions = _predict(test_ids, cache, durations, params, model_cfg, label_scale)
+    predictions = _predict(*held_out, params, model_cfg, label_scale)
     final_scores = _scores(predictions, truth)
     if start_step < end_step:
         log_rows[-1].update(final_scores)

@@ -123,6 +123,41 @@ def test_reader_returns_typed_rows_or_names_the_line(what, data):
                 assert type(value) is _plain_type(hints[f.name])
 
 
+# Pieces of JSONL: whole valid lines of each reader's row, keys, values and
+# punctuation, hostile numbers and nesting, line ends and bytes that are not UTF-8.
+JSONISH_FRAGMENTS = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([
+        b'{"video_id":"v1","duration_s":20.0,"frame_rate":30.0}\n',
+        b'{"video_id":"v1","duration_s":20.0,"views":10,"awt_s":5.0,"awp":0.25,"ecr":0.5}\n',
+        b'{"video_id":"v1","duration_s":20.0,"frame_rate":30.0,"feature_path":"f/v1.engf",'
+        b'"nawp_label":0.5,"ecr_label":0.5}\n',
+        b'{"video_id":"v1","nawp_hat":0.5,"ecr_hat":0.25}\n',
+        b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\", b"\n", b"\r\n", b" ", b"\t",
+        b'"video_id"', b'"v1"', b'"duration_s"', b'"frame_rate"', b'"nawp_hat"', b'"ecr_hat"', b'"views"',
+        b"0", b"-0.0", b"20", b"1.5", b"1e999", b"-1e999", b"NaN", b"Infinity", b"true", b"null",
+        b"9" * 5000, b'{"a":' * 3000, b"}" * 3000, b"\xff", b"\xe3\x80\x80", b"\x00",
+    ]),
+)
+
+
+@pytest.mark.parametrize("what", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(blob=st.binary(max_size=64) | st.lists(JSONISH_FRAGMENTS, max_size=16).map(b"".join))
+def test_reader_takes_any_bytes_as_rows_or_a_data_error(what, blob):
+    cls, read = READERS[what]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{what}.jsonl"
+        path.write_bytes(blob)
+        try:
+            rows = read(path)
+        except DataError:
+            event("refused")
+            return
+    event("read")
+    assert all(type(row) is cls for row in rows)
+
+
 def test_row_round_trips_through_its_encoding(tmp_path):
     records = [
         VideoRecord("v1", 20.0, 10, 5.0, 0.25, 0.5),

@@ -3,6 +3,8 @@
 import concurrent.futures
 import hashlib
 import json
+import math
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -375,6 +377,42 @@ class TestHeldOutPasses:
         assert resumed.log_rows == []
         name = "test_predictions.jsonl"
         assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+class TestBundlesReadBeforeStepZero:
+    """Every bundle is read and checked before the first step runs."""
+
+    @pytest.mark.parametrize("fault", ["truncated_held_out_bundle", "training_bundle_of_another_video"])
+    def test_bad_bundle_raises_before_the_first_adam_step(self, corpus_dir, tmp_path, monkeypatch, fault):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copy)
+        paths = {row.video_id: copy / row.feature_path for row in read_manifest(copy / "manifest.jsonl")}
+        ids = sorted(paths)
+        train_ids, test_ids = split_dataset(ids, SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
+        if fault == "truncated_held_out_bundle":
+            # Held-out videos are first predicted at step eval_interval.
+            bad = paths[test_ids[-1]]
+            bad.write_bytes(bad.read_bytes()[:-5])
+            message = "truncated file while reading data of"
+        else:
+            # A video of the first epoch's last batch, not the one opened to size the model.
+            last_slot = math.ceil(len(train_ids) / SMALL_TRAIN.batch_size) - 1
+            video_id = trainer._batch_ids(train_ids, SMALL_TRAIN, last_slot)[-1]
+            assert video_id != ids[0] and last_slot > 0
+            bad = paths[video_id]
+            bad.write_bytes(paths[test_ids[0]].read_bytes())
+            message = f"bundle {bad} carries id {test_ids[0]!r}"
+        steps = []
+        real_adam = trainer.adam_step
+
+        def counting_adam(params, state, lr):
+            steps.append(state.t)
+            real_adam(params, state, lr)
+
+        monkeypatch.setattr(trainer, "adam_step", counting_adam)
+        with pytest.raises(DataError, match=re.escape(message)):
+            train(copy / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
+        assert steps == []
 
 
 class TestCheckpointFormat:
