@@ -9,7 +9,7 @@ constant 0. NAWP normalizes a video's AWT between the two and clamps to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,7 +109,14 @@ def nawp(awt_s: float, duration_s: float, env: EnvelopeModel) -> float:
 
 def annotate_nawp(records: Iterable[VideoRecord], env: EnvelopeModel) -> list[VideoRecord]:
     """Fill the nawp field on each record, preserving input order."""
-    return [replace(r, nawp=nawp(r.awt_s, r.duration_s, env)) for r in records]
+    # The constructor, not ``dataclasses.replace``, which takes about twice as long.
+    return [
+        VideoRecord(
+            r.video_id, r.duration_s, r.views, r.awt_s, r.awp, r.ecr, r.like_rate,
+            nawp(r.awt_s, r.duration_s, env),
+        )
+        for r in records
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,6 +7,13 @@ its fields, checked by ``typed_value``: configs are read by
 ``JsonFields.from_dict``, and every JSONL file except the event log by
 ``read_rows``, one such dataclass per line. ``row_to_json`` writes a row with
 its keys in field order, so repeated runs produce byte-identical files.
+
+``read_rows`` reads a file in chunks of whole lines. A chunk whose lines are
+all in the writer's own form is read column by column by the row type's
+``RowCodec``; any other chunk is read line by line, with the same rows and
+the same errors. ``write_rows`` formats each chunk column by column the same
+way, or through ``row_to_json`` when the chunk holds any other value, with
+the same bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
@@ -171,6 +179,130 @@ def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] =
         _write_lines(f, rows, encode)
 
 
+# Each JSON scalar type's token as ``row_to_json`` writes it (a string without
+# escapes, a number as ``repr`` writes it), how the token is read back, and
+# how a value is written. A float token has a fraction or an exponent, as
+# ``float.__repr__`` always writes; ``json`` reads an integer token as an int.
+_TOKENS: dict[type, tuple[str, Callable[[str], Any], Callable[[Any], str]]] = {
+    str: (r'"[^"\\\x00-\x1f]*"', itemgetter(slice(1, -1)), encode_basestring_ascii),
+    int: (r"-?(?:0|[1-9][0-9]*)", int, int.__repr__),
+    float: (
+        r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)",
+        float,
+        float.__repr__,
+    ),
+    bool: ("true|false", {"true": True, "false": False}.__getitem__, ("false", "true").__getitem__),
+}
+
+
+@dataclass(frozen=True)
+class RowCodec:
+    """The line ``row_to_json`` writes for a row type whose fields are all JSON scalars.
+
+    ``pattern`` matches exactly such a line, in MULTILINE mode, with one
+    group per field; ``template`` is the line with ``%s`` for each field's
+    token. Both work on a chunk of rows a column at a time, and both give up
+    (return None) on anything else, which their callers then read or write a
+    line at a time: so a chunk gives the same rows, errors and bytes either way.
+    """
+
+    cls: type
+    fields: tuple[tuple[str, type, bool], ...]  # name, scalar type, whether None is allowed
+    pattern: re.Pattern
+    template: str
+
+    def read(self, lines: list[bytes]) -> list | None:
+        """The rows of ``lines`` when every line is one the writer writes and every row is valid."""
+        try:
+            text = b"".join(lines).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        matches = self.pattern.findall(text)
+        if len(matches) != len(lines):
+            return None
+        columns = []
+        # ``findall`` gives each line's groups as a tuple, or as a string when there is one group.
+        by_column = zip(*matches) if len(self.fields) > 1 else [matches]
+        for texts, (_, kind, optional) in zip(by_column, self.fields):
+            read = _TOKENS[kind][1]
+            try:
+                if optional and "null" in texts:
+                    values = [None if t == "null" else read(t) for t in texts]
+                else:
+                    values = list(map(read, texts))
+            except ValueError:  # an integer past the digit limit
+                return None
+            # A float token reads as an infinity only past the double range.
+            if kind is float and (math.inf in values or -math.inf in values):
+                return None
+            columns.append(values)
+        rows = list(map(self.cls, *columns))
+        if self.cls.validate is not JsonFields.validate:
+            try:
+                for row in rows:
+                    row.validate()
+            except DataError:
+                return None
+        return rows
+
+    def write(self, rows: list) -> str | None:
+        """The lines ``row_to_json`` writes for ``rows``, when every row is a ``cls`` holding
+        values of its fields' exact types (any float subclass for a float) and finite floats."""
+        if set(map(type, rows)) != {self.cls}:
+            return None
+        columns = []
+        for name, kind, optional in self.fields:
+            values = list(map(attrgetter(name), rows))
+            types = set(map(type, values)) - ({type(None)} if optional else set())
+            if not (all(issubclass(t, float) for t in types) if kind is float else types <= {kind}):
+                return None
+            nulls = optional and None in values
+            present = [v for v in values if v is not None] if nulls else values
+            if kind is float and not all(map(math.isfinite, present)):
+                return None
+            write = _TOKENS[kind][2]
+            if nulls:
+                columns.append(["null" if v is None else write(v) for v in values])
+            else:
+                columns.append(list(map(write, values)))
+        return "\n".join(map(self.template.__mod__, zip(*columns))) + "\n"
+
+
+@functools.cache
+def row_codec(cls: type) -> RowCodec | None:
+    """``cls``'s ``RowCodec``, or None when a field is not a JSON scalar or an optional one."""
+    hints, plain, _ = _schema(cls)
+    fields_ = []
+    for name, tp in hints.items():
+        if plain[name] is None:
+            return None
+        fields_.append((name, plain[name], tp is not plain[name]))
+    keys = [_compact_json(name) for name, _, _ in fields_]
+    tokens = [f"({'null|' * optional}{_TOKENS[kind][0]})" for _, kind, optional in fields_]
+    line = ",".join(f"{re.escape(key)}:{token}" for key, token in zip(keys, tokens))
+    template = ",".join(f"{key}:%s" for key in keys)
+    return RowCodec(cls, tuple(fields_), re.compile(f"^\\{{{line}\\}}$", re.MULTILINE), f"{{{template}}}")
+
+
+# Lines per chunk of a row file (metas, records, manifest, predictions), read
+# or written. A chunk taken column by column holds each field's token as a
+# string, about 1 KB a record. Reading a 65,536-record file peaked at 26.5 MB
+# of allocations line by line, 90 MB in one chunk and 27 MB in 1,024-line
+# chunks, which were also faster.
+ROW_CHUNK_LINES = 1024
+
+
+def write_rows(path: Path | str, rows: Iterable[JsonFields]) -> None:
+    """``JsonFields`` rows, one ``row_to_json`` line each, formatted a chunk at a time by
+    their ``RowCodec`` where it takes the chunk."""
+    rows = iter(rows)
+    with atomic_write(path) as f:
+        while chunk := list(islice(rows, ROW_CHUNK_LINES)):
+            codec = row_codec(type(chunk[0]))
+            lines = codec.write(chunk) if codec else None
+            f.write("\n".join(map(row_to_json, chunk)) + "\n" if lines is None else lines)
+
+
 def open_input(path: Path | str, what: str) -> IO[bytes]:
     """The input file opened as bytes; each reader decodes it as UTF-8 itself."""
     try:
@@ -208,17 +340,32 @@ def read_rows(path: Path | str, cls: type, what: str) -> list[tuple[int, Any]]:
     README's "File formats" gives the rule; a line that breaks it, or fails
     ``cls.validate``, raises DataError reading ``<what> line N: ...``.
     """
-    rows = []
+    codec = row_codec(cls)
+    rows: list[tuple[int, Any]] = []
     with open_input(path, what) as f:
-        for line_no, line in enumerate(f, start=1):
-            if line.strip():
-                where = f"{what} line {line_no}"
-                row = _from_fields(cls, json_object(line, where), where, ": ")
-                try:
-                    row.validate()
-                except DataError as exc:
-                    raise DataError(f"{where}: {exc}") from exc
-                rows.append((line_no, row))
+        first = 1
+        while lines := list(islice(f, ROW_CHUNK_LINES)):
+            chunk = codec.read(lines) if codec else None
+            if chunk is None:
+                rows += _read_lines(lines, first, cls, what)
+            else:
+                rows += zip(range(first, first + len(lines)), chunk)
+            first += len(lines)
+    return rows
+
+
+def _read_lines(lines: list[bytes], first: int, cls: type, what: str) -> list[tuple[int, Any]]:
+    """``read_rows`` of ``lines`` one line at a time, ``first`` being the number of the first."""
+    rows = []
+    for line_no, line in enumerate(lines, start=first):
+        if line.strip():
+            where = f"{what} line {line_no}"
+            row = _from_fields(cls, json_object(line, where), where, ": ")
+            try:
+                row.validate()
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            rows.append((line_no, row))
     return rows
 
 
@@ -287,7 +434,7 @@ class VideoRecord(JsonFields):
 
 
 def write_records(path: Path | str, records: Iterable[VideoRecord]) -> None:
-    write_jsonl(path, records, row_to_json)
+    write_rows(path, records)
 
 
 def read_records(path: Path | str) -> list[VideoRecord]:

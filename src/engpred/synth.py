@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import plcc, srcc
 from .model import VISUAL_KINDS, FeatureBundle, ModelConfig
-from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, row_to_json, write_jsonl
+from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, write_rows
 from .serialize import save_bundle
 
 
@@ -355,7 +355,7 @@ def generate_features(
             )
         )
     if base is not None:
-        write_jsonl(base / "manifest.jsonl", rows, row_to_json)
+        write_rows(base / "manifest.jsonl", rows)
     return rows, bundles
 
 

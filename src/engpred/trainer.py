@@ -42,7 +42,7 @@ from .model import (
     predict,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
-from .records import JsonFields, ManifestRow, PredictionRow, json_object, row_to_json, write_json, write_jsonl
+from .records import JsonFields, ManifestRow, PredictionRow, json_object, write_json, write_jsonl, write_rows
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
 
 MODES = ("joint", "nawp_only", "ecr_only")
@@ -401,7 +401,7 @@ def train(
             label_scale,
         )
         write_jsonl(out_dir / "train_log.jsonl", log_rows)
-        write_jsonl(out_dir / "test_predictions.jsonl", predictions, row_to_json)
+        write_rows(out_dir / "test_predictions.jsonl", predictions)
         summary = {
             "iterations": train_cfg.iterations,
             "mode": train_cfg.mode,

@@ -739,6 +739,34 @@ class TestPipeline:
         assert set(payload) == {"nawp", "ecr", "correlation"}
         assert sum(payload["nawp"]["counts"]) > 0
 
+    def test_labels_stages_call_the_benchmark_hooked_names(self, corpus, tmp_path, monkeypatch):
+        # benchmarks/layers.py times records I/O and annotation by wrapping these names in cli.
+        calls = []
+        for name in ("read_metas", "read_records", "write_records", "annotate_nawp"):
+            def spy(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        records, annotated = tmp_path / "records.jsonl", tmp_path / "annotated.jsonl"
+        stages = {
+            "aggregate": ["--events", corpus / "events.jsonl", "--metas", corpus / "metas.jsonl", "--out", records,
+                          "--min-views", "30", "--shards", "2"],
+            "fit-norm": ["--records", records, "--out-envelope", tmp_path / "envelope.json", "--out-records",
+                         annotated, "--bin-width", "10", "--min-bin-count", "4"],
+            "report": ["--records", annotated, "--out", tmp_path / "dist.json", "--bins", "12"],
+        }
+        called = {}
+        for stage, argv in stages.items():
+            calls.clear()
+            assert run_cli(stage, *map(str, argv)) == EXIT_OK
+            called[stage] = sorted(calls)
+        assert called == {
+            "aggregate": ["read_metas", "write_records"],
+            "fit-norm": ["annotate_nawp", "read_records", "write_records"],
+            "report": ["read_records"],
+        }
+
     def test_eval_on_perfect_predictions(self, corpus, tmp_path):
         manifest = [json.loads(l) for l in (corpus / "manifest.jsonl").read_text().splitlines()]
         preds = tmp_path / "preds.jsonl"
@@ -828,10 +856,11 @@ class TestPipeline:
         assert digests == SYNTH_SHA256
 
 
-def _inline_executor(calls, pickled_args=None):
+def _inline_executor(calls, pickled_args=None, pickled_results=None):
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each task
     at once, pickling its arguments and result as a worker process would. Each
-    task's pickled arguments are appended to ``pickled_args`` when it is given."""
+    task's pickled arguments and result are appended to ``pickled_args`` and
+    ``pickled_results`` when they are given."""
 
     class InlineExecutor:
         def __init__(self, max_workers):
@@ -848,8 +877,10 @@ def _inline_executor(calls, pickled_args=None):
             data = pickle.dumps(args)
             if pickled_args is not None:
                 pickled_args.append(data)
-            result = fn(*pickle.loads(data))
-            future.set_result(pickle.loads(pickle.dumps(result)))
+            result = pickle.dumps(fn(*pickle.loads(data)))
+            if pickled_results is not None:
+                pickled_results.append(result)
+            future.set_result(pickle.loads(result))
             return future
 
     return InlineExecutor
@@ -947,6 +978,23 @@ class TestShardedAggregate:
             assert b"VideoMeta" not in data
             _, _, _, table, _ = pickle.loads(data)
             assert table == cli.meta_columns(read_metas(metas))
+
+    def test_workers_return_parse_failures_as_pairs(self, corpus, tmp_path, monkeypatch):
+        pickled = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_executor([], None, pickled))
+        monkeypatch.setattr(cli, "available_cpus", lambda: 8)
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(_hostile_log(corpus))
+        metas = corpus / "metas.jsonl"
+        single = _aggregate_outputs(events, metas, tmp_path / "one.jsonl", 1)
+        assert _aggregate_outputs(events, metas, tmp_path / "four.jsonl", 4) == single
+        assert len(pickled) > 1
+        assert b"ParseFailure" in pickle.dumps([ParseFailure(1, "invalid JSON")])
+        failures = []
+        for data in pickled:
+            assert b"ParseFailure" not in data
+            failures += pickle.loads(data)[1]
+        assert failures and all(type(n) is int and type(message) is str for n, message in failures)
 
     def test_worker_processes_match_single_pass(self, corpus, tmp_path):
         events = tmp_path / "events.jsonl"

@@ -1,5 +1,6 @@
 """The JSON-lines writers, and the one typed row reader behind every JSONL input except the event log."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import tempfile
 import typing
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,3 +292,226 @@ class TestEventWriter:
         assert f.getvalue() == "".join(reference_event_to_json(e) + "\n" for e in events)
         assert written == writes
         assert all(i < done + 3 for i, done in enumerate(lines_written_at_pull))
+
+
+# -- the column-by-column row codec ----------------------------------------
+
+ROW_TYPES = [VideoMeta, VideoRecord, ManifestRow, PredictionRow]
+# Ids JSON writes as they are, and ids it must escape or that are not ASCII.
+PLAIN_TEXT = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), min_size=1, max_size=8
+)
+ESCAPED_TEXT = st.text(
+    st.sampled_from('"\\ \xe9☃/') | st.characters(max_codepoint=0x1F) | st.characters(), min_size=1, max_size=6
+)
+WRITER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, sys.float_info.max, -sys.float_info.max, 1e16, 1e-7]
+)
+# Floats every row type's ``validate`` takes.
+POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([5e-324, sys.float_info.max])
+
+
+def _codec_fields(cls):
+    """(name, scalar type, optional) for each of ``cls``'s fields."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, _plain_type(hints[f.name]), type(None) in typing.get_args(hints[f.name])) for f in fields(cls)]
+
+
+@st.composite
+def writer_rows(draw, cls, text, floats):
+    """A row of ``cls`` holding values of its fields' own types, None in an optional field half the time."""
+    values = {str: text, int: st.integers(), float: floats}
+    return cls(*(
+        draw(st.none() | values[kind] if optional else values[kind]) for _, kind, optional in _codec_fields(cls)
+    ))
+
+
+def writer_files(cls, text=(PLAIN_TEXT, PLAIN_TEXT | ESCAPED_TEXT), max_size=7):
+    """Rows of ``cls`` for one file: all of them with plain text, or with valid floats, half the time each."""
+    return st.tuples(st.sampled_from(text), st.sampled_from([POSITIVE_FLOATS, WRITER_FLOATS])).flatmap(
+        lambda strategies: st.lists(writer_rows(cls, *strategies), min_size=1, max_size=max_size)
+    )
+
+
+def _reference_read(blob: bytes, cls, what: str):
+    """``read_rows`` a line at a time: its rows as (line number, line), or the DataError text."""
+    try:
+        rows = records._read_lines(io.BytesIO(blob).readlines(), 1, cls, what)
+    except DataError as exc:
+        return str(exc)
+    return [(n, row_to_json(row)) for n, row in rows]
+
+
+def _read(path: Path, cls, what: str):
+    try:
+        rows = read_rows(path, cls, what)
+    except DataError as exc:
+        return str(exc)
+    return [(n, row_to_json(row)) for n, row in rows]
+
+
+def _plain_strings(row) -> bool:
+    return all(json.dumps(v) == f'"{v}"' for v in (getattr(row, f.name) for f in fields(row)) if isinstance(v, str))
+
+
+@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_codec_writes_row_to_json_bytes_and_reads_them_back(cls, data):
+    rows = data.draw(writer_files(cls), label="rows")
+    codec = records.row_codec(cls)
+    assert codec.write(rows) is not None  # every value has its field's own type
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "rows.jsonl", Path(tmp) / "reference.jsonl"
+        records.write_rows(path, rows)
+        records.write_jsonl(reference, rows, row_to_json)
+        blob = path.read_bytes()
+        assert blob == reference.read_bytes()
+        got = _read(path, cls, "rows")
+    assert got == _reference_read(blob, cls, "rows")
+    valid = not isinstance(got, str)
+    if valid:
+        assert got == [(n, row_to_json(row)) for n, row in enumerate(rows, start=1)]
+    fast = codec.read(blob.splitlines(keepends=True)) is not None
+    assert fast == (valid and all(map(_plain_strings, rows)))
+    event("column by column" if fast else "line by line")
+
+
+class _Text(str):
+    """A ``str`` subclass: its chunk is written through ``row_to_json``."""
+
+
+ODD_VALUES = {
+    str: st.builds(_Text, PLAIN_TEXT),
+    int: st.booleans() | WRITER_FLOATS,
+    float: st.sampled_from([math.nan, math.inf, -math.inf]) | st.integers() | WRITER_FLOATS.map(np.float64),
+}
+
+
+@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chunk_with_other_value_types_is_written_as_row_to_json(cls, data):
+    rows = data.draw(writer_files(cls, (PLAIN_TEXT,), max_size=4), label="rows")
+    i = data.draw(st.integers(0, len(rows) - 1), label="odd row")
+    name, kind, _ = data.draw(st.sampled_from(_codec_fields(cls)), label="odd field")
+    rows[i] = dataclasses.replace(rows[i], **{name: data.draw(ODD_VALUES[kind], label="odd value")})
+    event("column by column" if records.row_codec(cls).write(rows) is not None else "row_to_json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "rows.jsonl", Path(tmp) / "reference.jsonl"
+        records.write_rows(path, rows)
+        records.write_jsonl(reference, rows, row_to_json)
+        assert path.read_bytes() == reference.read_bytes()
+
+
+def _token_spans(line: bytes, cls) -> dict[str, tuple[int, int]]:
+    """Each field's value token in a writer-form line, by field name."""
+    match = records.row_codec(cls).pattern.fullmatch(line.decode())
+    return {name: match.span(k) for k, (name, _, _) in enumerate(_codec_fields(cls), start=1)}
+
+
+def _splice(line: bytes, span: tuple[int, int], token: bytes) -> bytes:
+    return line[: span[0]] + token + line[span[1]:]
+
+
+MUTATIONS = [
+    "swapped keys", "a space", "\\/", "1e999", "int token in a float field", "float token in an int field",
+    "5,000 digits", "\\r\\n", "a blank line", "no final newline", "\\xff",
+]
+
+
+def _mutate(data, lines: list[bytes], cls, how: str) -> bytes:
+    """The file of ``lines`` (writer form, no line ends) with one token mutated as ``how`` says."""
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line, spans = lines[i], _token_spans(lines[i], cls)
+    kinds = {name: kind for name, kind, _ in _codec_fields(cls)}
+    at = data.draw(st.integers(0, len(line)), label="at")
+    if how == "swapped keys":
+        obj = json.loads(line)
+        keys = list(obj)
+        k = data.draw(st.integers(0, len(keys) - 2), label="key")
+        keys[k], keys[k + 1] = keys[k + 1], keys[k]
+        line = json.dumps({key: obj[key] for key in keys}, separators=(",", ":")).encode()
+    elif how in ("a space", "\\/", "\\xff"):
+        line = line[:at] + {"a space": b" ", "\\/": b"\\/", "\\xff": b"\xff"}[how] + line[at:]
+    elif how in ("1e999", "int token in a float field", "5,000 digits"):
+        numeric = [name for name in spans if kinds[name] is float or (how == "5,000 digits" and kinds[name] is int)]
+        name = data.draw(st.sampled_from(numeric), label="field")
+        token = {"1e999": b"1e999", "5,000 digits": b"9" * 5000}.get(how) or str(data.draw(st.integers())).encode()
+        line = _splice(line, spans[name], token)
+    elif how == "float token in an int field":
+        ints = [name for name in spans if kinds[name] is int]
+        if ints:
+            line = _splice(line, spans[ints[0]], repr(data.draw(WRITER_FLOATS)).encode())
+    lines = [*lines[:i], line, *lines[i + 1:]]
+    ends = [b"\n"] * len(lines)
+    if how == "\\r\\n":
+        ends[i] = b"\r\n"
+    elif how == "a blank line":
+        ends[i] = b"\n" + data.draw(st.sampled_from([b"", b" ", b"\t\r"]), label="blank") + b"\n"
+    elif how == "no final newline":
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, records.ROW_CHUNK_LINES])
+@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_writer_lines_read_as_line_by_line(cls, chunk_rows, data):
+    rows = data.draw(writer_files(cls, (PLAIN_TEXT,)), label="rows")
+    how = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    blob = _mutate(data, [row_to_json(row).encode() for row in rows], cls, how)
+    event(how)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(records, "ROW_CHUNK_LINES", chunk_rows):
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(blob)
+        got = _read(path, cls, "rows")
+    assert got == _reference_read(blob, cls, "rows")
+    event("refused" if isinstance(got, str) else "read")
+
+
+@pytest.mark.parametrize("token", [b"1e999", b"9" * 5000, b"9" * 5000 + b".5", b"20", b"-0.0", b'"v"', b"null", b"true"])
+@pytest.mark.parametrize("field", [f.name for f in fields(VideoRecord)])
+def test_each_token_in_each_field_reads_as_line_by_line(tmp_path, field, token):
+    lines = [row_to_json(VideoRecord(f"v{i}", 20.0, 10, 5.0, 0.25, 0.5, 0.1, 0.5)).encode() for i in range(2)]
+    lines[1] = _splice(lines[1], _token_spans(lines[1], VideoRecord)[field], token)
+    blob = b"\n".join(lines) + b"\n"
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(blob)
+    assert _read(path, VideoRecord, "records") == _reference_read(blob, VideoRecord, "records")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_chunks_are_read_and_numbered_on_their_own(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(records, "ROW_CHUNK_LINES", chunk_rows)
+    metas = [VideoMeta(f"v{i}", 10.0 + i, 30.0) for i in range(8)]
+    lines = [row_to_json(meta) for meta in metas]
+    lines[4] = json.dumps(metas[4].to_dict())  # spaced: read line by line
+    lines.insert(2, "")
+    path = tmp_path / "metas.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    taken = []  # what the codec made of each chunk
+    codec_read = records.RowCodec.read
+
+    def read(codec, chunk):
+        taken.append(codec_read(codec, chunk))
+        return taken[-1]
+
+    monkeypatch.setattr(records.RowCodec, "read", read)
+    assert read_rows(path, VideoMeta, "metas") == [*zip([1, 2], metas[:2]), *zip(range(4, 10), metas[2:])]
+    # A chunk holding the blank or the spaced line is read line by line, every other chunk a column at a time.
+    fast = {1: [1, 1, 0, 1, 1, 0, 1, 1, 1], 3: [0, 0, 1]}[chunk_rows]
+    assert [chunk is not None for chunk in taken] == [bool(f) for f in fast]
+    path.write_text("\n".join(lines[:7] + ['{"video_id":"v9","duration_s":-1.0,"frame_rate":30.0}']) + "\n")
+    with pytest.raises(DataError, match=r"^metas line 8: duration_s must be positive$"):
+        read_metas(path)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_writer_formats_each_chunk_on_its_own(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(records, "ROW_CHUNK_LINES", chunk_rows)
+    rows = [VideoRecord(f"v{i}", 20.0, i, 5.0, 0.25, 0.5, nawp=0.5 if i % 2 else None) for i in range(7)]
+    rows[4] = dataclasses.replace(rows[4], awp=math.nan)  # written through row_to_json, alone or with its chunk
+    records.write_records(tmp_path / "a.jsonl", rows)
+    assert (tmp_path / "a.jsonl").read_text() == "".join(row_to_json(row) + "\n" for row in rows)
