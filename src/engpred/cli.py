@@ -40,6 +40,7 @@ from .records import (
     VideoMeta,
     atomic_write,
     line_ranges,
+    make_dir,
     open_input,
     read_json,
     read_metas,
@@ -85,8 +86,7 @@ def cmd_synth(args) -> int:
     payload = read_json(args.config, "synth config") if args.config else {}
     payload |= _given_fields(args, SynthConfig)
     cfg = SynthConfig.from_dict(payload)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     corpus = generate_events(cfg)
     with atomic_write(out / "events.jsonl") as f:
         write_events(f, corpus.events)
@@ -389,7 +389,7 @@ def build_parser() -> _Parser:
     # A comparison trains each mode from scratch, so it has no checkpoint to resume.
     once = p.add_mutually_exclusive_group()
     once.add_argument("--compare-modes", action="store_true", dest="compare_modes")
-    once.add_argument("--resume", help="checkpoint of a finished run with the same config, to re-predict it")
+    once.add_argument("--resume", help="checkpoint a run with the same config left in its out dir, to continue it")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score predictions against labels")

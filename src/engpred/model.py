@@ -239,8 +239,8 @@ def _head(params, name: str, h: Tensor, rows: Bounds | None) -> Tensor:
     return ad.sigmoid(_linear_layer(params, f"{name}.1", hidden, rows=rows))
 
 
-def _check_bundle(bundle: FeatureBundle, config: ModelConfig, duration_s: float | None) -> None:
-    bundle.validate()
+def check_bundle(bundle: FeatureBundle, config: ModelConfig, duration_s: float | None) -> None:
+    """Refuse a valid bundle that does not fit the model of ``config``."""
     if bundle.n_clips > config.max_clips:
         raise DataError(
             f"bundle {bundle.video_id!r} has {bundle.n_clips} clips, "
@@ -331,7 +331,8 @@ def forward_batch(
     if durations is None:
         durations = [None] * len(bundles)
     for bundle, duration_s in zip(bundles, durations, strict=True):
-        _check_bundle(bundle, config, duration_s)
+        bundle.validate()
+        check_bundle(bundle, config, duration_s)
     bounds = _bounds([b.n_clips for b in bundles])
     rows = bounds if per_video else None
     fused = _fuse_clips(params, config, bundles, durations, bounds, per_video)

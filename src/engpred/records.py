@@ -146,6 +146,16 @@ def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
+def make_dir(path: Path | str) -> Path:
+    """``path`` as a directory, made with its parents if missing."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file is in the way
+        raise DataError(f"cannot make directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 # ``json.dumps(obj, separators=(",", ":"))``, without building an encoder per call.
 _compact_json: Callable[[Any], str] = json.JSONEncoder(separators=(",", ":")).encode
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import plcc, srcc
 from .model import VISUAL_KINDS, FeatureBundle, ModelConfig
-from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, write_rows
+from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, make_dir, write_rows
 from .serialize import save_bundle
 
 
@@ -335,7 +335,7 @@ def generate_features(
     rows: list[ManifestRow] = []
     base = Path(out_dir) if out_dir is not None else None
     if base is not None:
-        (base / "features").mkdir(parents=True, exist_ok=True)
+        make_dir(base / "features")
     for info in truth:
         bundle = make_bundle(cfg, info, maps, embeddings)
         bundles[info.video_id] = bundle

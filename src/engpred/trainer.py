@@ -1,14 +1,22 @@
 """Joint NAWP+ECR training with cosine-annealed Adam, plus ablation modes.
 
 ``train`` reads and checks every feature bundle the manifest names before
-step 0, so a missing, corrupt or mislabelled bundle is a ``DataError`` before
-any step runs. Batches group whole videos. A training step packs the batch's clips
+step 0, so a missing, corrupt or mislabelled bundle, or one that does not fit
+the model sized from the first, is a ``DataError`` before any step runs.
+Batches group whole videos. A training step packs the batch's clips
 row-wise and records one tape for the whole batch (``model.forward_batch``),
 with attention kept inside each video, so there is no padding and no video
 sees another. A step zeroes the flat gradient buffer (``optim.FlatParams``),
 backward accumulates into it, and ``adam_step`` updates the parameters in
 place. The batch schedule is a pure function of (seed, step), which lets a
 resumed run reproduce an uninterrupted one bit for bit.
+
+With an output directory, ``checkpoint.engw`` is written after the Adam
+update of every evaluation step and again after the last step. A run that
+stops after its first evaluation leaves the checkpoint of its last one;
+resumed from it, the run writes the final checkpoint, predictions and
+summary it would have written uninterrupted. Its log holds only the rows
+after the resume step.
 
 Each evaluation makes one held-out prediction pass (``model.predict``):
 packed passes over the test videos whose matrix products are formed per
@@ -35,6 +43,7 @@ from .model import (
     BatchResult,
     FeatureBundle,
     ModelConfig,
+    check_bundle,
     config_for_bundle,
     forward,  # noqa: F401  # benchmarks/layers.py traces the name trainer.forward
     forward_batch,
@@ -42,7 +51,16 @@ from .model import (
     predict,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
-from .records import JsonFields, ManifestRow, PredictionRow, json_object, write_json, write_jsonl, write_rows
+from .records import (
+    JsonFields,
+    ManifestRow,
+    PredictionRow,
+    json_object,
+    make_dir,
+    write_json,
+    write_jsonl,
+    write_rows,
+)
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
 
 MODES = ("joint", "nawp_only", "ecr_only")
@@ -292,14 +310,8 @@ def train(
     model_cfg: ModelConfig,
     out_dir: Path | str | None = None,
     resume_from: Path | str | None = None,
-    stop_after_step: int | None = None,
 ) -> TrainResult:
-    """Run the training loop over a labeled feature manifest.
-
-    ``stop_after_step`` halts early while keeping the full schedule, so a
-    checkpoint written there can be resumed to reproduce the uninterrupted
-    run exactly.
-    """
+    """Run the training loop over a labeled feature manifest."""
     train_cfg.validate()
     manifest_path = Path(manifest_path)
     rows = read_manifest(manifest_path)
@@ -311,6 +323,8 @@ def train(
     model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
     model_cfg = config_for_bundle(model_cfg, bundles[ids[0]])
     model_cfg.validate()
+    for vid in ids:
+        check_bundle(bundles[vid], model_cfg, durations[vid])
 
     target_key = f"{train_cfg.target}_label"
     y1_raw = {row.video_id: getattr(row, target_key) for row in rows}
@@ -341,8 +355,8 @@ def train(
     if start_step > train_cfg.iterations:
         raise DataError("checkpoint is beyond the requested iteration count")
     end_step = train_cfg.iterations
-    if stop_after_step is not None:
-        end_step = min(max(stop_after_step, start_step), end_step)
+    if out_dir is not None:
+        out_dir = make_dir(out_dir)
 
     log_rows: list[dict] = []
     schedule_total = max(train_cfg.iterations - 1, 1)
@@ -366,6 +380,8 @@ def train(
         if done % train_cfg.eval_interval == 0 or done == end_step:
             log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
             if done < end_step:
+                if out_dir is not None:
+                    save_checkpoint(out_dir / "checkpoint.engw", params, state, done, train_cfg, model_cfg, label_scale)
                 preds = _predict(*held_out, params, model_cfg, label_scale)
                 log_rows[-1].update(_scores(preds, truth))
     # The last step's evaluation is the final pass, made once; it is made
@@ -388,18 +404,8 @@ def train(
     )
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_path = out_dir / "checkpoint.engw"
-        save_checkpoint(
-            checkpoint_path,
-            params,
-            state,
-            end_step,
-            train_cfg,
-            model_cfg,
-            label_scale,
-        )
+        save_checkpoint(checkpoint_path, params, state, end_step, train_cfg, model_cfg, label_scale)
         write_jsonl(out_dir / "train_log.jsonl", log_rows)
         write_rows(out_dir / "test_predictions.jsonl", predictions)
         summary = {

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engpred import cli
+from engpred import cli, trainer
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from engpred.envelope import MAX_BINS
@@ -409,6 +409,22 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert f"cannot write {target}" in err
         assert ".tmp" not in err
+
+    def test_synth_out_that_is_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.write_text("kept")
+        assert run_cli("synth", "--out", str(out), *SYNTH_ARGS) == EXIT_DATA
+        assert f"data error: cannot make directory {out}: " in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    def test_train_out_dir_that_is_a_file_exits_two_before_step_zero(self, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("kept")
+        with mock.patch.object(trainer, "adam_step", side_effect=AssertionError("a step ran")):
+            code = run_cli("train", "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(out), *TRAIN_ARGS)
+        assert code == EXIT_DATA
+        assert f"data error: cannot make directory {out}: " in capsys.readouterr().err
+        assert out.read_text() == "kept"
 
 
 TRAIN_ARGS = ["--iterations", "2", "--batch-size", "4", "--d-model", "8", "--max-clips", "64", "--seed", "21"]

@@ -6,11 +6,15 @@ import json
 import math
 import re
 import shutil
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engpred import cli, trainer
 from engpred.autodiff import Tape
@@ -24,7 +28,7 @@ from engpred.model import (
     forward_batch,
     init_params,
 )
-from engpred.serialize import load_bundle, read_manifest
+from engpred.serialize import load_bundle, read_manifest, save_bundle
 from engpred.synth import SynthConfig, generate_events, generate_features
 from engpred.trainer import (
     MODES,
@@ -151,6 +155,18 @@ DESK_MODEL = ModelConfig(d_model=32, frames_per_clip=4, max_clips=64)
 DESK_PREDICTIONS_SHA256 = "1fd19809367861db4bbb27a6154c42b5b6c8d62a2423a69f22d0aeb53498eef0"
 
 
+def _adam_failing_at(step: int):
+    """``adam_step`` that raises on its ``step``-th call of a fresh run."""
+    real_adam = trainer.adam_step
+
+    def failing_adam(params, state, lr):
+        if state.t == step - 1:
+            raise NumericError("adam failed")
+        real_adam(params, state, lr)
+
+    return failing_adam
+
+
 class TestTrainLoop:
     def test_smoke_run_and_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
@@ -205,19 +221,17 @@ class TestTrainLoop:
         assert result.params["head_nawp.1.w"].data.tobytes() == init["head_nawp.1.w"].data.tobytes()
         assert result.params["head_ecr.1.w"].data.tobytes() != init["head_ecr.1.w"].data.tobytes()
 
-    def test_resume_reproduces_uninterrupted_run(self, corpus_dir, tmp_path):
+    def test_resume_reproduces_uninterrupted_run(self, corpus_dir, tmp_path, monkeypatch):
         full_cfg = replace(SMALL_TRAIN, iterations=10, eval_interval=5)
         full = train(corpus_dir / "manifest.jsonl", full_cfg, SMALL_MODEL)
 
         half_dir = tmp_path / "half"
-        # Same schedule, halted at step 5; the checkpoint carries step 5.
-        train(
-            corpus_dir / "manifest.jsonl",
-            full_cfg,
-            SMALL_MODEL,
-            out_dir=half_dir,
-            stop_after_step=5,
-        )
+        # Same schedule, failing at step 7; the checkpoint of the step-5 evaluation is left.
+        monkeypatch.setattr(trainer, "adam_step", _adam_failing_at(7))
+        with pytest.raises(NumericError, match="adam failed"):
+            train(corpus_dir / "manifest.jsonl", full_cfg, SMALL_MODEL, out_dir=half_dir)
+        monkeypatch.undo()
+        assert load_checkpoint(half_dir / "checkpoint.engw").step == 5
         resumed = train(
             corpus_dir / "manifest.jsonl",
             full_cfg,
@@ -309,6 +323,39 @@ class TestTrainLoop:
             train(stripped, cfg, SMALL_MODEL)
 
 
+@st.composite
+def _interrupted_runs(draw):
+    """(iterations T, eval_interval N in 1..T, failing step k in 1..T)."""
+    iterations = draw(st.integers(2, 8))
+    return iterations, draw(st.integers(1, iterations)), draw(st.integers(1, iterations))
+
+
+class TestResumeAfterFailure:
+    @given(run=_interrupted_runs())
+    @settings(max_examples=30, deadline=None)
+    def test_failed_run_resumes_to_the_uninterrupted_outputs(self, corpus_dir, run):
+        iterations, interval, failing = run
+        cfg = replace(SMALL_TRAIN, iterations=iterations, eval_interval=interval)
+        manifest = corpus_dir / "manifest.jsonl"
+        with tempfile.TemporaryDirectory() as tmp:
+            full_dir, run_dir = Path(tmp) / "full", Path(tmp) / "run"
+            full = train(manifest, cfg, SMALL_MODEL, out_dir=full_dir)
+            with mock.patch.object(trainer, "adam_step", _adam_failing_at(failing)), \
+                    pytest.raises(NumericError, match="adam failed"):
+                train(manifest, cfg, SMALL_MODEL, out_dir=run_dir)
+            checkpoint = run_dir / "checkpoint.engw"
+            if failing <= interval:
+                assert not checkpoint.exists()
+                return
+            # The last evaluation before the failing step left its checkpoint.
+            resume_step = (failing - 1) // interval * interval
+            assert load_checkpoint(checkpoint).step == resume_step
+            resumed = train(manifest, cfg, SMALL_MODEL, out_dir=run_dir, resume_from=checkpoint)
+            for name in ("checkpoint.engw", "test_predictions.jsonl", "train_summary.json"):
+                assert (run_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+            assert resumed.log_rows == [row for row in full.log_rows if row["step"] > resume_step]
+
+
 class TestHeldOutPasses:
     """One prediction pass per evaluation, made in the training process."""
 
@@ -354,15 +401,7 @@ class TestHeldOutPasses:
         config.write_text(json.dumps({**replace(SMALL_TRAIN, eval_interval=eval_interval).to_dict(),
                                       "d_model": 8, "frames_per_clip": 4, "max_clips": 64}))
         if failing_step is not None:
-            # The bad bundle is met at step 6, before this step fails.
-            real_adam = trainer.adam_step
-
-            def failing_adam(params, state, lr):
-                if state.t == failing_step - 1:
-                    raise NumericError("adam failed")
-                real_adam(params, state, lr)
-
-            monkeypatch.setattr(trainer, "adam_step", failing_adam)
+            monkeypatch.setattr(trainer, "adam_step", _adam_failing_at(failing_step))
         out = tmp_path / "run"
         code = cli.main(["train", "--manifest", str(copy / "manifest.jsonl"), "--out-dir", str(out),
                          "--config", str(config)])
@@ -382,26 +421,42 @@ class TestHeldOutPasses:
 class TestBundlesReadBeforeStepZero:
     """Every bundle is read and checked before the first step runs."""
 
-    @pytest.mark.parametrize("fault", ["truncated_held_out_bundle", "training_bundle_of_another_video"])
+    @pytest.mark.parametrize("fault", ["truncated_held_out_bundle", "training_bundle_of_another_video",
+                                       "training_bundle_of_another_dim", "held_out_bundle_past_max_clips"])
     def test_bad_bundle_raises_before_the_first_adam_step(self, corpus_dir, tmp_path, monkeypatch, fault):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus_dir, copy)
         paths = {row.video_id: copy / row.feature_path for row in read_manifest(copy / "manifest.jsonl")}
         ids = sorted(paths)
         train_ids, test_ids = split_dataset(ids, SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
+        # Held-out videos are first predicted at step eval_interval.
+        held_out = test_ids[-1]
+        # A video of the first epoch's last batch, not the one opened to size the model.
+        last_slot = math.ceil(len(train_ids) / SMALL_TRAIN.batch_size) - 1
+        late = trainer._batch_ids(train_ids, SMALL_TRAIN, last_slot)[-1]
+        assert late != ids[0] and last_slot > 0
         if fault == "truncated_held_out_bundle":
-            # Held-out videos are first predicted at step eval_interval.
-            bad = paths[test_ids[-1]]
+            bad = paths[held_out]
             bad.write_bytes(bad.read_bytes()[:-5])
             message = "truncated file while reading data of"
-        else:
-            # A video of the first epoch's last batch, not the one opened to size the model.
-            last_slot = math.ceil(len(train_ids) / SMALL_TRAIN.batch_size) - 1
-            video_id = trainer._batch_ids(train_ids, SMALL_TRAIN, last_slot)[-1]
-            assert video_id != ids[0] and last_slot > 0
-            bad = paths[video_id]
+        elif fault == "training_bundle_of_another_video":
+            bad = paths[late]
             bad.write_bytes(paths[test_ids[0]].read_bytes())
             message = f"bundle {bad} carries id {test_ids[0]!r}"
+        elif fault == "training_bundle_of_another_dim":
+            bundle = load_bundle(paths[late])
+            dim = bundle.clip_features["semantic"].shape[1]
+            bundle.clip_features["semantic"] = bundle.clip_features["semantic"][:, :-1]
+            save_bundle(paths[late], bundle)
+            message = f"bundle {late!r}: semantic dim {dim - 1} != configured {dim}"
+        else:
+            bundle = load_bundle(paths[held_out])
+            reps = SMALL_MODEL.max_clips // bundle.n_clips + 1
+            save_bundle(paths[held_out], replace(
+                bundle, n_clips=bundle.n_clips * reps,
+                clip_features={kind: np.tile(arr, (reps, 1)) for kind, arr in bundle.clip_features.items()}))
+            message = (f"bundle {held_out!r} has {bundle.n_clips * reps} clips, "
+                       f"model supports {SMALL_MODEL.max_clips}")
         steps = []
         real_adam = trainer.adam_step
 
