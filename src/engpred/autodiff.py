@@ -1,8 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Design rules:
-  - ops never modify an existing tensor's data; data change only between
-    tapes, where ``optim.adam_step`` updates the parameters in place;
+  - ops never write their inputs or the gradient their backward is given;
+    data change only between tapes, where ``optim.adam_step`` updates the
+    parameters in place. An op may finish buffers it has just made in place,
+    one operation of its expression at a time and in order, so no bit moves;
   - no implicit broadcasting — shapes must match exactly, with explicit
     row-vector ops (add_rowvec, mul_rowvec, and the bias and affine
     arguments of linear and layer_norm_rows) for bias/affine patterns;
@@ -70,9 +72,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -219,7 +218,7 @@ def linear(
             g = g * mask
         _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(b, np.add.reduce(g, axis=0))
 
     return _make("linear", value, backward)
 
@@ -268,11 +267,14 @@ def attention(
     value = np.empty((q.data.shape[0], v.data.shape[1]))
     probs = []
     for (a, b), (lo, hi) in zip(q_bounds, k_bounds):
-        scores = (q.data[a:b] @ k.data[lo:hi].T) * c
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
+        # p = softmax(q kᵀ c), each step finished in place on the score block.
+        p = q.data[a:b] @ k.data[lo:hi].T
+        p *= c
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
         probs.append(p)
-        value[a:b] = p @ v.data[lo:hi]
+        np.matmul(p, v.data[lo:hi], out=value[a:b])
 
     def backward(g: np.ndarray) -> None:
         gq = np.zeros_like(q.data)
@@ -280,8 +282,11 @@ def attention(
         gv = np.zeros_like(v.data)
         for (a, b), (lo, hi), p in zip(q_bounds, k_bounds, probs):
             gv[lo:hi] += p.T @ g[a:b]
-            dp = g[a:b] @ v.data[lo:hi].T
-            ds = (dp - (dp * p).sum(axis=1, keepdims=True)) * p * c
+            # ds = ((dp - rowsum(dp * p)) * p) * c, finished in place on dp.
+            ds = g[a:b] @ v.data[lo:hi].T
+            ds -= np.add.reduce(ds * p, axis=1, keepdims=True)
+            ds *= p
+            ds *= c
             gq[a:b] += ds @ k.data[lo:hi]
             gk[lo:hi] += ds.T @ q.data[a:b]
         _accumulate(q, gq)
@@ -489,24 +494,33 @@ def layer_norm_rows(
         raise ValueError("layer_norm_rows takes gain and bias together")
     if gain is not None and not gain.data.shape == bias.data.shape == x.data.shape[1:]:
         raise ValueError(f"layer_norm_rows affine shape mismatch: {x.data.shape}, {gain.shape}, {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    value = centered * inv
+    # mu, x - mu, mean((x - mu)²) + eps, 1/sqrt, * inv, * gain + bias: each in order, in
+    # place in this op's buffers. A row mean is np.add.reduce then / n, as in ndarray.mean.
+    n = x.data.shape[1]
+    value = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / n
+    squares = np.square(value)
+    var = np.add.reduce(squares, axis=1, keepdims=True) / n
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    value *= inv
     out = value
     if gain is not None:
-        out = value * gain.data[np.newaxis, :]
+        out = np.multiply(value, gain.data, out=squares)
         out += bias.data
 
     def backward(g: np.ndarray) -> None:
+        # inv * (g - mean(g) - value * mean(g * value)), g first times gain.
+        gy = g * value
         if gain is not None:
-            _accumulate(bias, g.sum(axis=0))
-            _accumulate(gain, (g * value).sum(axis=0))
-            g = g * gain.data[np.newaxis, :]
-        g_mean = g.mean(axis=1, keepdims=True)
-        gy_mean = (g * value).mean(axis=1, keepdims=True)
-        _accumulate(x, inv * (g - g_mean - value * gy_mean))
+            _accumulate(bias, np.add.reduce(g, axis=0))
+            _accumulate(gain, np.add.reduce(gy, axis=0))
+            g = np.multiply(g, gain.data, out=gy)
+            gy = g * value
+        gy_mean = np.add.reduce(gy, axis=1, keepdims=True) / n
+        dx = np.subtract(g, np.add.reduce(g, axis=1, keepdims=True) / n, out=gy)
+        dx -= value * gy_mean
+        dx *= inv
+        _accumulate(x, dx)
 
     return _make("layer_norm_rows", out, backward)
 

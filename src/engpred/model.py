@@ -327,11 +327,12 @@ def forward_batch(
     many rows it sees; every other op already works per row or per video.
     Each video's results then equal a pass over that video alone, bit for
     bit. Training steps leave it off: one product per layer is faster.
+    Bundles are validated where they enter (``load_bundle``, ``forward``,
+    ``predict``); here each is only checked to fit the model.
     """
     if durations is None:
         durations = [None] * len(bundles)
     for bundle, duration_s in zip(bundles, durations, strict=True):
-        bundle.validate()
         check_bundle(bundle, config, duration_s)
     bounds = _bounds([b.n_clips for b in bundles])
     rows = bounds if per_video else None
@@ -377,7 +378,8 @@ def forward(
     config: ModelConfig,
     duration_s: float | None = None,
 ) -> ForwardResult:
-    """Run the network on one video's feature bundle (a batch of one)."""
+    """Run the network on one video's feature bundle (a batch of one), after validating it."""
+    bundle.validate()
     out = forward_batch([bundle], params, config, [duration_s])
     nawp_node = ad.mean_axis(ad.mean_axis(out.nawp_node, 0), 0)
     ecr_node = ad.mean_axis(ad.mean_axis(out.ecr_node, 0), 0)
@@ -402,12 +404,14 @@ def predict(
 
     Each pass runs ``forward_batch(..., per_video=True)``, so every video's
     estimates are bit-identical to ``forward`` on it alone, whatever the
-    chunk size or the other videos of its chunk.
+    chunk size or the other videos of its chunk. Each bundle is validated once.
     """
     if durations is None:
         durations = [None] * len(bundles)
     if len(durations) != len(bundles):
         raise ValueError("predict needs one duration per bundle")
+    for bundle in bundles:
+        bundle.validate()
     estimates: list[tuple[float, float]] = []
     for start in range(0, len(bundles), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK

@@ -401,6 +401,23 @@ class TestPackedBatch:
         with pytest.raises(DataError):
             forward_batch([tiny_bundle(), tiny_bundle(dim=6)], params, TINY)
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [("semantic", "bundle 'v1': semantic has non-finite values"),
+         ("text", "bundle 'v1': text tokens have non-finite values")],
+    )
+    def test_forward_and_predict_validate_the_bundles_they_are_given(self, where, message):
+        params = init_params(TINY, seed=0)
+        bad = tiny_bundle(seed=1)
+        if where == "text":
+            bad.text_tokens[-1, 0] = np.inf
+        else:
+            bad.clip_features[where][2, 1] = np.nan
+        with pytest.raises(DataError, match=f"^{message}$"):
+            forward(bad, params, TINY)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            predict([tiny_bundle(seed=0), bad], params, TINY)
+
 
 # Model variants of the prediction property: every path ``forward_batch`` has.
 PREDICT_VARIANTS = {

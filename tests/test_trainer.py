@@ -422,7 +422,8 @@ class TestBundlesReadBeforeStepZero:
     """Every bundle is read and checked before the first step runs."""
 
     @pytest.mark.parametrize("fault", ["truncated_held_out_bundle", "training_bundle_of_another_video",
-                                       "training_bundle_of_another_dim", "held_out_bundle_past_max_clips"])
+                                       "training_bundle_of_another_dim", "held_out_bundle_past_max_clips",
+                                       "training_bundle_holding_nan"])
     def test_bad_bundle_raises_before_the_first_adam_step(self, corpus_dir, tmp_path, monkeypatch, fault):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus_dir, copy)
@@ -449,6 +450,11 @@ class TestBundlesReadBeforeStepZero:
             bundle.clip_features["semantic"] = bundle.clip_features["semantic"][:, :-1]
             save_bundle(paths[late], bundle)
             message = f"bundle {late!r}: semantic dim {dim - 1} != configured {dim}"
+        elif fault == "training_bundle_holding_nan":
+            bundle = load_bundle(paths[late])
+            bundle.clip_features["action"][-1, -1] = np.nan
+            save_bundle(paths[late], bundle)
+            message = f"bundle {late!r}: action has non-finite values"
         else:
             bundle = load_bundle(paths[held_out])
             reps = SMALL_MODEL.max_clips // bundle.n_clips + 1
@@ -468,6 +474,41 @@ class TestBundlesReadBeforeStepZero:
         with pytest.raises(DataError, match=re.escape(message)):
             train(copy / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
         assert steps == []
+
+
+class TestBundlesValidatedWhereTheyEnter:
+    """``train`` validates each bundle once, at load; a training step validates none."""
+
+    def test_validate_runs_at_load_and_in_held_out_passes_only(self, corpus_dir, monkeypatch):
+        calls = []
+        where = ["outside"]
+        real_validate = FeatureBundle.validate
+
+        def spy(bundle):
+            calls.append((where[0], bundle.video_id))
+            real_validate(bundle)
+
+        def inside(name, fn):
+            def wrapped(*args, **kwargs):
+                outer, where[0] = where[0], name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where[0] = outer
+
+            return wrapped
+
+        monkeypatch.setattr(FeatureBundle, "validate", spy)
+        monkeypatch.setattr(trainer, "load_bundle", inside("load", trainer.load_bundle))
+        monkeypatch.setattr(trainer, "forward_batch", inside("step", trainer.forward_batch))
+        monkeypatch.setattr(trainer, "predict", inside("predict", trainer.predict))
+        result = train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL)
+        assert [row["step"] for row in result.log_rows] == [3, 6]
+        loaded = [vid for phase, vid in calls if phase == "load"]
+        assert sorted(loaded) == sorted(result.train_ids + result.test_ids)
+        assert [vid for phase, vid in calls if phase == "step"] == []
+        assert [vid for phase, vid in calls if phase == "predict"] == result.test_ids * 2
+        assert [vid for phase, vid in calls if phase == "outside"] == []
 
 
 class TestCheckpointFormat:
