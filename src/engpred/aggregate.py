@@ -2,7 +2,7 @@
 
 The log is parsed in blocks of lines (``parse_event_blocks``). One regex
 scan per block matches every line: runs of lines in the writer's own form
-(``records.EVENT_LINE``) go into the event columns in bulk, and
+(``records.row_codec(WatchEvent)``'s pattern) go into the event columns in bulk, and
 ``parse_events``, the reference path, takes every other line alone.
 Aggregation is a commutative-monoid reduction of integers: per video,
 counts and the watch-time sum in units of 2**-1074. Every finite double is
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .records import EVENT_LINE, VideoMeta, VideoRecord, WatchEvent
+from .records import VideoMeta, VideoRecord, WatchEvent, row_codec
 
 logger = logging.getLogger(__name__)
 
@@ -126,14 +126,14 @@ class EventColumns:
         self.liked.append(event.liked)
 
 
-_LIKED = {"": None, "null": None, "true": True, "false": False}
+_EVENT_CODEC = row_codec(WatchEvent)
 
 # One match per line of a block, cut as ``str.split("\n")`` cuts it: the
-# groups of ``records.EVENT_LINE`` when it takes the whole line, else
-# ("", "", ""). ``$`` matches only before "\n" or at the end, and ``.``
-# matches every other character ("\r", U+0085 and U+2028 too). A block that
-# ends in "\n" gives one more, empty, match after it.
-_BLOCK_LINES = re.compile(rf"^(?:{EVENT_LINE.pattern}|.*)$", re.MULTILINE)
+# event codec's groups (id, watch time, liked; the watch time never empty)
+# when it takes the whole line, else ("", "", ""). ``$`` matches only before
+# "\n" or at the end, and ``.`` matches every other character ("\r", U+0085
+# and U+2028 too). A block that ends in "\n" gives one more, empty, match.
+_BLOCK_LINES = re.compile(rf"{_EVENT_CODEC.pattern.pattern}|^.*$", re.MULTILINE)
 
 
 def _parse_alone(parse_line, line: str, line_no: int, columns: EventColumns) -> Iterator[ParseFailure]:
@@ -151,11 +151,11 @@ def parse_event_blocks(
 
     Yields the valid events as columns of up to about ``REDUCE_BATCH``
     events, and a ParseFailure per rejected line, all in log order. One
-    scan per block matches each line; a run of lines that
-    ``records.EVENT_LINE`` takes with finite watch times is added to the
-    columns as its groups say. Every other line, and a final line without a
-    newline, goes through ``parse_line`` alone, so events, failure texts and
-    line numbers equal those of ``parse_events`` over the same lines.
+    scan per block matches each line; a run of lines that the event codec
+    takes, each with a non-empty id and a watch time in [0, inf), is added
+    to the columns as its groups say. Every other line, and a final line
+    without a newline, goes through ``parse_line`` alone, so events, failure
+    texts and line numbers equal those of ``parse_events`` over the same lines.
     """
     columns = EventColumns()
     line_no = 0
@@ -167,16 +167,18 @@ def parse_event_blocks(
         lines = None  # the block's lines, cut once a line goes alone
         while start < n:
             try:
-                stop = ids.index("", start, n)  # the next line the pattern does not take
+                stop = watches.index("", start, n)  # the next line the pattern does not take
             except ValueError:
                 stop = n
-            watch = list(map(float, watches[start:stop]))
-            if watch and max(watch) == math.inf:  # no sign in the pattern, so no NaN or -inf
-                stop = start + watch.index(math.inf)
-                del watch[stop - start:]
-            columns.video_ids += ids[start:stop]
+            run = ids[start:stop]
+            watch = _EVENT_CODEC.column(1, watches[start:stop])
+            if watch and not (min(watch) >= 0.0 and max(watch) < math.inf and all(run)):
+                bad = next(k for k, (v, w) in enumerate(zip(run, watch)) if not (v and 0.0 <= w < math.inf))
+                stop, run = start + bad, run[:bad]
+                del watch[bad:]
+            columns.video_ids += run
             columns.watch_s += watch
-            columns.liked += map(_LIKED.__getitem__, likes[start:stop])
+            columns.liked += _EVENT_CODEC.column(2, likes[start:stop])
             line_no += stop - start
             if stop < n:
                 lines = lines or block.split("\n")

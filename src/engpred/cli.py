@@ -38,7 +38,6 @@ from .records import (
     LineRange,
     PredictionRow,
     VideoMeta,
-    atomic_write,
     line_ranges,
     make_dir,
     open_input,
@@ -47,7 +46,6 @@ from .records import (
     read_records,
     read_rows,
     rows_by_id,
-    write_events,
     write_json,
     write_records,
     write_rows,
@@ -88,8 +86,7 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig.from_dict(payload)
     out = make_dir(args.out)
     corpus = generate_events(cfg)
-    with atomic_write(out / "events.jsonl") as f:
-        write_events(f, corpus.events)
+    write_rows(out / "events.jsonl", corpus.events)
     write_rows(out / "metas.jsonl", corpus.metas)
     write_records(out / "truth_records.jsonl", corpus.truth_records)
     generate_features(corpus.truth, cfg, out_dir=out)
@@ -176,6 +173,8 @@ def _pooled_ranges(
 
 
 def cmd_aggregate(args) -> int:
+    if not args.duration_min <= args.duration_max:
+        raise DataError("duration range is empty: --duration-min is above --duration-max")
     metas = read_metas(args.metas)
     if args.shards < 1:
         raise DataError("--shards must be >= 1")
@@ -237,7 +236,7 @@ def _train_configs(args) -> tuple[TrainConfig, ModelConfig]:
         raise DataError(f"unknown train config keys {unknown}")
     payload |= _given_fields(args, TrainConfig, ModelConfig)
     train_payload = {k: v for k, v in payload.items() if k in _TRAIN_KEYS}
-    model_payload = {k: v for k, v in payload.items() if k not in _TRAIN_KEYS}
+    model_payload = {k: v for k, v in payload.items() if k in _MODEL_KEYS}
     return TrainConfig.from_dict(train_payload), ModelConfig.from_dict(model_payload)
 
 

@@ -81,6 +81,8 @@ class ModelConfig(JsonFields):
                 raise DataError(f"unknown feature kind {kind!r}")
             if kind not in self.feature_dims or self.feature_dims[kind] < 1:
                 raise DataError(f"feature kind {kind!r} has no valid dimension")
+        if self.fusion_input_dim() < 1:
+            raise DataError(f"features {self.features} give the fusion MLP no input")
 
     @property
     def visual_kinds(self) -> tuple[str, ...]:

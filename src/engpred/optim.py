@@ -60,6 +60,7 @@ class AdamState:
         self.t = t
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(
     params: FlatParams,
     state: AdamState,
@@ -70,8 +71,8 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of ``params.data`` from ``params.grad``, in place.
 
-    Raises NumericError naming the first parameter whose gradient, or whose
-    updated value, is not finite; a bad gradient leaves everything unchanged.
+    Raises NumericError, and no overflow warning, naming the first parameter whose
+    gradient or updated value is not finite; a bad gradient leaves everything unchanged.
     """
     g = params.grad
     if not np.isfinite(g).all():

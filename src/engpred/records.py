@@ -1,19 +1,19 @@
 """Core record types, their JSON-lines encodings, and the package's JSON I/O.
 
 Every JSON and JSONL artifact is written through ``atomic_write`` (by
-``write_json`` or ``write_jsonl``), so a failed write leaves the previous
+``write_json`` or ``write_rows``), so a failed write leaves the previous
 file in place. A dataclass deriving ``JsonFields`` takes its JSON schema from
 its fields, checked by ``typed_value``: configs are read by
 ``JsonFields.from_dict``, and every JSONL file except the event log by
-``read_rows``, one such dataclass per line. ``row_to_json`` writes a row with
-its keys in field order, so repeated runs produce byte-identical files.
+``read_rows``, one such dataclass per line. Every JSONL line, the event and
+train logs' too, is a row that ``row_to_json`` writes with its keys in field
+order, so repeated runs produce byte-identical files.
 
-``read_rows`` reads a file in chunks of whole lines. A chunk whose lines are
-all in the writer's own form is read column by column by the row type's
-``RowCodec``; any other chunk is read line by line, with the same rows and
-the same errors. ``write_rows`` formats each chunk column by column the same
-way, or through ``row_to_json`` when the chunk holds any other value, with
-the same bytes.
+The row type's ``RowCodec`` alone describes that line. ``write_lines`` formats
+a chunk of ``ROW_CHUNK_LINES`` rows by it, or through ``row_to_json`` when the
+chunk holds any other value, with the same bytes. ``read_rows`` reads a chunk
+whose lines are all in that form column by column, and any other chunk line
+by line, with the same rows and errors; ``aggregate`` scans the event log by it.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import re
 import types
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
@@ -80,13 +80,18 @@ def _plain_type(tp: Any) -> type | None:
     return tp if tp in (str, int, bool, float) else None
 
 
+# The metadata of a field its row's line leaves out when None, where any other field writes null.
+OMITTED_WHEN_NONE = {"omitted_when_none": True}
+
+
 @functools.cache
-def _schema(cls: type) -> tuple[dict[str, Any], dict[str, type | None], set[str]]:
-    """``cls``'s field types in field order, their plain types, and its fields without a default."""
+def _schema(cls: type) -> tuple[dict[str, Any], dict[str, type | None], set[str], set[str]]:
+    """``cls``'s field types in field order, their plain types, fields without a default, and fields omitted."""
     hints = get_type_hints(cls)
     hints = {f.name: hints[f.name] for f in fields(cls)}
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    return hints, {k: _plain_type(tp) for k, tp in hints.items()}, required
+    omitted = {f.name for f in fields(cls) if f.metadata == OMITTED_WHEN_NONE}
+    return hints, {k: _plain_type(tp) for k, tp in hints.items()}, required, omitted
 
 
 def _from_fields(cls: type, payload: Any, where: str, sep: str = ".") -> Any:
@@ -97,7 +102,7 @@ def _from_fields(cls: type, payload: Any, where: str, sep: str = ".") -> Any:
     """
     if not isinstance(payload, dict):
         raise DataError(f"{where} must be a JSON object, got {payload!r}")
-    hints, plain, required = _schema(cls)
+    hints, plain, required, _ = _schema(cls)
     if not payload.keys() <= hints.keys():
         raise DataError(f"{where}: unknown keys {[k for k in payload if k not in hints]}")
     if not required <= payload.keys():
@@ -161,8 +166,9 @@ _compact_json: Callable[[Any], str] = json.JSONEncoder(separators=(",", ":")).en
 
 
 def row_to_json(row: JsonFields) -> str:
-    """A row as compact JSON, its keys in field order."""
-    return _compact_json({name: getattr(row, name) for name in _schema(type(row))[0]})
+    """A row as compact JSON, its keys in field order, without the fields left out when None."""
+    hints, _, _, omitted = _schema(type(row))
+    return _compact_json({k: v for k in hints if (v := getattr(row, k)) is not None or k not in omitted})
 
 
 def write_json(path: Path | str, obj: Any) -> None:
@@ -172,36 +178,21 @@ def write_json(path: Path | str, obj: Any) -> None:
         f.write("\n")
 
 
-# Rows encoded and written per ``f.write``; rows are pulled lazily, so a log
-# of any length is written with at most this many lines in memory.
-WRITE_CHUNK_ROWS = 65536
-
-
-def _write_lines(f: IO[str], rows: Iterable, encode: Callable[[Any], str]) -> None:
-    lines = map(encode, rows)
-    while chunk := list(islice(lines, WRITE_CHUNK_ROWS)):
-        f.write("\n".join(chunk) + "\n")
-
-
-def write_jsonl(path: Path | str, rows: Iterable, encode: Callable[[Any], str] = _compact_json) -> None:
-    """One encoded row per line."""
-    with atomic_write(path) as f:
-        _write_lines(f, rows, encode)
-
-
 # Each JSON scalar type's token as ``row_to_json`` writes it (a string without
-# escapes, a number as ``repr`` writes it), how the token is read back, and
-# how a value is written. A float token has a fraction or an exponent, as
-# ``float.__repr__`` always writes; ``json`` reads an integer token as an int.
+# escapes, a number as ``repr`` writes it), with one group holding the text
+# its value is read from (a string's is between its quotes); how that text is
+# read back, and how a value is written. A float token has a fraction or an
+# exponent, as ``float.__repr__`` always writes; ``json`` reads an integer
+# token as an int. No token's text is empty, save a string's.
 _TOKENS: dict[type, tuple[str, Callable[[str], Any], Callable[[Any], str]]] = {
-    str: (r'"[^"\\\x00-\x1f]*"', itemgetter(slice(1, -1)), encode_basestring_ascii),
-    int: (r"-?(?:0|[1-9][0-9]*)", int, int.__repr__),
+    str: (r'"([^"\\\x00-\x1f]*)"', str, encode_basestring_ascii),
+    int: (r"(-?(?:0|[1-9][0-9]*))", int, int.__repr__),
     float: (
-        r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)",
+        r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
         float,
         float.__repr__,
     ),
-    bool: ("true|false", {"true": True, "false": False}.__getitem__, ("false", "true").__getitem__),
+    bool: ("(true|false)", {"true": True, "false": False}.__getitem__, ("false", "true").__getitem__),
 }
 
 
@@ -210,16 +201,25 @@ class RowCodec:
     """The line ``row_to_json`` writes for a row type whose fields are all JSON scalars.
 
     ``pattern`` matches exactly such a line, in MULTILINE mode, with one
-    group per field; ``template`` is the line with ``%s`` for each field's
-    token. Both work on a chunk of rows a column at a time, and both give up
+    group per field, empty for a None; ``template`` is the line with ``%s``
+    for each field's token (for a field left out when None, its key and
+    token). Both work on a chunk of rows a column at a time, and both give up
     (return None) on anything else, which their callers then read or write a
     line at a time: so a chunk gives the same rows, errors and bytes either way.
     """
 
     cls: type
-    fields: tuple[tuple[str, type, bool], ...]  # name, scalar type, whether None is allowed
+    fields: tuple[tuple[str, type, str | None], ...]  # name, scalar type, None's text: "null", "" (omitted) or None
     pattern: re.Pattern
     template: str
+
+    def column(self, k: int, texts: Iterable[str]) -> list:
+        """Field ``k``'s values from the texts of its group; ValueError for an integer past the digit limit."""
+        _, kind, none = self.fields[k]
+        read = _TOKENS[kind][1]
+        if none is not None and "" in texts:
+            return [None if t == "" else read(t) for t in texts]
+        return list(map(read, texts))
 
     def read(self, lines: list[bytes]) -> list | None:
         """The rows of ``lines`` when every line is one the writer writes and every row is valid."""
@@ -233,17 +233,13 @@ class RowCodec:
         columns = []
         # ``findall`` gives each line's groups as a tuple, or as a string when there is one group.
         by_column = zip(*matches) if len(self.fields) > 1 else [matches]
-        for texts, (_, kind, optional) in zip(by_column, self.fields):
-            read = _TOKENS[kind][1]
+        for k, texts in enumerate(by_column):
             try:
-                if optional and "null" in texts:
-                    values = [None if t == "null" else read(t) for t in texts]
-                else:
-                    values = list(map(read, texts))
-            except ValueError:  # an integer past the digit limit
+                values = self.column(k, texts)
+            except ValueError:
                 return None
             # A float token reads as an infinity only past the double range.
-            if kind is float and (math.inf in values or -math.inf in values):
+            if self.fields[k][1] is float and (math.inf in values or -math.inf in values):
                 return None
             columns.append(values)
         rows = list(map(self.cls, *columns))
@@ -261,18 +257,21 @@ class RowCodec:
         if set(map(type, rows)) != {self.cls}:
             return None
         columns = []
-        for name, kind, optional in self.fields:
+        for name, kind, none in self.fields:
             values = list(map(attrgetter(name), rows))
-            types = set(map(type, values)) - ({type(None)} if optional else set())
+            types = set(map(type, values)) - ({type(None)} if none is not None else set())
             if not (all(issubclass(t, float) for t in types) if kind is float else types <= {kind}):
                 return None
-            nulls = optional and None in values
+            nulls = none is not None and None in values
             present = [v for v in values if v is not None] if nulls else values
             if kind is float and not all(map(math.isfinite, present)):
                 return None
             write = _TOKENS[kind][2]
-            if nulls:
-                columns.append(["null" if v is None else write(v) for v in values])
+            if none == "":  # the key is written with the token, or not at all
+                key = f",{_compact_json(name)}:"
+                columns.append(["" if v is None else key + write(v) for v in values])
+            elif nulls:
+                columns.append([none if v is None else write(v) for v in values])
             else:
                 columns.append(list(map(write, values)))
         return "\n".join(map(self.template.__mod__, zip(*columns))) + "\n"
@@ -280,37 +279,50 @@ class RowCodec:
 
 @functools.cache
 def row_codec(cls: type) -> RowCodec | None:
-    """``cls``'s ``RowCodec``, or None when a field is not a JSON scalar or an optional one."""
-    hints, plain, _ = _schema(cls)
-    fields_ = []
+    """``cls``'s ``RowCodec``, or None when a field is not a JSON scalar, a ``str``
+    field may be None, or the first field is left out when None."""
+    hints, plain, _, omitted = _schema(cls)
+    fields_, pattern, template = [], [], []
     for name, tp in hints.items():
-        if plain[name] is None:
+        kind = plain[name]
+        none = None if tp is kind else "" if name in omitted else "null"
+        if kind is None or (kind is str and none is not None) or (none == "" and not fields_):
             return None
-        fields_.append((name, plain[name], tp is not plain[name]))
-    keys = [_compact_json(name) for name, _, _ in fields_]
-    tokens = [f"({'null|' * optional}{_TOKENS[kind][0]})" for _, kind, optional in fields_]
-    line = ",".join(f"{re.escape(key)}:{token}" for key, token in zip(keys, tokens))
-    template = ",".join(f"{key}:%s" for key in keys)
-    return RowCodec(cls, tuple(fields_), re.compile(f"^\\{{{line}\\}}$", re.MULTILINE), f"{{{template}}}")
+        key, token = f"{',' * bool(fields_)}{_compact_json(name)}:", _TOKENS[kind][0]
+        piece = re.escape(key) + (f"(?:null|{token})" if none else token)
+        pattern.append(f"(?:{piece})?" if none == "" else piece)
+        template.append("%s" if none == "" else key + "%s")  # an omitted field's column holds its key
+        fields_.append((name, kind, none))
+    line = "".join(pattern)
+    return RowCodec(cls, tuple(fields_), re.compile(f"^\\{{{line}\\}}$", re.MULTILINE), f"{{{''.join(template)}}}")
 
 
-# Lines per chunk of a row file (metas, records, manifest, predictions), read
-# or written. A chunk taken column by column holds each field's token as a
-# string, about 1 KB a record. Reading a 65,536-record file peaked at 26.5 MB
-# of allocations line by line, 90 MB in one chunk and 27 MB in 1,024-line
-# chunks, which were also faster.
+# Lines per chunk of a JSONL file, read or written. A chunk taken column by
+# column holds each field's token as a string, about 1 KB a record. Reading a
+# 65,536-record file peaked at 26.5 MB of allocations line by line, 90 MB in
+# one chunk and 27 MB in 1,024-line chunks, which were also faster.
 ROW_CHUNK_LINES = 1024
 
 
-def write_rows(path: Path | str, rows: Iterable[JsonFields]) -> None:
-    """``JsonFields`` rows, one ``row_to_json`` line each, formatted a chunk at a time by
-    their ``RowCodec`` where it takes the chunk."""
+def write_lines(f: IO[str], rows: Iterable[JsonFields]) -> None:
+    """``JsonFields`` rows to the open file ``f``, one ``row_to_json`` line each, formatted a
+    chunk at a time by their ``RowCodec`` where it takes the chunk. Rows are pulled
+    lazily, so a file of any length is written with bounded memory."""
     rows = iter(rows)
+    while chunk := list(islice(rows, ROW_CHUNK_LINES)):
+        codec = row_codec(type(chunk[0]))
+        lines = codec.write(chunk) if codec else None
+        f.write("\n".join(map(row_to_json, chunk)) + "\n" if lines is None else lines)
+
+
+def write_rows(path: Path | str, rows: Iterable[JsonFields]) -> None:
+    """``write_lines`` to a new file at ``path``."""
     with atomic_write(path) as f:
-        while chunk := list(islice(rows, ROW_CHUNK_LINES)):
-            codec = row_codec(type(chunk[0]))
-            lines = codec.write(chunk) if codec else None
-            f.write("\n".join(map(row_to_json, chunk)) + "\n" if lines is None else lines)
+        write_lines(f, rows)
+
+
+# The name benchmarks/inputs.py writes the event log with, a piece at a time.
+write_events = write_lines
 
 
 def open_input(path: Path | str, what: str) -> IO[bytes]:
@@ -390,12 +402,12 @@ def rows_by_id(rows: list[tuple[int, Any]], what: str) -> dict[str, Any]:
 
 
 @dataclass(frozen=True, slots=True)
-class WatchEvent:
-    """One viewer's watch of one video."""
+class WatchEvent(JsonFields):
+    """One viewer's watch of one video, a line of the event log; ``aggregate.parse_events`` says which lines are."""
 
     video_id: str
     watch_time_s: float
-    liked: bool | None = None
+    liked: bool | None = field(default=None, metadata=OMITTED_WHEN_NONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -475,37 +487,16 @@ class PredictionRow(JsonFields):
     ecr_hat: float
 
 
-def event_to_json(event: WatchEvent) -> str:
-    """The event's line: compact JSON with the keys in field order and ``liked`` left out when None.
+@dataclass(frozen=True, slots=True)
+class TrainLogRow(JsonFields):
+    """One line of ``train_log.jsonl``: an evaluation step, its learning rate and batch
+    loss, and the held-out SRCCs (None where a rank correlation is undefined)."""
 
-    A ``str`` id, a finite ``float`` watch time and a liked of None, True or
-    False (every event ``synth`` makes) are formatted directly, as ``json``
-    formats them; any other value goes through ``json`` itself.
-    """
-    video_id, watch, liked = event.video_id, event.watch_time_s, event.liked
-    if type(video_id) is str and isinstance(watch, float) and math.isfinite(watch) and (
-        liked is None or type(liked) is bool
-    ):
-        tail = "}" if liked is None else ',"liked":true}' if liked else ',"liked":false}'
-        return f'{{"video_id":{encode_basestring_ascii(video_id)},"watch_time_s":{float.__repr__(watch)}{tail}'
-    payload: dict[str, object] = {"video_id": video_id, "watch_time_s": watch}
-    if liked is not None:
-        payload["liked"] = liked
-    return _compact_json(payload)
-
-
-# The line ``event_to_json`` writes for an id that JSON leaves unescaped, with
-# groups id, watch time and liked. ``aggregate.parse_events`` reads each line
-# this matches as the event of its groups, when the watch time is finite.
-EVENT_LINE = re.compile(
-    r'\{"video_id":"([^"\\\x00-\x1f]+)","watch_time_s":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)'
-    r'(?:,"liked":(true|false|null))?\}'
-)
-
-
-def write_events(f: IO[str], events: Iterable[WatchEvent]) -> None:
-    """The event log's lines, written to an open file so it can be streamed."""
-    _write_lines(f, events, event_to_json)
+    step: int
+    lr: float
+    train_loss: float
+    eval_srcc_nawp: float | None = None
+    eval_srcc_ecr: float | None = None
 
 
 def line_ranges(f: IO[bytes], n: int) -> list[tuple[int, int]]:

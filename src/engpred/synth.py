@@ -67,6 +67,8 @@ class SynthConfig(JsonFields):
     def validate(self) -> None:
         if self.n_videos < 1 or self.views_per_video < 1:
             raise DataError("n_videos and views_per_video must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if not self.duration_min_s < self.duration_max_s:
             raise DataError("duration range is empty")
         if self.frame_rate <= 0:

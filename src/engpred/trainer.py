@@ -55,10 +55,10 @@ from .records import (
     JsonFields,
     ManifestRow,
     PredictionRow,
+    TrainLogRow,
     json_object,
     make_dir,
     write_json,
-    write_jsonl,
     write_rows,
 )
 from .serialize import load_bundle, load_weights, read_manifest, save_weights
@@ -85,6 +85,8 @@ class TrainConfig(JsonFields):
             raise DataError("batch_size must be >= 1")
         if self.iterations < 1:
             raise DataError("iterations must be >= 1")
+        if min(self.seed, self.lr_max, self.lr_min) < 0:
+            raise DataError("seed, lr_max and lr_min must be >= 0")
         if not 0.0 < self.split_ratio < 1.0:
             raise DataError("split_ratio must lie in (0, 1)")
         if self.mode not in MODES:
@@ -254,7 +256,7 @@ class TrainResult:
     train_ids: list[str]
     test_ids: list[str]
     label_scale: tuple[float, float]
-    log_rows: list[dict] = field(default_factory=list)
+    log_rows: list[TrainLogRow] = field(default_factory=list)
     predictions: list[PredictionRow] = field(default_factory=list)
     final_srcc_nawp: float | None = None
     final_srcc_ecr: float | None = None
@@ -296,12 +298,9 @@ def _safe_srcc(pred, truth) -> float | None:
         return None
 
 
-def _scores(preds: list[PredictionRow], truth: tuple[list[float], list[float]]) -> dict[str, float | None]:
-    """The held-out SRCC of one prediction pass, as a log row's fields."""
-    return {
-        "eval_srcc_nawp": _safe_srcc([p.nawp_hat for p in preds], truth[0]),
-        "eval_srcc_ecr": _safe_srcc([p.ecr_hat for p in preds], truth[1]),
-    }
+def _scores(preds: list[PredictionRow], truth: tuple[list[float], list[float]]) -> tuple[float | None, float | None]:
+    """The held-out NAWP and ECR SRCC of one prediction pass."""
+    return _safe_srcc([p.nawp_hat for p in preds], truth[0]), _safe_srcc([p.ecr_hat for p in preds], truth[1])
 
 
 def train(
@@ -358,7 +357,7 @@ def train(
     if out_dir is not None:
         out_dir = make_dir(out_dir)
 
-    log_rows: list[dict] = []
+    log_rows: list[TrainLogRow] = []
     schedule_total = max(train_cfg.iterations - 1, 1)
     truth = ([y1_raw[vid] for vid in test_ids], [y2_raw[vid] for vid in test_ids])
     held_out = ([bundles[vid] for vid in test_ids], [durations[vid] for vid in test_ids])
@@ -378,18 +377,18 @@ def train(
         adam_step(params, state, lr)
         done = step + 1
         if done % train_cfg.eval_interval == 0 or done == end_step:
-            log_rows.append({"step": done, "lr": lr, "train_loss": batch_loss})
+            scores = (None, None)  # the last step's are the final pass's, below
             if done < end_step:
                 if out_dir is not None:
                     save_checkpoint(out_dir / "checkpoint.engw", params, state, done, train_cfg, model_cfg, label_scale)
-                preds = _predict(*held_out, params, model_cfg, label_scale)
-                log_rows[-1].update(_scores(preds, truth))
+                scores = _scores(_predict(*held_out, params, model_cfg, label_scale), truth)
+            log_rows.append(TrainLogRow(done, lr, batch_loss, *scores))
     # The last step's evaluation is the final pass, made once; it is made
     # also when a resumed run starts at the last step.
     predictions = _predict(*held_out, params, model_cfg, label_scale)
-    final_scores = _scores(predictions, truth)
+    final_nawp, final_ecr = _scores(predictions, truth)
     if start_step < end_step:
-        log_rows[-1].update(final_scores)
+        log_rows[-1] = replace(log_rows[-1], eval_srcc_nawp=final_nawp, eval_srcc_ecr=final_ecr)
     result = TrainResult(
         params=params,
         state=state,
@@ -399,14 +398,14 @@ def train(
         label_scale=label_scale,
         log_rows=log_rows,
         predictions=predictions,
-        final_srcc_nawp=final_scores["eval_srcc_nawp"],
-        final_srcc_ecr=final_scores["eval_srcc_ecr"],
+        final_srcc_nawp=final_nawp,
+        final_srcc_ecr=final_ecr,
     )
 
     if out_dir is not None:
         checkpoint_path = out_dir / "checkpoint.engw"
         save_checkpoint(checkpoint_path, params, state, end_step, train_cfg, model_cfg, label_scale)
-        write_jsonl(out_dir / "train_log.jsonl", log_rows)
+        write_rows(out_dir / "train_log.jsonl", log_rows)
         write_rows(out_dir / "test_predictions.jsonl", predictions)
         summary = {
             "iterations": train_cfg.iterations,

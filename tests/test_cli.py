@@ -649,9 +649,10 @@ def _valid_stage_args(command, corpus, tmp_path):
                       "--out", tmp_path / "records.jsonl"],
         "fit-norm": ["--records", corpus / "truth_records.jsonl", "--out-envelope", tmp_path / "env.json"],
         "train": ["--manifest", corpus / "manifest.jsonl", "--out-dir", tmp_path / "run",
-                  "--iterations", "1", "--d-model", "4", "--max-clips", "4"],
+                  "--iterations", "1", "--d-model", "4"],
         "eval": ["--predictions", predictions, "--manifest", corpus / "manifest.jsonl",
                  "--out", tmp_path / "eval.json"],
+        "report": ["--records", corpus / "truth_records.jsonl", "--out", tmp_path / "report.json"],
     }
     assert command in valid, f"give {command} valid inputs in this test"
     return list(map(str, valid[command]))
@@ -685,6 +686,77 @@ class TestFloatFlags:
                     json.loads(doc, parse_constant=_refuse_constant)
             elif path.suffix == ".engf":
                 load_bundle(path)
+
+
+def _numeric_flags():
+    """``(subcommand, option, value)``: ``0`` and ``-1`` for every numeric flag, and
+    ``1e308`` and ``-1e308`` too for a float one."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0], value)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type in (int, cli.number)
+        for value in ["0", "-1", *(["1e308", "-1e308"] if action.type is cli.number else [])]
+    ]
+
+
+NUMERIC_FLAGS = _numeric_flags()
+
+
+class TestNumericFlagSweep:
+    """Every numeric flag at 0, -1 and the ends of the float range exits with a code, and no
+    traceback or warning (Tier-1 makes a warning an error). These take no value that
+    sizes an allocation."""
+
+    def test_sweep_covers_every_stage(self):
+        assert {command for command, _, _ in NUMERIC_FLAGS} == {
+            "synth", "aggregate", "fit-norm", "train", "eval", "report"}
+
+    @pytest.mark.parametrize("command, option, value", NUMERIC_FLAGS, ids=[" ".join(f) for f in NUMERIC_FLAGS])
+    def test_value_exits_with_a_code(self, corpus, tmp_path, capsys, command, option, value):
+        code = run_cli(command, *_valid_stage_args(command, corpus, tmp_path), f"{option}={value}")
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_is_a_data_error(self, corpus, tmp_path, capsys, command):
+        assert run_cli(command, *_valid_stage_args(command, corpus, tmp_path), "--seed=-1") == EXIT_DATA
+        assert {"synth": "seed must be >= 0", "train": "seed, lr_max and lr_min must be >= 0"}[command] in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("option", ["--lr-max", "--lr-min"])
+    def test_negative_learning_rate_is_a_data_error(self, corpus, tmp_path, capsys, option):
+        code = run_cli("train", *_valid_stage_args("train", corpus, tmp_path), f"{option}=-1")
+        assert code == EXIT_DATA
+        assert "seed, lr_max and lr_min must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_adam_update_is_a_numeric_failure(self, corpus, tmp_path, capsys):
+        code = run_cli("train", *_valid_stage_args("train", corpus, tmp_path), "--iterations=2",
+                       "--lr-max=1e308", "--lr-min=1e308")
+        assert code == EXIT_NUMERIC
+        assert "non-finite update" in capsys.readouterr().err
+
+    def test_empty_duration_window_is_refused_before_the_log_is_read(self, corpus, tmp_path, capsys):
+        with mock.patch.object(cli, "open_input", side_effect=AssertionError("the log was opened")):
+            code = run_cli("aggregate", *_valid_stage_args("aggregate", corpus, tmp_path),
+                           "--duration-min", "50", "--duration-max", "10")
+        assert code == EXIT_DATA
+        assert "duration range is empty" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+
+class TestFeatureSets:
+    def test_features_without_a_fusion_input_are_a_data_error(self, corpus, tmp_path, capsys):
+        code = run_cli("train", *_valid_stage_args("train", corpus, tmp_path), "--features", "text")
+        assert code == EXIT_DATA
+        assert "features ('text',) give the fusion MLP no input" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_text_with_duration_as_input_trains(self, corpus, tmp_path):
+        assert run_cli("train", *_valid_stage_args("train", corpus, tmp_path), "--features", "text",
+                       "--duration-as-input") == EXIT_OK
 
 
 # sha256 of the files ``engpred synth --seed 3 --n-videos 30 --views 40`` wrote

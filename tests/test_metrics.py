@@ -137,7 +137,7 @@ class TestRmseTopk:
         with pytest.raises(DataError):
             rmse_topk([1.0, 2.0], [1.0, 2.0], 10.0)
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e308, 100.5])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e308, 100.5, -1.0, -1e308])
     def test_k_not_finite_or_past_100_raises(self, k):
         with pytest.raises(DataError, match="top-K percent"):
             topk_indices([0.1, 0.2, 0.3], k)

@@ -219,6 +219,11 @@ class TestFeatureToggles:
         res = forward(tiny_bundle(), params, cfg)
         assert 0.0 < res.nawp_hat < 1.0
 
+    def test_features_without_a_fusion_input_are_refused(self):
+        with pytest.raises(DataError, match=r"features \('text',\) give the fusion MLP no input"):
+            replace(TINY, features=("text",)).validate()
+        replace(TINY, features=("text",), duration_as_input=True).validate()
+
     def test_visual_only_subset(self):
         cfg = replace(TINY, features=("semantic",))
         params = init_params(cfg, seed=0)

@@ -169,6 +169,12 @@ class TestFlatAgainstPerTensor:
         with pytest.raises(NumericError, match="non-finite update for 'w'"):
             _step(params, {"w": np.array([0.5, -0.5])}, state, lr=np.inf)
 
+    def test_overflowing_update_raises_the_numeric_error_alone(self):
+        # lr * m / bias1 is 1e309: only the finite check speaks, with no overflow warning before it.
+        params, state = _setup([1.0, 2.0])
+        with pytest.raises(NumericError, match="non-finite update for 'w'"):
+            _step(params, {"w": np.array([10.0, -10.0])}, state, lr=1e308)
+
 
 class TestCosineLr:
     def test_endpoints(self):

@@ -255,7 +255,7 @@ class TestEventWriter:
     @given(ANY_EVENT | PLAIN_EVENT)
     @settings(max_examples=1000)
     def test_line_equals_the_json_dumps_reference(self, watch_event):
-        line = records.event_to_json(watch_event)
+        line = records.row_to_json(watch_event)
         assert line == reference_event_to_json(watch_event)
         video_id, watch, liked = watch_event.video_id, watch_event.watch_time_s, watch_event.liked
         plain = (
@@ -265,9 +265,17 @@ class TestEventWriter:
         )
         event("plain" if plain else "other")
         if plain:  # the parser's fast pattern takes every such line
-            match = records.EVENT_LINE.fullmatch(line)
+            match = records.row_codec(WatchEvent).pattern.fullmatch(line)
             assert match and (match[1], float(match[2])) == (video_id, watch)
             assert match[3] == (None if liked is None else json.dumps(liked))
+
+    @given(st.lists(ANY_EVENT | PLAIN_EVENT, max_size=6))
+    @settings(max_examples=300)
+    def test_written_log_equals_the_json_dumps_reference(self, events):
+        f = io.StringIO()
+        records.write_events(f, events)
+        assert f.getvalue() == "".join(reference_event_to_json(e) + "\n" for e in events)
+        event("column by column" if events and records.row_codec(WatchEvent).write(events) else "row_to_json")
 
     @pytest.mark.parametrize("n_events, writes", [(0, []), (3, [3]), (10, [3, 3, 3, 1])])
     def test_write_events_streams_in_chunks(self, monkeypatch, n_events, writes):
@@ -287,7 +295,7 @@ class TestEventWriter:
                 lines_written_at_pull.append(sum(written))
                 yield watch_event
 
-        monkeypatch.setattr(records, "WRITE_CHUNK_ROWS", 3)
+        monkeypatch.setattr(records, "ROW_CHUNK_LINES", 3)
         records.write_events(f, one_shot())
         assert f.getvalue() == "".join(reference_event_to_json(e) + "\n" for e in events)
         assert written == writes
@@ -333,6 +341,11 @@ def writer_files(cls, text=(PLAIN_TEXT, PLAIN_TEXT | ESCAPED_TEXT), max_size=7):
     )
 
 
+def write_jsonl(path: Path, rows, encode) -> None:
+    """The reference writer: one ``encode``d row per line."""
+    path.write_text("".join(encode(row) + "\n" for row in rows))
+
+
 def _reference_read(blob: bytes, cls, what: str):
     """``read_rows`` a line at a time: its rows as (line number, line), or the DataError text."""
     try:
@@ -364,7 +377,7 @@ def test_codec_writes_row_to_json_bytes_and_reads_them_back(cls, data):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "rows.jsonl", Path(tmp) / "reference.jsonl"
         records.write_rows(path, rows)
-        records.write_jsonl(reference, rows, row_to_json)
+        write_jsonl(reference, rows, row_to_json)
         blob = path.read_bytes()
         assert blob == reference.read_bytes()
         got = _read(path, cls, "rows")
@@ -400,14 +413,15 @@ def test_chunk_with_other_value_types_is_written_as_row_to_json(cls, data):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "rows.jsonl", Path(tmp) / "reference.jsonl"
         records.write_rows(path, rows)
-        records.write_jsonl(reference, rows, row_to_json)
+        write_jsonl(reference, rows, row_to_json)
         assert path.read_bytes() == reference.read_bytes()
 
 
 def _token_spans(line: bytes, cls) -> dict[str, tuple[int, int]]:
-    """Each field's value token in a writer-form line, by field name."""
+    """Each field's value token in a writer-form line, by field name (a string's with its quotes)."""
     match = records.row_codec(cls).pattern.fullmatch(line.decode())
-    return {name: match.span(k) for k, (name, _, _) in enumerate(_codec_fields(cls), start=1)}
+    return {name: (match.start(k) - (kind is str), match.end(k) + (kind is str))
+            for k, (name, kind, _) in enumerate(_codec_fields(cls), start=1)}
 
 
 def _splice(line: bytes, span: tuple[int, int], token: bytes) -> bytes:

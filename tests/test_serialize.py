@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from engpred.errors import DataError
 from engpred.model import FeatureBundle, ModelConfig, init_params
 from engpred.optim import AdamState, FlatParams
-from engpred.records import write_json, write_jsonl
+from engpred.records import write_json, write_rows
 from engpred.serialize import (
     MAX_RANK,
     ManifestRow,
@@ -27,6 +27,11 @@ from engpred.serialize import (
     save_weights,
 )
 from engpred.trainer import TrainConfig, load_checkpoint, save_checkpoint
+
+
+def write_jsonl(path: Path, rows) -> None:
+    """Rows as compact JSON, one per line."""
+    path.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
 
 
 def _arrays(rng):
@@ -257,7 +262,7 @@ class TestAtomicWrites:
 
     FAILING_WRITES = {
         "write_json": lambda path: write_json(path, {"a": 1.0, "b": object()}),
-        "write_jsonl": lambda path: write_jsonl(path, _rows_failing_after_one()),
+        "write_rows": lambda path: write_rows(path, _rows_failing_after_one()),
         "save_weights": lambda path: save_weights(path, {"a": np.ones(2), "b": object()}),
         "save_bundle": lambda path: save_bundle(
             path, FeatureBundle("v0", 1, 16.0, {"semantic": np.ones((1, 2))}, object())

@@ -319,6 +319,8 @@ def test_config_validation():
         SynthConfig.from_dict({"bogus": 1})
     with pytest.raises(DataError, match="frames_per_clip must be >= 1"):
         SynthConfig(frames_per_clip=0).validate()
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        SynthConfig(seed=-1).validate()
     # 60 s at 60 fps is the model's 225 clips of 16 frames; validate() alone allocates nothing.
     SynthConfig(frame_rate=60.0).validate()
     for rate in (math.nextafter(60.0, math.inf), 1e9, 1e308):

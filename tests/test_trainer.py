@@ -185,7 +185,7 @@ class TestTrainLoop:
     def test_lr_schedule_endpoints_logged(self, corpus_dir, tmp_path):
         cfg = replace(SMALL_TRAIN, iterations=4, eval_interval=1)
         result = train(corpus_dir / "manifest.jsonl", cfg, SMALL_MODEL)
-        lrs = [row["lr"] for row in result.log_rows]
+        lrs = [row.lr for row in result.log_rows]
         assert lrs[0] == pytest.approx(cfg.lr_max)
         assert lrs[-1] == pytest.approx(cfg.lr_min)
 
@@ -240,7 +240,7 @@ class TestTrainLoop:
         )
         for name in full.params:
             assert full.params[name].data.tobytes() == resumed.params[name].data.tobytes()
-        assert [r["step"] for r in resumed.log_rows] == [10]
+        assert [r.step for r in resumed.log_rows] == [10]
         assert resumed.final_srcc_nawp == full.final_srcc_nawp
 
     def test_desk_width_run_writes_pinned_bytes(self, corpus_dir, tmp_path):
@@ -258,6 +258,12 @@ class TestTrainLoop:
             "checkpoint.engw": "ebfc1b8e49f49f2f074787621088c6b7151f5f4c6054d71d593aae8b7ca2e604",
             "test_predictions.jsonl": DESK_PREDICTIONS_SHA256,
         }
+
+    def test_desk_width_run_writes_pinned_log(self, corpus_dir, tmp_path):
+        # The sha256 of the log as ``json`` wrote it, one dict per line, before its lines became rows.
+        train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL, out_dir=tmp_path)
+        digest = hashlib.sha256((tmp_path / "train_log.jsonl").read_bytes()).hexdigest()
+        assert digest == "b5c1b062bd2f2dc7c8d4020020612c0140f102f51f8ec95f4267810aa41523a0"
 
     def test_desk_width_checkpoint_re_predicts_its_predictions(self, corpus_dir, tmp_path):
         # The benchmark's round trip: each written prediction is the one-video
@@ -353,7 +359,7 @@ class TestResumeAfterFailure:
             resumed = train(manifest, cfg, SMALL_MODEL, out_dir=run_dir, resume_from=checkpoint)
             for name in ("checkpoint.engw", "test_predictions.jsonl", "train_summary.json"):
                 assert (run_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
-            assert resumed.log_rows == [row for row in full.log_rows if row["step"] > resume_step]
+            assert resumed.log_rows == [row for row in full.log_rows if row.step > resume_step]
 
 
 class TestHeldOutPasses:
@@ -369,7 +375,7 @@ class TestHeldOutPasses:
 
         monkeypatch.setattr(trainer, "predict", counting_predict)
         result = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
-        assert [row["step"] for row in result.log_rows] == [6, 12]
+        assert [row.step for row in result.log_rows] == [6, 12]
         assert videos == result.test_ids * 2
 
     def test_two_evaluations_start_no_process(self, corpus_dir, monkeypatch):
@@ -378,8 +384,8 @@ class TestHeldOutPasses:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         result = train(corpus_dir / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
-        assert [row["step"] for row in result.log_rows] == [6, 12]
-        assert all(row["eval_srcc_nawp"] is not None for row in result.log_rows)
+        assert [row.step for row in result.log_rows] == [6, 12]
+        assert all(row.eval_srcc_nawp is not None for row in result.log_rows)
 
     @pytest.mark.parametrize(
         "eval_interval, failing_step",
@@ -503,7 +509,7 @@ class TestBundlesValidatedWhereTheyEnter:
         monkeypatch.setattr(trainer, "forward_batch", inside("step", trainer.forward_batch))
         monkeypatch.setattr(trainer, "predict", inside("predict", trainer.predict))
         result = train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL)
-        assert [row["step"] for row in result.log_rows] == [3, 6]
+        assert [row.step for row in result.log_rows] == [3, 6]
         loaded = [vid for phase, vid in calls if phase == "load"]
         assert sorted(loaded) == sorted(result.train_ids + result.test_ids)
         assert [vid for phase, vid in calls if phase == "step"] == []
@@ -575,6 +581,10 @@ def test_config_validation():
         TrainConfig(mode="bogus").validate()
     with pytest.raises(DataError):
         TrainConfig(split_ratio=1.5).validate()
+    for bad in ({"seed": -1}, {"lr_max": -1e-4}, {"lr_min": -1e-7}):
+        with pytest.raises(DataError, match="seed, lr_max and lr_min must be >= 0"):
+            TrainConfig(**bad).validate()
+    TrainConfig(lr_max=0.0, lr_min=0.0).validate()
     with pytest.raises(DataError):
         TrainConfig.from_dict({"nonsense": 1})
     with pytest.raises(DataError):
