@@ -8,7 +8,8 @@ Aggregation is a commutative-monoid reduction of integers: per video,
 counts and the watch-time sum in units of 2**-1074. Every finite double is
 an integer multiple of that unit, so the sum is exact (a superaccumulator,
 Neal 2015, arXiv:1505.05571) and is rounded once, when ``finish`` divides
-it. Events reach a ``CorpusAggregator`` as batches of columns:
+it. A ``CorpusAggregator`` is built from each video's duration by id, all
+it reads of the meta table. Events reach it as batches of columns:
 ``add_columns`` takes one batch, and ``add`` cuts a stream of
 ``WatchEvent``s into such batches. A batch is reduced by ``np.bincount``
 and one integer sum per (video, binary exponent). Events can be processed
@@ -26,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -196,37 +197,39 @@ def parse_event_blocks(
 
 
 class CorpusAggregator:
-    """Sharded corpus aggregation over a fixed meta table.
+    """Sharded corpus aggregation over a fixed table of video durations.
 
-    Each shard owns one aggregator; ``merge`` folds shards together. Per
-    video (in meta-table order) it holds the ``counts`` rows (``VIEWS``,
-    ``OVER_THRESHOLD``, ``LIKES``, ``LIKED_SEEN``, ``EXTREME``) and the exact
-    watch-time sum in ``units``. ``add_columns`` reduces a batch of events;
-    ``add`` reduces a stream of ``WatchEvent``s in such batches. Both leave
-    every attribute current when they return. Events referencing unknown
-    video ids are counted and skipped. Filtering happens
-    only in ``finish``, after view counts are complete. A shard pickled to
-    another process leaves its meta table behind: it can be merged into an
-    aggregator there, but only an aggregator that holds the meta table can
-    add events or finish.
+    ``durations`` maps each video id to its duration in seconds, in
+    meta-table order; that is all of the meta table the reduce and
+    ``finish`` read. Each shard owns one aggregator; ``merge`` folds shards
+    together. Per video (in table order) it holds the ``counts`` rows
+    (``VIEWS``, ``OVER_THRESHOLD``, ``LIKES``, ``LIKED_SEEN``, ``EXTREME``)
+    and the exact watch-time sum in ``units``. ``add_columns`` reduces a
+    batch of events; ``add`` reduces a stream of ``WatchEvent``s in such
+    batches. Both leave every attribute current when they return. Events
+    referencing unknown video ids are counted and skipped. Filtering
+    happens only in ``finish``, after view counts are complete. A shard
+    pickled to another process leaves its id and duration tables behind: it
+    can be merged into an aggregator there, but only an aggregator that
+    holds the tables can add events or finish.
     """
 
     def __init__(
         self,
-        metas: dict[str, VideoMeta],
+        durations: Mapping[str, float],
         ecr_threshold_s: float = DEFAULT_ECR_THRESHOLD_S,
     ) -> None:
-        self.metas = metas
+        self.durations = durations
         self.ecr_threshold_s = ecr_threshold_s
-        self._index = {video_id: i for i, video_id in enumerate(metas)}
-        self._durations = np.array([meta.duration_s for meta in metas.values()], dtype=np.float64)
-        self.counts = np.zeros((5, len(metas)), dtype=np.int64)
-        self.units = [0] * len(metas)  # watch-time sums in units of 2**-1074 s
+        self._index = {video_id: i for i, video_id in enumerate(durations)}
+        self._durations = np.fromiter(durations.values(), np.float64, len(durations))
+        self.counts = np.zeros((5, len(durations)), dtype=np.int64)
+        self.units = [0] * len(durations)  # watch-time sums in units of 2**-1074 s
         self.unknown_events = 0
         self.unknown_ids: set[str] = set()
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "metas": None, "_index": None, "_durations": None}
+        return {**self.__dict__, "durations": None, "_index": None, "_durations": None}
 
     def add(self, events: Iterable[WatchEvent]) -> None:
         """Reduce a stream of events, ``REDUCE_BATCH`` at a time."""
@@ -250,7 +253,7 @@ class CorpusAggregator:
         invalid = ~((watch >= 0.0) & (watch < math.inf))
         if invalid.any():
             k = int(np.argmax(invalid))
-            raise DataError(f"watch event for {list(self.metas)[idx[k]]!r} has invalid watch_time_s {float(watch[k])!r}")
+            raise DataError(f"watch event for {list(self.durations)[idx[k]]!r} has invalid watch_time_s {float(watch[k])!r}")
         if not len(idx):
             return
         n = len(self.units)
@@ -293,7 +296,7 @@ class CorpusAggregator:
 
     def _by_video_id(self, row: int) -> list[tuple[str, int]]:
         """``(video id, index)`` of each video with a nonzero ``counts[row]``, by id."""
-        ids = list(self.metas)
+        ids = list(self.durations)
         return sorted((ids[i], i) for i in np.flatnonzero(self.counts[row]).tolist())
 
     def warnings(self) -> list[str]:
@@ -316,7 +319,7 @@ class CorpusAggregator:
         views, over, likes, liked_seen, _ = self.counts.tolist()
         records = []
         for video_id, i in self._by_video_id(VIEWS):
-            duration = self.metas[video_id].duration_s
+            duration = self.durations[video_id]
             if views[i] < min_views or not (lo <= duration <= hi):
                 continue
             try:
@@ -350,7 +353,7 @@ def aggregate_corpus(
     ecr_threshold_s: float = DEFAULT_ECR_THRESHOLD_S,
 ) -> list[VideoRecord]:
     """Aggregate an event stream against a meta table and apply corpus filters."""
-    agg = CorpusAggregator(metas, ecr_threshold_s)
+    agg = CorpusAggregator({video_id: meta.duration_s for video_id, meta in metas.items()}, ecr_threshold_s)
     agg.add(events)
     for text in agg.warnings():
         logger.warning("%s", text)

@@ -12,6 +12,7 @@ import concurrent.futures
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -37,7 +38,6 @@ from .model import ALL_KINDS, ModelConfig
 from .records import (
     LineRange,
     PredictionRow,
-    VideoMeta,
     line_ranges,
     make_dir,
     open_input,
@@ -107,23 +107,14 @@ def cmd_synth(args) -> int:
 # and unpickle in about 0.1 ms each way, as ``ParseFailure`` objects in 3 ms.
 RangeResult = tuple[CorpusAggregator, list[tuple[int, str]], int]
 
-# The meta table as columns: the ids in table order, their durations and
-# their frame rates.
-MetaColumns = tuple[list[str], list[float], list[float]]
-
-
-def meta_columns(metas: dict[str, VideoMeta]) -> MetaColumns:
-    return list(metas), [m.duration_s for m in metas.values()], [m.frame_rate for m in metas.values()]
-
 
 def aggregate_range(
-    stream: IO[bytes], size: int | None, table: MetaColumns, ecr_threshold_s: float
+    stream: IO[bytes], size: int | None, durations: dict[str, float], ecr_threshold_s: float
 ) -> RangeResult:
     """Parse and reduce ``size`` bytes of whole lines from ``stream`` (all of it when None)
-    against the meta table ``table``."""
-    ids, durations, frame_rates = table
+    against ``durations``, each video's duration by id in meta-table order."""
     lines = LineRange(stream, size)
-    shard = CorpusAggregator(dict(zip(ids, map(VideoMeta, ids, durations, frame_rates))), ecr_threshold_s)
+    shard = CorpusAggregator(durations, ecr_threshold_s)
     failures = []
     # parse_events is named here so that a span hook on cli.parse_events (see
     # benchmarks/layers.py) sees the lines that take the per-line path.
@@ -136,12 +127,12 @@ def aggregate_range(
 
 
 def aggregate_file_range(
-    path: str, start: int, end: int, table: MetaColumns, ecr_threshold_s: float
+    path: str, start: int, end: int, durations: dict[str, float], ecr_threshold_s: float
 ) -> RangeResult:
     """``aggregate_range`` over bytes [start, end) of the file at ``path``; runs in a worker."""
     with open_input(path, "events") as stream:
         stream.seek(start)
-        return aggregate_range(stream, end - start, table, ecr_threshold_s)
+        return aggregate_range(stream, end - start, durations, ecr_threshold_s)
 
 
 def available_cpus() -> int:
@@ -153,7 +144,7 @@ def available_cpus() -> int:
 
 
 def _pooled_ranges(
-    path: str, ranges: list[tuple[int, int]], table: MetaColumns, ecr_threshold_s: float
+    path: str, ranges: list[tuple[int, int]], durations: dict[str, float], ecr_threshold_s: float
 ) -> Iterator[RangeResult]:
     """Each range's result in range order, from one worker process per range."""
     # The platform's default start method: on Linux (before Python 3.14) that
@@ -161,32 +152,29 @@ def _pooled_ranges(
     # numpy and the caller's main module again in every worker, about 0.4 s
     # per pool on 2 CPUs, with 12 MiB more resident per worker.
     # A worker receives the log's path, its byte range, the ECR threshold and
-    # the meta table as ``MetaColumns``: for 2,000 videos the three lists
-    # pickle in about 0.2 ms each way, the VideoMeta objects in 5 to 9 ms.
+    # each video's duration by id, all the aggregator reads of the meta table:
+    # for 2,000 videos the dict pickles in about 0.2 ms and unpickles in 0.4 ms.
+    starts, ends = zip(*ranges)
     with concurrent.futures.ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        pending = [
-            pool.submit(aggregate_file_range, path, start, end, table, ecr_threshold_s)
-            for start, end in ranges
-        ]
-        while pending:
-            yield pending.pop(0).result()
+        yield from pool.map(
+            aggregate_file_range, repeat(path), starts, ends, repeat(durations), repeat(ecr_threshold_s)
+        )
 
 
 def cmd_aggregate(args) -> int:
     if not args.duration_min <= args.duration_max:
         raise DataError("duration range is empty: --duration-min is above --duration-max")
-    metas = read_metas(args.metas)
+    durations = {video_id: meta.duration_s for video_id, meta in read_metas(args.metas).items()}
     if args.shards < 1:
         raise DataError("--shards must be >= 1")
-    table = meta_columns(metas)
-    agg = CorpusAggregator(metas, ecr_threshold_s=args.ecr_threshold)
+    agg = CorpusAggregator(durations, ecr_threshold_s=args.ecr_threshold)
     failures = lines_before = 0
     with open_input(args.events, "events") as stream:
         ranges = line_ranges(stream, min(args.shards, available_cpus()))
         if len(ranges) > 1:
-            parts = _pooled_ranges(str(args.events), ranges, table, args.ecr_threshold)
+            parts = _pooled_ranges(str(args.events), ranges, durations, args.ecr_threshold)
         else:
-            parts = [aggregate_range(stream, None, table, args.ecr_threshold)]
+            parts = [aggregate_range(stream, None, durations, args.ecr_threshold)]
         for shard, range_failures, n_lines in parts:
             agg.merge(shard)
             if range_failures:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -138,31 +138,31 @@ class FeatureBundle:
             raise DataError(f"bundle {self.video_id!r}: text tokens have non-finite values")
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], bound: float) -> np.ndarray:
-    return rng.uniform(-bound, bound, size=shape)
+class ParamSpec(NamedTuple):
+    """A parameter's shape and start: a seeded uniform draw in [-bound, bound)
+    when ``bound`` is set, else the constant ``value``."""
+
+    shape: tuple[int, ...]
+    bound: float | None = None
+    value: float = 0.0
 
 
-def _linear_init(rng, fan_in: int, fan_out: int, relu_follows: bool) -> np.ndarray:
-    # Symmetric uniform scaled by fan-in; the relu gain keeps activation
-    # variance stable through the deep fusion stack.
-    gain = 6.0 if relu_follows else 3.0
-    return _uniform(rng, (fan_in, fan_out), math.sqrt(gain / fan_in))
-
-
-def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Seeded parameter initialization in canonical name order."""
+def param_layout(config: ModelConfig) -> dict[str, ParamSpec]:
+    """Each parameter's spec by name, in canonical (``init_params``) order; nothing is allocated."""
     config.validate()
-    rng = np.random.default_rng(seed)
     d = config.d_model
-    params: dict[str, Tensor] = {}
+    layout: dict[str, ParamSpec] = {}
 
     def linear(name: str, fan_in: int, fan_out: int, relu_follows: bool) -> None:
-        params[f"{name}.w"] = Tensor(_linear_init(rng, fan_in, fan_out, relu_follows))
-        params[f"{name}.b"] = Tensor(np.zeros(fan_out))
+        # Symmetric uniform scaled by fan-in; the relu gain keeps activation
+        # variance stable through the deep fusion stack.
+        gain = 6.0 if relu_follows else 3.0
+        layout[f"{name}.w"] = ParamSpec((fan_in, fan_out), math.sqrt(gain / fan_in))
+        layout[f"{name}.b"] = ParamSpec((fan_out,))
 
     def layer_norm(name: str) -> None:
-        params[f"{name}.g"] = Tensor(np.ones(d))
-        params[f"{name}.b"] = Tensor(np.zeros(d))
+        layout[f"{name}.g"] = ParamSpec((d,), value=1.0)
+        layout[f"{name}.b"] = ParamSpec((d,))
 
     for kind in config.visual_kinds:
         linear(f"proj.{kind}.0", config.feature_dims[kind], d, relu_follows=True)
@@ -176,7 +176,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     fusion_in = config.fusion_input_dim()
     for i in range(FUSION_LAYERS):
         linear(f"fusion.{i}", fusion_in if i == 0 else d, d, relu_follows=i < FUSION_LAYERS - 1)
-    params["pos_embed"] = Tensor(_uniform(rng, (config.max_clips, d), 0.02))
+    layout["pos_embed"] = ParamSpec((config.max_clips, d), 0.02)
     for i in range(TEMPORAL_LAYERS):
         layer_norm(f"temporal.{i}.ln1")
         linear(f"temporal.{i}.attn.q", d, d, relu_follows=False)
@@ -190,6 +190,15 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     for head in ("head_nawp", "head_ecr"):
         linear(f"{head}.0", d, d, relu_follows=True)
         linear(f"{head}.1", d, 1, relu_follows=False)
+    return layout
+
+
+def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Seeded parameter initialization in canonical name order: ``param_layout``, drawn in its order."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, (shape, bound, value) in param_layout(config).items():
+        params[name] = Tensor(np.full(shape, value) if bound is None else rng.uniform(-bound, bound, size=shape))
     return params
 
 

@@ -48,6 +48,7 @@ from .model import (
     forward,  # noqa: F401  # benchmarks/layers.py traces the name trainer.forward
     forward_batch,
     init_params,
+    param_layout,
     predict,
 )
 from .optim import AdamState, FlatParams, adam_step, cosine_lr
@@ -204,22 +205,13 @@ class Checkpoint:
     label_scale: tuple[float, float]
 
 
-def _unpack(arrays: dict[str, np.ndarray], prefix: str, views: dict[str, np.ndarray], path: Path | str) -> None:
-    """Copy each ``prefix + name`` array of a checkpoint into its view."""
-    for name, view in views.items():
-        key = prefix + name
-        arr = arrays.get(key)
-        if arr is None:
-            raise DataError(f"checkpoint {path} is missing {key!r}")
-        if arr.shape != view.shape:
-            raise DataError(f"checkpoint {path}: {key!r} has shape {arr.shape}, expected {view.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint {path}: {key!r} is not finite")
-        view[...] = arr
-
-
 def load_checkpoint(path: Path | str) -> Checkpoint:
-    """A checkpoint packed into the ``init_params`` layout of its model config."""
+    """A checkpoint packed into the ``init_params`` layout of its model config.
+
+    Every per-name array is checked against the config's ``param_layout``
+    before anything that the config sizes is allocated, so a config whose
+    model the arrays do not match is refused however large it declares it.
+    """
     arrays = load_weights(path)
     for key in ("meta/step", "meta/adam_t", "meta/label_scale", "meta/config_sha256", "meta/model_json"):
         if key not in arrays:
@@ -229,15 +221,28 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     scale = arrays["meta/label_scale"].reshape(-1)
     if scale.size != 2 or not (np.isfinite(scale).all() and (scale > 0).all()):
         raise DataError(f"checkpoint {path}: 'meta/label_scale' must hold two finite positive values")
-    params = FlatParams(init_params(model_cfg, 0))
-    state = AdamState(params, t=_meta_count(arrays, "meta/adam_t", path))
-    layouts = {"param/": params.views(params.data), "adam.m/": state.m, "adam.v/": state.v}
-    for prefix, views in layouts.items():
-        _unpack(arrays, prefix, views, path)
-    expected = {prefix + name for prefix in layouts for name in params}
+    adam_t = _meta_count(arrays, "meta/adam_t", path)
+    layout = param_layout(model_cfg)
+    prefixes = ("param/", "adam.m/", "adam.v/")
+    for prefix in prefixes:
+        for name, spec in layout.items():
+            key = prefix + name
+            arr = arrays.get(key)
+            if arr is None:
+                raise DataError(f"checkpoint {path} is missing {key!r}")
+            if arr.shape != spec.shape:
+                raise DataError(f"checkpoint {path}: {key!r} has shape {arr.shape}, expected {spec.shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint {path}: {key!r} is not finite")
+    expected = {prefix + name for prefix in prefixes for name in layout}
     unknown = [k for k in arrays if not k.startswith("meta/") and k not in expected]
     if unknown:
         raise DataError(f"checkpoint {path} holds arrays the model does not have: {unknown[:3]}")
+    params = FlatParams({name: Tensor(arrays["param/" + name]) for name in layout})
+    state = AdamState(params, t=adam_t)
+    for name in layout:
+        state.m[name][...] = arrays["adam.m/" + name]
+        state.v[name][...] = arrays["adam.v/" + name]
     return Checkpoint(
         params=params,
         state=state,
@@ -317,6 +322,11 @@ def train(
     ids = sorted(row.video_id for row in rows)
     durations = {row.video_id: row.duration_s for row in rows}
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
+    if len(test_ids) < 2:
+        raise DataError(
+            f"the held-out split has {len(test_ids)} video of {len(ids)} at split_ratio "
+            f"{train_cfg.split_ratio}; evaluation needs at least 2"
+        )
     bundles = _load_bundles(manifest_path.parent, rows)
 
     model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
@@ -377,18 +387,17 @@ def train(
         adam_step(params, state, lr)
         done = step + 1
         if done % train_cfg.eval_interval == 0 or done == end_step:
-            scores = (None, None)  # the last step's are the final pass's, below
-            if done < end_step:
-                if out_dir is not None:
-                    save_checkpoint(out_dir / "checkpoint.engw", params, state, done, train_cfg, model_cfg, label_scale)
-                scores = _scores(_predict(*held_out, params, model_cfg, label_scale), truth)
+            if out_dir is not None and done < end_step:
+                save_checkpoint(out_dir / "checkpoint.engw", params, state, done, train_cfg, model_cfg, label_scale)
+            predictions = _predict(*held_out, params, model_cfg, label_scale)
+            scores = _scores(predictions, truth)
             log_rows.append(TrainLogRow(done, lr, batch_loss, *scores))
-    # The last step's evaluation is the final pass, made once; it is made
-    # also when a resumed run starts at the last step.
-    predictions = _predict(*held_out, params, model_cfg, label_scale)
-    final_nawp, final_ecr = _scores(predictions, truth)
-    if start_step < end_step:
-        log_rows[-1] = replace(log_rows[-1], eval_srcc_nawp=final_nawp, eval_srcc_ecr=final_ecr)
+    # The last step's evaluation is the final pass; a run resumed at the last
+    # step runs no step and makes it here.
+    if start_step == end_step:
+        predictions = _predict(*held_out, params, model_cfg, label_scale)
+        scores = _scores(predictions, truth)
+    final_nawp, final_ecr = scores
     result = TrainResult(
         params=params,
         state=state,

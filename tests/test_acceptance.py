@@ -99,7 +99,7 @@ def test_criterion_2_aggregation_oracle(desk_corpus):
             assert record.like_rate == sum(1 for e in events if e.liked) / len(watches)
 
         def run_sharded(n_shards):
-            shards = [CorpusAggregator(metas) for _ in range(n_shards)]
+            shards = [CorpusAggregator({vid: m.duration_s for vid, m in metas.items()}) for _ in range(n_shards)]
             for k, shard in enumerate(shards):
                 shard.add(corpus.events[k::n_shards])
             merged = shards[0]

@@ -206,7 +206,7 @@ class TestCorpusFilters:
 
     def test_unknown_id_skipped_and_counted(self):
         metas = {"v1": _meta("v1")}
-        agg = CorpusAggregator(metas)
+        agg = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         _add_all(agg, _events("v1", [1.0]) + _events("ghost", [2.0]))
         assert agg.unknown_events == 1
         assert agg.unknown_ids == {"ghost"}
@@ -222,8 +222,8 @@ class TestCorpusFilters:
     def test_filtering_after_aggregation(self):
         # Views accumulate across the whole stream before min_views acts.
         metas = {"v1": _meta("v1")}
-        agg = CorpusAggregator(metas)
-        shard_a = CorpusAggregator(metas)
+        agg = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
+        shard_a = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         _add_all(shard_a, _events("v1", [1.0] * 3))
         agg.merge(shard_a)
         _add_all(agg, _events("v1", [1.0] * 3))
@@ -232,7 +232,7 @@ class TestCorpusFilters:
 
 
 def _shard_and_merge(events, metas, n_shards, assignment):
-    shards = [CorpusAggregator(metas) for _ in range(n_shards)]
+    shards = [CorpusAggregator({vid: m.duration_s for vid, m in metas.items()}) for _ in range(n_shards)]
     parts = [[] for _ in range(n_shards)]
     for i, event in enumerate(events):
         parts[assignment(i)].append(event)
@@ -262,7 +262,7 @@ class TestAdd:
 
     def test_counts_and_units_current_after_add(self):
         metas, events = self._metas(), self._stream()
-        agg = CorpusAggregator(metas)
+        agg = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         agg.add(events)
         known = [e for e in events if e.video_id in metas]
         assert agg.counts[aggregate.VIEWS].tolist() == [sum(e.video_id == v for e in known) for v in metas]
@@ -278,11 +278,11 @@ class TestAdd:
             sizes.append(len(columns))
             add_columns(agg, columns)
 
-        batched = CorpusAggregator(metas)
+        batched = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         with mock.patch.object(aggregate, "REDUCE_BATCH", 3), mock.patch.object(CorpusAggregator, "add_columns", spy):
             batched.add(iter(events))
         assert sizes == [3, 3, 3, 1]
-        whole = CorpusAggregator(metas)
+        whole = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         columns = EventColumns()
         for event in events:
             columns.append(event)
@@ -291,9 +291,12 @@ class TestAdd:
 
     def test_pickled_shard_merges_equal(self):
         metas = self._metas()
-        shard = CorpusAggregator(metas)
+        shard = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         shard.add(self._stream())
-        direct, pickled = CorpusAggregator(metas), CorpusAggregator(metas)
+        direct, pickled = (
+            CorpusAggregator({vid: m.duration_s for vid, m in metas.items()}),
+            CorpusAggregator({vid: m.duration_s for vid, m in metas.items()}),
+        )
         direct.merge(shard)
         pickled.merge(pickle.loads(pickle.dumps(shard)))
         assert self._state(pickled) == self._state(direct)
@@ -383,7 +386,7 @@ class TestColumnarSum:
     VALUES = [(2**53 - 1) / 2**52] * 5000 + [1e-300, 5e-324, 0.0, -0.0]
 
     def test_one_group_of_5000_matches_fsum(self):
-        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg = CorpusAggregator({"v1": 20.0})
         agg.add_columns(_columns("v1", self.VALUES))
         assert agg.units[0] == sum(map(exact_units, self.VALUES))
         assert struct.pack("<d", agg.units[0] / UNITS_PER_S) == struct.pack("<d", math.fsum(self.VALUES))
@@ -392,10 +395,10 @@ class TestColumnarSum:
 
     def test_merged_shards_equal_one_pass(self):
         metas = {"v1": _meta("v1"), "v2": _meta("v2")}
-        single = CorpusAggregator(metas)
+        single = CorpusAggregator({vid: m.duration_s for vid, m in metas.items()})
         single.add_columns(_columns("v1", self.VALUES))
         single.add_columns(_columns("v2", self.VALUES[::7]))
-        shards = [CorpusAggregator(metas) for _ in range(3)]
+        shards = [CorpusAggregator({vid: m.duration_s for vid, m in metas.items()}) for _ in range(3)]
         for k, shard in enumerate(shards):
             shard.add_columns(_columns("v1", self.VALUES[k::3]))
         shards[1].add_columns(_columns("v2", self.VALUES[::7]))
@@ -410,12 +413,12 @@ class TestColumnarSum:
                     min_size=1, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_units_match_exact_units(self, values):
-        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg = CorpusAggregator({"v1": 20.0})
         agg.add_columns(_columns("v1", values))
         assert agg.units[0] == sum(map(exact_units, values))
 
     def test_sum_past_float_range_is_a_data_error(self):
-        agg = CorpusAggregator({"v1": _meta("v1")})
+        agg = CorpusAggregator({"v1": 20.0})
         agg.add_columns(_columns("v1", [1e308, 1e308]))
         with pytest.raises(DataError, match="watch-time sum exceeds the float range"):
             agg.finish(min_views=1, duration_range_s=(0.0, math.inf))

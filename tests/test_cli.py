@@ -426,6 +426,18 @@ class TestDataErrors:
         assert f"data error: cannot make directory {out}: " in capsys.readouterr().err
         assert out.read_text() == "kept"
 
+    def test_held_out_split_of_one_video_exits_two_before_reading_bundles(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run_cli("synth", "--out", str(corpus), "--n-videos", "10", "--views", "20", "--seed", "21") == EXIT_OK
+        run = tmp_path / "run"
+        with mock.patch.object(trainer, "load_bundle", side_effect=AssertionError("a bundle was read")):
+            code = run_cli("train", "--manifest", str(corpus / "manifest.jsonl"), "--out-dir", str(run),
+                           "--iterations", "2", "--d-model", "4", "--eval-interval", "1")
+        assert code == EXIT_DATA
+        assert ("data error: the held-out split has 1 video of 10 at split_ratio 0.9; evaluation needs at least 2"
+                in capsys.readouterr().err)
+        assert not (run / "checkpoint.engw").exists()
+
 
 TRAIN_ARGS = ["--iterations", "2", "--batch-size", "4", "--d-model", "8", "--max-clips", "64", "--seed", "21"]
 
@@ -478,9 +490,14 @@ class TestResumeValidation:
             ("meta/adam_t", lambda a: a + 0.5, "'meta/adam_t' must hold one non-negative integer"),
             ("meta/step", lambda a: np.zeros(0), "'meta/step' must hold one non-negative integer"),
             ("meta/label_scale", lambda a: a[:1], "'meta/label_scale' must hold two finite positive values"),
+            # A model of 2**40 width is refused by its first array's shape, before any of it is allocated.
+            ("meta/model_json",
+             lambda a: np.array(list(json.dumps({**json.loads(bytes(a.astype(np.uint8))), "d_model": 2**40}).encode()),
+                                dtype=np.float64),
+             "'param/proj.semantic.0.w' has shape (64, 8), expected (64, 1099511627776)"),
         ],
         ids=["model_json_300", "config_sha256_negative", "adam_t_nan", "adam_t_fraction", "step_empty",
-             "label_scale_one_value"],
+             "label_scale_one_value", "model_json_d_model_2_40"],
     )
     def test_bad_checkpoint_meta_exits_two(self, corpus, tmp_path, capsys, trained, key, value, message):
         arrays = load_weights(trained)
@@ -950,15 +967,9 @@ def _inline_executor(calls, pickled_args=None, pickled_results=None):
     task's pickled arguments and result are appended to ``pickled_args`` and
     ``pickled_results`` when they are given."""
 
-    class InlineExecutor:
+    class InlineExecutor(concurrent.futures.Executor):
         def __init__(self, max_workers):
             calls.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
@@ -1065,7 +1076,7 @@ class TestShardedAggregate:
         for data in pickled:
             assert b"VideoMeta" not in data
             _, _, _, table, _ = pickle.loads(data)
-            assert table == cli.meta_columns(read_metas(metas))
+            assert list(table.items()) == [(vid, m.duration_s) for vid, m in read_metas(metas).items()]
 
     def test_workers_return_parse_failures_as_pairs(self, corpus, tmp_path, monkeypatch):
         pickled = []
