@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DataError
-from .records import VideoMeta, VideoRecord, WatchEvent, row_codec
+from .records import VideoMeta, VideoRecord, WatchEvent, row_codec, rows_from_columns
 
 logger = logging.getLogger(__name__)
 
@@ -317,7 +317,8 @@ class CorpusAggregator:
     ) -> list[VideoRecord]:
         lo, hi = duration_range_s
         views, over, likes, liked_seen, _ = self.counts.tolist()
-        records = []
+        # ``VideoRecord``'s columns; nawp stays None.
+        ids, durations, counts, awts, awps, ecrs, like_rates = columns = [[] for _ in range(7)]
         for video_id, i in self._by_video_id(VIEWS):
             duration = self.durations[video_id]
             if views[i] < min_views or not (lo <= duration <= hi):
@@ -330,19 +331,14 @@ class CorpusAggregator:
             awp = awt / duration
             if not math.isfinite(awp):
                 raise DataError(f"video {video_id!r}: average watch percentage exceeds the float range")
-            records.append(
-                VideoRecord(
-                    video_id=video_id,
-                    duration_s=duration,
-                    views=views[i],
-                    awt_s=awt,
-                    awp=awp,
-                    ecr=over[i] / views[i],
-                    like_rate=(likes[i] / views[i]) if liked_seen[i] else None,
-                    nawp=None,
-                )
-            )
-        return records
+            ids.append(video_id)
+            durations.append(duration)
+            counts.append(views[i])
+            awts.append(awt)
+            awps.append(awp)
+            ecrs.append(over[i] / views[i])
+            like_rates.append((likes[i] / views[i]) if liked_seen[i] else None)
+        return rows_from_columns(VideoRecord, [*columns, [None] * len(ids)])
 
 
 def aggregate_corpus(

@@ -9,14 +9,15 @@ constant 0. NAWP normalizes a video's AWT between the two and clamps to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, FitError, NumericError
 from .metrics import duration_bins, plcc, srcc
-from .records import JsonFields, VideoRecord
+from .records import JsonFields, VideoRecord, rows_from_columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +110,12 @@ def nawp(awt_s: float, duration_s: float, env: EnvelopeModel) -> float:
 
 def annotate_nawp(records: Iterable[VideoRecord], env: EnvelopeModel) -> list[VideoRecord]:
     """Fill the nawp field on each record, preserving input order."""
-    # The constructor, not ``dataclasses.replace``, which takes about twice as long.
-    return [
-        VideoRecord(
-            r.video_id, r.duration_s, r.views, r.awt_s, r.awp, r.ecr, r.like_rate,
-            nawp(r.awt_s, r.duration_s, env),
-        )
-        for r in records
-    ]
+    records = list(records)
+    return rows_from_columns(VideoRecord, [
+        [nawp(r.awt_s, r.duration_s, env) for r in records] if f.name == "nawp"
+        else list(map(attrgetter(f.name), records))
+        for f in fields(VideoRecord)
+    ])
 
 
 @dataclass(frozen=True, slots=True)

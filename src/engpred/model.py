@@ -38,6 +38,11 @@ FUSION_LAYERS = 8
 TEMPORAL_LAYERS = 8
 # Videos per packed pass of ``predict``; no estimate's bits depend on it.
 PREDICT_CHUNK = 32
+# The most parameters a config may give the model: about 20 times the
+# 4.79 M of the paper's width (d_model 256), whose float64 weights, gradients
+# and two Adam moments then take 3.2 GB. A wider config is refused before
+# anything is allocated.
+MAX_PARAMS = 100_000_000
 
 
 def _default_feature_dims() -> dict[str, int]:
@@ -83,6 +88,9 @@ class ModelConfig(JsonFields):
                 raise DataError(f"feature kind {kind!r} has no valid dimension")
         if self.fusion_input_dim() < 1:
             raise DataError(f"features {self.features} give the fusion MLP no input")
+        n_params = sum(math.prod(spec.shape) for spec in _layout(self).values())
+        if n_params > MAX_PARAMS:
+            raise DataError(f"the model would have {n_params} parameters, more than {MAX_PARAMS}")
 
     @property
     def visual_kinds(self) -> tuple[str, ...]:
@@ -150,6 +158,11 @@ class ParamSpec(NamedTuple):
 def param_layout(config: ModelConfig) -> dict[str, ParamSpec]:
     """Each parameter's spec by name, in canonical (``init_params``) order; nothing is allocated."""
     config.validate()
+    return _layout(config)
+
+
+def _layout(config: ModelConfig) -> dict[str, ParamSpec]:
+    """``param_layout`` of a config whose fields are checked save its size."""
     d = config.d_model
     layout: dict[str, ParamSpec] = {}
 

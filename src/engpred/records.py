@@ -10,24 +10,28 @@ train logs' too, is a row that ``row_to_json`` writes with its keys in field
 order, so repeated runs produce byte-identical files.
 
 The row type's ``RowCodec`` alone describes that line. ``write_lines`` formats
-a chunk of ``ROW_CHUNK_LINES`` rows by it, or through ``row_to_json`` when the
-chunk holds any other value, with the same bytes. ``read_rows`` reads a chunk
-whose lines are all in that form column by column, and any other chunk line
-by line, with the same rows and errors; ``aggregate`` scans the event log by it.
+a chunk of ``ROW_CHUNK_LINES`` rows by it, a column at a time and with one
+join for the chunk, or through ``row_to_json`` when the chunk holds any other
+value, with the same bytes. ``read_rows`` reads a chunk whose lines are all in
+that form column by column, and any other chunk line by line, with the same
+rows and errors; ``aggregate`` scans the event log by it. Rows made in bulk,
+read or computed, are built a column at a time by ``rows_from_columns``.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 import os
 import re
 import types
+from collections import deque
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -161,6 +165,46 @@ def make_dir(path: Path | str) -> Path:
     return path
 
 
+@functools.cache
+def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...] | None:
+    """Each field's slot setter, in field order, or None unless ``cls`` is a dataclass with
+    ``__slots__`` and no ``__post_init__``, whose rows are their field values and nothing else."""
+    if not is_dataclass(cls) or "__slots__" not in vars(cls) or hasattr(cls, "__post_init__"):
+        return None
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+
+
+def rows_from_columns(cls: type, columns: list[list]) -> list:
+    """``list(map(cls, *columns))`` for a slots dataclass ``cls``, one column per field.
+
+    The rows are allocated bare and each field is set a column at a time
+    through its slot, which skips the per-row ``__init__`` and its frozen
+    ``object.__setattr__``. The cyclic garbage collector is paused meanwhile:
+    the allocations would otherwise set off collections that walk the new
+    rows again and again, and rows of scalars cannot form cycles. TypeError
+    for a class these rows would not fit, ValueError for a missing column or
+    columns of unequal length, either before any row is made.
+    """
+    setters = _slot_setters(cls)
+    if setters is None:
+        raise TypeError(f"{cls.__name__} is not a slots dataclass without __post_init__")
+    if len(columns) != len(setters):
+        raise ValueError(f"{cls.__name__} has {len(setters)} fields, got {len(columns)} columns")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"{cls.__name__} columns differ in length: {[len(column) for column in columns]}")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = list(map(object.__new__, repeat(cls, n)))
+        for setter, column in zip(setters, columns):
+            deque(map(setter, rows, column), maxlen=0)
+    finally:
+        if enabled:
+            gc.enable()
+    return rows
+
+
 # ``json.dumps(obj, separators=(",", ":"))``, without building an encoder per call.
 _compact_json: Callable[[Any], str] = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -242,7 +286,7 @@ class RowCodec:
             if self.fields[k][1] is float and (math.inf in values or -math.inf in values):
                 return None
             columns.append(values)
-        rows = list(map(self.cls, *columns))
+        rows = rows_from_columns(self.cls, columns)
         if self.cls.validate is not JsonFields.validate:
             try:
                 for row in rows:
@@ -267,14 +311,25 @@ class RowCodec:
             if kind is float and not all(map(math.isfinite, present)):
                 return None
             write = _TOKENS[kind][2]
-            if none == "":  # the key is written with the token, or not at all
-                key = f",{_compact_json(name)}:"
-                columns.append(["" if v is None else key + write(v) for v in values])
-            elif nulls:
-                columns.append([none if v is None else write(v) for v in values])
+            key = f",{_compact_json(name)}:" if none == "" else ""  # written with the token, or not at all
+            if kind is bool:  # each value's text looked up
+                table = {False: key + write(False), True: key + write(True), None: none}
+                columns.append(list(map(table.__getitem__, values)))
+            elif nulls or key:
+                columns.append([none if v is None else key + write(v) for v in values])
             else:
                 columns.append(list(map(write, values)))
-        return "\n".join(map(self.template.__mod__, zip(*columns))) + "\n"
+        # One list holding, row after row, the template's literal pieces (each
+        # line's end joined to the next line's start) between the columns.
+        head, *middle, end = self.template.split("%s")
+        stride, n = 2 * len(columns), len(rows)
+        parts = [end + "\n" + head] * (stride * n)
+        parts[0] = head
+        for k, literal in enumerate(middle, start=1):
+            parts[2 * k::stride] = repeat(literal, n)
+        for k, column in enumerate(columns):
+            parts[2 * k + 1::stride] = column
+        return "".join(parts) + end + "\n"
 
 
 @functools.cache

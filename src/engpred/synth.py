@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import plcc, srcc
 from .model import VISUAL_KINDS, FeatureBundle, ModelConfig
-from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, make_dir, write_rows
+from .records import JsonFields, ManifestRow, VideoMeta, VideoRecord, WatchEvent, make_dir, rows_from_columns, write_rows
 from .serialize import save_bundle
 
 
@@ -39,6 +39,17 @@ TEXT_VOCAB = 64
 TEXT_BANDS = 8
 LIKE_BASE = 0.002
 LIKE_SLOPE = 0.03
+
+# The most events a corpus may hold: about 2.8 times the paper's scale of
+# 90,000 videos at 40 views (3.6 M events). Every event is held in memory,
+# about 96 bytes with its float and its list slot, so the log takes about 1 GB.
+MAX_EVENTS = 10_000_000
+# The widest feature or text-token vector: twice the 2,048 of a ResNet-50's
+# pooled features. A video of ``ModelConfig().max_clips`` clips then holds
+# 37 MB of float64 features over its five visual kinds.
+MAX_FEATURE_DIM = 4096
+# The most text tokens per video, the context of a common text encoder.
+MAX_TEXT_TOKENS = 512
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,12 @@ class SynthConfig(JsonFields):
     def validate(self) -> None:
         if self.n_videos < 1 or self.views_per_video < 1:
             raise DataError("n_videos and views_per_video must be >= 1")
+        if self.n_videos * self.views_per_video > MAX_EVENTS:
+            raise DataError(f"n_videos * views_per_video must be <= {MAX_EVENTS} events")
+        if not (1 <= self.feature_dim <= MAX_FEATURE_DIM and 1 <= self.text_dim <= MAX_FEATURE_DIM):
+            raise DataError(f"feature_dim and text_dim must lie in [1, {MAX_FEATURE_DIM}]")
+        if not 1 <= self.text_tokens_per_video <= MAX_TEXT_TOKENS:
+            raise DataError(f"text_tokens_per_video must lie in [1, {MAX_TEXT_TOKENS}]")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
         if not self.duration_min_s < self.duration_max_s:
@@ -225,9 +242,12 @@ def generate_events(cfg: SynthConfig) -> SynthCorpus:
         )
     lattice = duration_lattice(cfg)
     id_width = max(5, len(str(cfg.n_videos - 1)))
-    events: list[WatchEvent] = []
-    metas: list[VideoMeta] = []
+    video_ids: list[str] = []
+    durations: list[float] = []
     truth: list[VideoTruth] = []
+    event_ids: list[str] = []
+    watch_times: list[float] = []
+    likes: list[bool] = []
     for index in range(cfg.n_videos):
         video_id = f"v{index:0{id_width}d}"
         rng = np.random.default_rng([cfg.seed, 11, index])
@@ -241,14 +261,17 @@ def generate_events(cfg: SynthConfig) -> SynthCorpus:
         skip_watch = rng.exponential(info.theta_s, n)
         watches = np.where(engaged, uniform_watch, skip_watch)
         liked = rng.random(n) < info.like_rate
-        metas.append(VideoMeta(video_id=video_id, duration_s=duration, frame_rate=cfg.frame_rate))
+        video_ids.append(video_id)
+        durations.append(duration)
         truth.append(info)
-        events.extend(map(WatchEvent, repeat(video_id, n), watches.tolist(), liked.tolist()))
+        event_ids += repeat(video_id, n)
+        watch_times += watches.tolist()
+        likes += liked.tolist()
     return SynthCorpus(
         config=cfg,
         ref_p=ref_p,
-        events=events,
-        metas=metas,
+        events=rows_from_columns(WatchEvent, [event_ids, watch_times, likes]),
+        metas=rows_from_columns(VideoMeta, [video_ids, durations, [cfg.frame_rate] * cfg.n_videos]),
         truth=truth,
     )
 

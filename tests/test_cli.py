@@ -25,6 +25,7 @@ from engpred import cli, trainer
 from engpred.aggregate import ParseFailure, parse_events
 from engpred.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from engpred.envelope import MAX_BINS
+from engpred.model import MAX_PARAMS
 from engpred.records import LineRange, WatchEvent, line_ranges, read_metas
 from engpred.serialize import load_bundle, load_weights, save_weights
 
@@ -490,11 +491,11 @@ class TestResumeValidation:
             ("meta/adam_t", lambda a: a + 0.5, "'meta/adam_t' must hold one non-negative integer"),
             ("meta/step", lambda a: np.zeros(0), "'meta/step' must hold one non-negative integer"),
             ("meta/label_scale", lambda a: a[:1], "'meta/label_scale' must hold two finite positive values"),
-            # A model of 2**40 width is refused by its first array's shape, before any of it is allocated.
+            # A model of 2**40 width is refused by its parameter count, before any of it is allocated.
             ("meta/model_json",
              lambda a: np.array(list(json.dumps({**json.loads(bytes(a.astype(np.uint8))), "d_model": 2**40}).encode()),
                                 dtype=np.float64),
-             "'param/proj.semantic.0.w' has shape (64, 8), expected (64, 1099511627776)"),
+             f"parameters, more than {MAX_PARAMS}"),
         ],
         ids=["model_json_300", "config_sha256_negative", "adam_t_nan", "adam_t_fraction", "step_empty",
              "label_scale_one_value", "model_json_d_model_2_40"],
@@ -706,15 +707,22 @@ class TestFloatFlags:
 
 
 def _numeric_flags():
-    """``(subcommand, option, value)``: ``0`` and ``-1`` for every numeric flag, and
-    ``1e308`` and ``-1e308`` too for a float one."""
+    """``(subcommand, option, value)``: ``0`` and ``-1`` for every numeric flag, ``1e308`` and
+    ``-1e308`` too for a float one, and ``2**40`` for an integer one save ``--iterations``,
+    where a long run is legitimate."""
     (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def extremes(action):
+        if action.type is cli.number:
+            return ["1e308", "-1e308"]
+        return [] if action.option_strings[0] == "--iterations" else [str(2**40)]
+
     return [
         (command, action.option_strings[0], value)
         for command, parser in commands.choices.items()
         for action in parser._actions
         if action.type in (int, cli.number)
-        for value in ["0", "-1", *(["1e308", "-1e308"] if action.type is cli.number else [])]
+        for value in ["0", "-1", *extremes(action)]
     ]
 
 
@@ -722,13 +730,36 @@ NUMERIC_FLAGS = _numeric_flags()
 
 
 class TestNumericFlagSweep:
-    """Every numeric flag at 0, -1 and the ends of the float range exits with a code, and no
-    traceback or warning (Tier-1 makes a warning an error). These take no value that
-    sizes an allocation."""
+    """Every numeric flag at 0, -1 and the ends of the float range, and every integer flag
+    at 2**40, exits with a code, and no traceback or warning (Tier-1 makes a warning an
+    error). A size past its bound is refused before anything of that size is allocated."""
 
     def test_sweep_covers_every_stage(self):
         assert {command for command, _, _ in NUMERIC_FLAGS} == {
             "synth", "aggregate", "fit-norm", "train", "eval", "report"}
+
+    def test_sweep_takes_each_model_and_corpus_size_past_its_bound(self):
+        assert {("synth", "--n-videos"), ("synth", "--views"), ("train", "--d-model"),
+                ("train", "--max-clips")} <= {(c, o) for c, o, v in NUMERIC_FLAGS if v == str(2**40)}
+        assert ("train", "--iterations", str(2**40)) not in NUMERIC_FLAGS
+
+    @pytest.mark.parametrize("value", [0, -1, 10**12])
+    @pytest.mark.parametrize("size", ["n_videos", "views_per_video", "feature_dim", "text_dim",
+                                      "text_tokens_per_video"])
+    def test_synth_config_size_out_of_range_is_a_data_error(self, tmp_path, capsys, size, value):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"n_videos": 3, "views_per_video": 2, size: value}))
+        assert run_cli("synth", "--out", str(tmp_path / "synth"), "--config", str(config)) == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
+    @pytest.mark.parametrize("option", ["--d-model", "--max-clips"])
+    def test_a_model_past_max_params_is_refused_before_allocating(self, corpus, tmp_path, capsys, option):
+        with mock.patch.object(trainer, "init_params", side_effect=AssertionError("parameters were made")):
+            code = run_cli("train", *_valid_stage_args("train", corpus, tmp_path), f"{option}={2**40}")
+        assert code == EXIT_DATA
+        assert f"parameters, more than {MAX_PARAMS}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, option, value", NUMERIC_FLAGS, ids=[" ".join(f) for f in NUMERIC_FLAGS])
     def test_value_exits_with_a_code(self, corpus, tmp_path, capsys, command, option, value):

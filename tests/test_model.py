@@ -60,6 +60,15 @@ class TestParameterCount:
         params = init_params(ModelConfig(), seed=0)
         assert count_parameters(params) == DEFAULT_PARAM_COUNT
 
+    def test_a_model_past_max_params_is_refused(self):
+        # d_model 1024 gives 74.2 M parameters and 2048 gives 295 M.
+        layout = model.param_layout(ModelConfig(d_model=1024))
+        assert sum(math.prod(spec.shape) for spec in layout.values()) <= model.MAX_PARAMS
+        with pytest.raises(DataError, match=f"the model would have 295200770 parameters, more than {model.MAX_PARAMS}"):
+            ModelConfig(d_model=2048).validate()
+        with pytest.raises(DataError, match="parameters, more than"):
+            ModelConfig(feature_dims={k: 2**40 for k in ALL_KINDS}).validate()
+
     def test_init_deterministic(self):
         a = init_params(TINY, seed=3)
         b = init_params(TINY, seed=3)

@@ -1,9 +1,11 @@
 """The JSON-lines writers, and the one typed row reader behind every JSONL input except the event log."""
 
 import dataclasses
+import gc
 import io
 import json
 import math
+import pickle
 import sys
 import tempfile
 import typing
@@ -20,6 +22,7 @@ from engpred import records
 from engpred.errors import DataError
 from engpred.records import (
     PredictionRow,
+    TrainLogRow,
     VideoMeta,
     VideoRecord,
     WatchEvent,
@@ -27,6 +30,7 @@ from engpred.records import (
     read_records,
     read_rows,
     row_to_json,
+    rows_from_columns,
 )
 from engpred.serialize import ManifestRow, read_manifest
 
@@ -529,3 +533,93 @@ def test_writer_formats_each_chunk_on_its_own(tmp_path, monkeypatch, chunk_rows)
     rows[4] = dataclasses.replace(rows[4], awp=math.nan)  # written through row_to_json, alone or with its chunk
     records.write_records(tmp_path / "a.jsonl", rows)
     assert (tmp_path / "a.jsonl").read_text() == "".join(row_to_json(row) + "\n" for row in rows)
+
+
+@st.composite
+def row_columns(draw, cls):
+    """One column per field of ``cls``, of one length, each holding values of its field's own type."""
+    n = draw(st.integers(0, 6), label="rows")
+    values = {str: PLAIN_TEXT | ESCAPED_TEXT, int: st.integers(), float: WRITER_FLOATS, bool: st.booleans()}
+    return [
+        draw(st.lists(st.none() | values[kind] if optional else values[kind], min_size=n, max_size=n), label=name)
+        for name, kind, optional in _codec_fields(cls)
+    ]
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+@pytest.mark.parametrize("cls", [*ROW_TYPES, TrainLogRow, WatchEvent], ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rows_from_columns_equal_the_constructor_rows(cls, gc_enabled, data):
+    assert records.row_codec(cls) is not None
+    columns = data.draw(row_columns(cls), label="columns")
+    expected = list(map(cls, *columns))
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        rows = rows_from_columns(cls, columns)
+        assert gc.isenabled() == gc_enabled
+    finally:
+        gc.enable()
+    assert rows == expected
+    assert list(map(type, rows)) == [cls] * len(expected)
+    assert list(map(hash, rows)) == list(map(hash, expected))
+    assert list(map(repr, rows)) == list(map(repr, expected))
+
+    def value_types(row):
+        return [type(getattr(row, f.name)) for f in fields(cls)]
+
+    assert list(map(value_types, rows)) == list(map(value_types, expected))
+    assert pickle.loads(pickle.dumps(rows)) == expected
+    for row in rows:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, fields(cls)[0].name, None)
+
+
+class _UnreadableColumn(list):
+    """A column whose values cannot be read."""
+
+    def __iter__(self):
+        raise RuntimeError("the column cannot be read")
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_rows_from_columns_restores_the_collector_when_it_raises(gc_enabled):
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="the column cannot be read"):
+            rows_from_columns(PredictionRow, [["v1"], _UnreadableColumn([0.5]), [0.5]])
+        assert gc.isenabled() == gc_enabled
+    finally:
+        gc.enable()
+
+
+@dataclasses.dataclass(frozen=True)
+class _DictRow:
+    video_id: str
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _CheckedRow:
+    video_id: str
+
+    def __post_init__(self):
+        if not self.video_id:
+            raise ValueError("empty video_id")
+
+
+@pytest.mark.parametrize("cls", [_DictRow, _CheckedRow, tuple], ids=lambda cls: cls.__name__)
+def test_rows_from_columns_refuses_a_class_whose_rows_would_skip_a_step(cls):
+    with pytest.raises(TypeError, match="is not a slots dataclass without __post_init__"):
+        rows_from_columns(cls, [["v1"]])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([["v1", "v2"], [0.5, 0.25]], "PredictionRow has 3 fields, got 2 columns"),
+    ([["v1", "v2"], [0.5, 0.25], [0.5, 0.25], [1.0, 1.0]], "PredictionRow has 3 fields, got 4 columns"),
+    ([["v1", "v2"], [0.5], [0.5, 0.25]], r"PredictionRow columns differ in length: \[2, 1, 2\]"),
+])
+def test_rows_from_columns_refuses_columns_that_do_not_fill_every_slot(columns, message):
+    with pytest.raises(ValueError, match=message):
+        rows_from_columns(PredictionRow, columns)
+    assert gc.isenabled()
