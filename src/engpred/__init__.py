@@ -11,7 +11,6 @@ for end-to-end verification at desk scale.
 from .aggregate import (
     CorpusAggregator,
     ParseFailure,
-    aggregate_corpus,
     parse_events,
 )
 from .autodiff import Tape, Tensor
@@ -38,7 +37,6 @@ from .metrics import (
 from .model import (
     FeatureBundle,
     ModelConfig,
-    count_parameters,
     forward,
     init_params,
     predict,
@@ -73,12 +71,10 @@ __all__ = [
     "VideoRecord",
     "WatchEvent",
     "adam_step",
-    "aggregate_corpus",
     "annotate_nawp",
     "bimodality_coefficient",
     "compare_modes",
     "cosine_lr",
-    "count_parameters",
     "distribution_report",
     "evaluate_predictions",
     "fit_envelope",

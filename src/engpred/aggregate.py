@@ -11,8 +11,10 @@ Neal 2015, arXiv:1505.05571) and is rounded once, when ``finish`` divides
 it. A ``CorpusAggregator`` is built from each video's duration by id, all
 it reads of the meta table. Events reach it as batches of columns:
 ``add_columns`` takes one batch, and ``add`` cuts a stream of
-``WatchEvent``s into such batches. A batch is reduced by ``np.bincount``
-and one integer sum per (video, binary exponent). Events can be processed
+``WatchEvent``s into such batches; ``warnings`` and ``finish`` follow. This
+class is the library's one aggregation path, in one pass or shard by shard.
+A batch is reduced by ``np.bincount`` and one integer sum per (video,
+binary exponent). Events can be processed
 in any order and in any sharding: merged shard aggregates are bit-identical
 to a single pass. ``engpred aggregate --shards N`` relies on this: it cuts
 the log into byte ranges of whole lines, reduces each in its own worker
@@ -22,7 +24,6 @@ process and merges the shards in range order.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -32,9 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DataError
-from .records import VideoMeta, VideoRecord, WatchEvent, row_codec, rows_from_columns
-
-logger = logging.getLogger(__name__)
+from .records import VideoRecord, WatchEvent, row_codec, rows_from_columns
 
 DEFAULT_ECR_THRESHOLD_S = 5.0
 DEFAULT_MIN_VIEWS = 2000
@@ -340,17 +339,3 @@ class CorpusAggregator:
             like_rates.append((likes[i] / views[i]) if liked_seen[i] else None)
         return rows_from_columns(VideoRecord, [*columns, [None] * len(ids)])
 
-
-def aggregate_corpus(
-    events: Iterable[WatchEvent],
-    metas: dict[str, VideoMeta],
-    min_views: int = DEFAULT_MIN_VIEWS,
-    duration_range_s: tuple[float, float] = DEFAULT_DURATION_RANGE_S,
-    ecr_threshold_s: float = DEFAULT_ECR_THRESHOLD_S,
-) -> list[VideoRecord]:
-    """Aggregate an event stream against a meta table and apply corpus filters."""
-    agg = CorpusAggregator({video_id: meta.duration_s for video_id, meta in metas.items()}, ecr_threshold_s)
-    agg.add(events)
-    for text in agg.warnings():
-        logger.warning("%s", text)
-    return agg.finish(min_views=min_views, duration_range_s=duration_range_s)

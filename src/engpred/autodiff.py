@@ -311,26 +311,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make("add", a.data + b.data, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g, copy=True)
-        _accumulate(b, -g)
-
-    return _make("sub", a.data - b.data, backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _make("mul", a.data * b.data, backward)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 

@@ -26,7 +26,6 @@ from .aggregate import (
     parse_events,
 )
 from .envelope import (
-    EnvelopeModel,
     annotate_nawp,
     distribution_report,
     fit_envelope,

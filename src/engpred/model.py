@@ -66,6 +66,7 @@ class ModelConfig(JsonFields):
         dims = dict(self.feature_dims)
         known = {k: dims.pop(k) for k in ALL_KINDS if k in dims}
         object.__setattr__(self, "feature_dims", {**known, **dims})
+        self.validate()
 
     def validate(self) -> None:
         unknown = [k for k in self.feature_dims if k not in ALL_KINDS]
@@ -88,7 +89,7 @@ class ModelConfig(JsonFields):
                 raise DataError(f"feature kind {kind!r} has no valid dimension")
         if self.fusion_input_dim() < 1:
             raise DataError(f"features {self.features} give the fusion MLP no input")
-        n_params = sum(math.prod(spec.shape) for spec in _layout(self).values())
+        n_params = sum(math.prod(spec.shape) for spec in param_layout(self).values())
         if n_params > MAX_PARAMS:
             raise DataError(f"the model would have {n_params} parameters, more than {MAX_PARAMS}")
 
@@ -157,12 +158,6 @@ class ParamSpec(NamedTuple):
 
 def param_layout(config: ModelConfig) -> dict[str, ParamSpec]:
     """Each parameter's spec by name, in canonical (``init_params``) order; nothing is allocated."""
-    config.validate()
-    return _layout(config)
-
-
-def _layout(config: ModelConfig) -> dict[str, ParamSpec]:
-    """``param_layout`` of a config whose fields are checked save its size."""
     d = config.d_model
     layout: dict[str, ParamSpec] = {}
 
@@ -213,11 +208,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     for name, (shape, bound, value) in param_layout(config).items():
         params[name] = Tensor(np.full(shape, value) if bound is None else rng.uniform(-bound, bound, size=shape))
     return params
-
-
-def count_parameters(params: dict[str, Tensor]) -> int:
-    """Total number of scalar parameters."""
-    return sum(p.data.size for p in params.values())
 
 
 Bounds = list[tuple[int, int]]

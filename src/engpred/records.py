@@ -5,7 +5,10 @@ Every JSON and JSONL artifact is written through ``atomic_write`` (by
 file in place. A dataclass deriving ``JsonFields`` takes its JSON schema from
 its fields, checked by ``typed_value``: configs are read by
 ``JsonFields.from_dict``, and every JSONL file except the event log by
-``read_rows``, one such dataclass per line. Every JSONL line, the event and
+``read_rows``, one such dataclass per line. ``validate`` checks the values
+beyond their types: ``read_rows`` runs it on each row, and a config runs it
+whenever it is made (directly, by ``from_dict`` or by ``dataclasses.replace``),
+so a config that exists is valid. Every JSONL line, the event and
 train logs' too, is a row that ``row_to_json`` writes with its keys in field
 order, so repeated runs produce byte-identical files.
 
@@ -101,22 +104,16 @@ def _schema(cls: type) -> tuple[dict[str, Any], dict[str, type | None], set[str]
 def _from_fields(cls: type, payload: Any, where: str, sep: str = ".") -> Any:
     """Dataclass ``cls`` built from a JSON object whose keys are its fields.
 
-    A value's error names it ``where + sep + field``. A finite value of its
-    field's plain type skips ``typed_value``: rows are read by the thousand.
+    A value's error names it ``where + sep + field``.
     """
     if not isinstance(payload, dict):
         raise DataError(f"{where} must be a JSON object, got {payload!r}")
-    hints, plain, required, _ = _schema(cls)
+    hints, _, required, _ = _schema(cls)
     if not payload.keys() <= hints.keys():
         raise DataError(f"{where}: unknown keys {[k for k in payload if k not in hints]}")
     if not required <= payload.keys():
         raise DataError(f"{where}: missing keys {[k for k in hints if k in required and k not in payload]}")
-    values = {}
-    for k, v in payload.items():
-        if type(v) is not plain[k] or (type(v) is float and not math.isfinite(v)):
-            v = typed_value(v, hints[k], f"{where}{sep}{k}")
-        values[k] = v
-    return cls(**values)
+    return cls(**{k: typed_value(v, hints[k], f"{where}{sep}{k}") for k, v in payload.items()})
 
 
 class JsonFields:
@@ -125,17 +122,15 @@ class JsonFields:
     __slots__ = ()
 
     def validate(self) -> None:
-        """Check values beyond their types; raises DataError."""
+        """Check values beyond their types; raises DataError. A config runs it in ``__post_init__``."""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Any):
-        """Reject unknown keys and wrong-typed values, then validate."""
-        obj = _from_fields(cls, payload, cls.__name__)
-        obj.validate()
-        return obj
+        """Reject unknown keys and wrong-typed values; a config then checks itself as it is made."""
+        return _from_fields(cls, payload, cls.__name__)
 
 
 @contextmanager
@@ -587,11 +582,11 @@ class LineRange:
     """The event log's lines from the stream's position on, decoded as UTF-8.
 
     Reads ``size`` bytes, which must end at a line start, or to the end of
-    the stream when ``size`` is None, in blocks of whole lines (``blocks``)
-    or line by line. Lines end at "\n" only. A block is decoded once, with
-    undecodable bytes as U+FFFD; that equals decoding each line alone, as a
-    newline byte never occurs inside a UTF-8 sequence. ``count`` is the
-    number of lines read so far.
+    the stream when ``size`` is None, in blocks of whole lines (``blocks``).
+    Lines end at "\n" only. A block is decoded once, with undecodable bytes
+    as U+FFFD; that equals decoding each line alone, as a newline byte never
+    occurs inside a UTF-8 sequence. ``count`` is the number of lines read so
+    far.
     """
 
     def __init__(self, f: IO[bytes], size: int | None = None) -> None:
@@ -615,11 +610,3 @@ class LineRange:
         if any(pending):
             self.count += 1
             yield b"".join(pending).decode("utf-8", errors="replace")
-
-    def __iter__(self) -> Iterator[str]:
-        for block in self.blocks():
-            *lines, tail = block.split("\n")
-            for line in lines:
-                yield line + "\n"
-            if tail:
-                yield tail

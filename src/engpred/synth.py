@@ -75,6 +75,9 @@ class SynthConfig(JsonFields):
     text_tokens_per_video: int = 6
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.n_videos < 1 or self.views_per_video < 1:
             raise DataError("n_videos and views_per_video must be >= 1")
@@ -93,7 +96,7 @@ class SynthConfig(JsonFields):
         if self.frames_per_clip < 1:
             raise DataError("frames_per_clip must be >= 1")
         # The float product: a huge rate gives inf, never a huge int to allocate by.
-        max_clips = ModelConfig().max_clips
+        max_clips = ModelConfig.max_clips  # the field's default
         if not self.duration_max_s * self.frame_rate / self.frames_per_clip <= max_clips:
             raise DataError(f"duration_max_s * frame_rate / frames_per_clip must be <= {max_clips} clips")
         if self.ecr_threshold_s < 0:
@@ -233,7 +236,6 @@ def _draw_quality(cfg: SynthConfig, rng: np.random.Generator) -> float:
 
 def generate_events(cfg: SynthConfig) -> SynthCorpus:
     """Sample the event log, meta table, and exact ground truth."""
-    cfg.validate()
     ref_p = reference_engagement(cfg)
     if ref_p <= 0.01:
         raise DataError(
@@ -352,8 +354,12 @@ def generate_features(
     cfg: SynthConfig,
     out_dir: Path | str | None = None,
 ) -> tuple[list[ManifestRow], dict[str, FeatureBundle]]:
-    """Build labeled feature bundles (optionally writing .engf files + manifest)."""
-    cfg.validate()
+    """Manifest rows and feature bundles by video id for ``truth``'s videos.
+
+    With ``out_dir``, each bundle is written to ``features/<id>.engf`` as it is
+    made and none is kept, so the mapping is empty and memory stays flat in
+    the corpus size; the manifest follows the last bundle.
+    """
     maps = _feature_maps(cfg)
     embeddings = _text_embeddings(cfg)
     bundles: dict[str, FeatureBundle] = {}
@@ -363,9 +369,10 @@ def generate_features(
         make_dir(base / "features")
     for info in truth:
         bundle = make_bundle(cfg, info, maps, embeddings)
-        bundles[info.video_id] = bundle
         feature_path = f"features/{info.video_id}.engf"
-        if base is not None:
+        if base is None:
+            bundles[info.video_id] = bundle
+        else:
             save_bundle(base / feature_path, bundle)
         rows.append(
             ManifestRow(

@@ -81,6 +81,9 @@ class TrainConfig(JsonFields):
     split_ratio: float = 0.9
     eval_interval: int = 250
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
@@ -316,7 +319,6 @@ def train(
     resume_from: Path | str | None = None,
 ) -> TrainResult:
     """Run the training loop over a labeled feature manifest."""
-    train_cfg.validate()
     manifest_path = Path(manifest_path)
     rows = read_manifest(manifest_path)
     ids = sorted(row.video_id for row in rows)
@@ -331,7 +333,6 @@ def train(
 
     model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
     model_cfg = config_for_bundle(model_cfg, bundles[ids[0]])
-    model_cfg.validate()
     for vid in ids:
         check_bundle(bundles[vid], model_cfg, durations[vid])
 

@@ -9,13 +9,12 @@ import math
 import struct
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from engpred import autodiff as ad
-from engpred.aggregate import CorpusAggregator, aggregate_corpus
+from engpred.aggregate import CorpusAggregator
 from engpred.autodiff import Tape, Tensor
 from engpred.cli import EXIT_OK, main as cli_main
 from engpred.envelope import (
@@ -27,9 +26,11 @@ from engpred.envelope import (
 )
 from engpred.metrics import plcc, rmse, rmse_topk, srcc
 from engpred.model import ALL_KINDS, FeatureBundle, ModelConfig, forward, init_params
+from engpred.serialize import load_bundle
 from engpred.synth import SynthConfig, generate_events, generate_features, ridge_oracle
 from engpred.trainer import TrainConfig, split_dataset, train
 
+from test_aggregate import aggregate_events
 from test_autodiff import KinkAwareDifference, check_gradients, _rand
 from test_metrics import brute_pearson, brute_rmse, brute_rmse_topk, brute_srcc
 
@@ -62,7 +63,8 @@ DESK_TRAIN = TrainConfig(
 def desk_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk_corpus")
     corpus = generate_events(DESK_SYNTH)
-    rows, bundles = generate_features(corpus.truth, DESK_SYNTH, out_dir=out)
+    rows, _ = generate_features(corpus.truth, DESK_SYNTH, out_dir=out)
+    bundles = {row.video_id: load_bundle(out / row.feature_path) for row in rows}
     return {"dir": out, "corpus": corpus, "rows": rows, "bundles": bundles}
 
 
@@ -80,7 +82,7 @@ def test_criterion_2_aggregation_oracle(desk_corpus):
     with criterion(2, "aggregation matches naive reference; shards bit-identical"):
         corpus = desk_corpus["corpus"]
         metas = {m.video_id: m for m in corpus.metas}
-        records = aggregate_corpus(corpus.events, metas, min_views=100)
+        records = aggregate_events(corpus.events, metas, min_views=100)
         assert len(records) == DESK_SYNTH.n_videos
 
         # Naive single-pass reference: fsum is correctly rounded too, so
@@ -130,7 +132,7 @@ def test_criterion_3_envelope_recovery():
         )
         corpus = generate_events(cfg)
         metas = {m.video_id: m for m in corpus.metas}
-        records = aggregate_corpus(corpus.events, metas, min_views=1)
+        records = aggregate_events(corpus.events, metas, min_views=1)
         env = fit_envelope(records, quantile_tau=cfg.envelope_tau, bin_width_s=1.0, min_bin_count=20)
         assert env.slope_a == pytest.approx(cfg.envelope_a, rel=0.05)
         assert env.intercept_b == pytest.approx(cfg.envelope_b, rel=0.05)
@@ -341,7 +343,7 @@ def test_criterion_9_bimodality(desk_corpus):
     with criterion(9, "synthetic NAWP and ECR distributions are bimodal (BC > 5/9)"):
         corpus = desk_corpus["corpus"]
         metas = {m.video_id: m for m in corpus.metas}
-        records = aggregate_corpus(corpus.events, metas, min_views=100)
+        records = aggregate_events(corpus.events, metas, min_views=100)
         env = fit_envelope(records, bin_width_s=5.0, min_bin_count=25)
         annotated = annotate_nawp(records, env)
         bc_nawp = bimodality_coefficient([r.nawp for r in annotated])

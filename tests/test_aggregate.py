@@ -19,7 +19,6 @@ from engpred.aggregate import (
     CorpusAggregator,
     EventColumns,
     ParseFailure,
-    aggregate_corpus,
     parse_event_blocks,
     parse_events,
 )
@@ -46,14 +45,22 @@ def _add_all(agg, events):
     agg.add(events)
 
 
+def aggregate_events(events, metas, ecr_threshold_s=DEFAULT_ECR_THRESHOLD_S, **filters):
+    """The records of ``events``, reduced by one ``CorpusAggregator`` over the durations of
+    ``metas`` and finished with ``filters``."""
+    agg = CorpusAggregator({video_id: meta.duration_s for video_id, meta in metas.items()}, ecr_threshold_s)
+    agg.add(events)
+    return agg.finish(**filters)
+
+
 def _one_video(watch_times, duration=20.0, liked=None, ecr_threshold_s=DEFAULT_ECR_THRESHOLD_S):
-    """The record of video v1, aggregated through ``aggregate_corpus`` with no filter."""
-    (record,) = aggregate_corpus(
+    """The record of video v1, aggregated with no filter."""
+    (record,) = aggregate_events(
         _events("v1", watch_times, liked),
         {"v1": _meta("v1", duration)},
+        ecr_threshold_s,
         min_views=1,
         duration_range_s=(0.0, math.inf),
-        ecr_threshold_s=ecr_threshold_s,
     )
     return record
 
@@ -125,7 +132,7 @@ class TestParseEvents:
 
     def test_undecodable_bytes_are_a_failure(self):
         stream = io.BytesIO(b'\xff\xfe\n{"video_id":"v1","watch_time_s":3}\n')
-        failure, event = parse_events(LineRange(stream))
+        failure, event = parse_events(line.decode("utf-8", errors="replace") for line in stream)
         assert isinstance(failure, ParseFailure) and failure.line_no == 1
         assert event.watch_time_s == 3.0
 
@@ -140,7 +147,7 @@ class TestParseEvents:
 
     def test_reads_binary_stream(self):
         stream = io.BytesIO(b'{"video_id":"v1","watch_time_s":3}\n')
-        (event,) = parse_events(LineRange(stream))
+        (event,) = parse_events(line.decode("utf-8", errors="replace") for line in stream)
         assert event.video_id == "v1"
 
 
@@ -190,7 +197,7 @@ class TestCorpusFilters:
     def test_min_views_excludes_1999(self):
         metas = {"v1": _meta("v1"), "v2": _meta("v2")}
         events = _events("v1", [1.0] * 1999) + _events("v2", [1.0] * 2000)
-        records = aggregate_corpus(events, metas, min_views=2000)
+        records = aggregate_events(events, metas, min_views=2000)
         assert [r.video_id for r in records] == ["v2"]
 
     def test_duration_window_excludes_61s(self):
@@ -201,7 +208,7 @@ class TestCorpusFilters:
             "d": VideoMeta("d", 9.5, 30.0),
         }
         events = [WatchEvent(v, 1.0) for v in "abcd"]
-        records = aggregate_corpus(events, metas, min_views=1)
+        records = aggregate_events(events, metas, min_views=1)
         assert [r.video_id for r in records] == ["b", "c"]
 
     def test_unknown_id_skipped_and_counted(self):
@@ -216,7 +223,7 @@ class TestCorpusFilters:
     def test_output_sorted_by_video_id(self):
         metas = {f"v{i}": _meta(f"v{i}") for i in range(5)}
         events = [WatchEvent(f"v{i}", 1.0) for i in (3, 1, 4, 0, 2)]
-        records = aggregate_corpus(events, metas, min_views=1)
+        records = aggregate_events(events, metas, min_views=1)
         assert [r.video_id for r in records] == sorted(metas)
 
     def test_filtering_after_aggregation(self):
@@ -548,11 +555,12 @@ class TestBlockParse:
         assert [WatchEvent(*row) for columns in items
                 for row in zip(columns.video_ids, columns.watch_s, columns.liked)] == events
 
-    def test_lines_iterate_as_in_the_file(self):
+    def test_blocks_hold_the_lines_of_the_file(self):
         log = b'a\x1cb\n\xe2\x80\xa8\r\n\n{"x":1}'
         with mock.patch.object(records, "BLOCK_BYTES", 4):
-            assert list(LineRange(io.BytesIO(log))) == [
-                line.decode("utf-8", errors="replace") for line in io.BytesIO(log)]
+            blocks = list(LineRange(io.BytesIO(log)).blocks())
+        assert "".join(blocks) == log.decode("utf-8", errors="replace")
+        assert all(block.endswith("\n") for block in blocks[:-1])
 
 
 class TestNaiveReferenceEquivalence:
@@ -562,7 +570,7 @@ class TestNaiveReferenceEquivalence:
         rng = random.Random(7)
         metas = {f"v{i}": _meta(f"v{i}", duration=20.0) for i in range(4)}
         events = [WatchEvent(f"v{rng.randrange(4)}", rng.random() * 40) for _ in range(500)]
-        records = aggregate_corpus(events, metas, min_views=1)
+        records = aggregate_events(events, metas, min_views=1)
 
         # Independent single-pass reference. fsum is also correctly rounded,
         # so the two must agree bitwise.

@@ -19,13 +19,13 @@ from engpred.model import (
     FeatureBundle,
     ModelConfig,
     config_for_bundle,
-    count_parameters,
     forward,
     forward_batch,
     init_params,
     predict,
 )
-from engpred.trainer import _batch_loss_node
+from engpred.synth import SynthConfig
+from engpred.trainer import TrainConfig, _batch_loss_node
 
 # Frozen at first build; guards accidental architecture changes.
 DEFAULT_PARAM_COUNT = 4787458
@@ -50,15 +50,9 @@ def tiny_bundle(seed=0, n_clips=5, frame_rate=16.0, kinds=VISUAL_KINDS, dim=4, t
 
 
 class TestParameterCount:
-    def test_empty(self):
-        assert count_parameters({}) == 0
-
-    def test_single_matrix(self):
-        assert count_parameters({"w": Tensor(np.zeros((3, 4)))}) == 12
-
     def test_default_config_anchor(self):
         params = init_params(ModelConfig(), seed=0)
-        assert count_parameters(params) == DEFAULT_PARAM_COUNT
+        assert sum(p.data.size for p in params.values()) == DEFAULT_PARAM_COUNT
 
     def test_a_model_past_max_params_is_refused(self):
         # d_model 1024 gives 74.2 M parameters and 2048 gives 295 M.
@@ -176,7 +170,7 @@ class TestFeatureToggles:
         cfg_sub = replace(TINY, features=tuple(k for k in ALL_KINDS if k != "aesthetic"))
         full = init_params(TINY, seed=5)
         sub = init_params(cfg_sub, seed=5)
-        assert count_parameters(sub) < count_parameters(full)
+        assert sum(p.data.size for p in sub.values()) < sum(p.data.size for p in full.values())
         assert not any(n.startswith("proj.aesthetic") for n in sub)
 
     def test_disabled_equals_sliced_not_zeroed(self):
@@ -582,6 +576,20 @@ def test_config_validation():
     with pytest.raises(DataError):
         ModelConfig(features=("bogus",)).validate()
     ModelConfig().validate()
+
+
+@pytest.mark.parametrize(
+    "config, change, message",
+    [
+        (ModelConfig(), {"d_model": 0}, "d_model must be >= 1"),
+        (TrainConfig(), {"batch_size": 0}, "batch_size must be >= 1"),
+        (SynthConfig(), {"coupling": 2.0}, "coupling must lie in"),
+    ],
+    ids=["ModelConfig", "TrainConfig", "SynthConfig"],
+)
+def test_a_config_is_checked_as_it_is_made(config, change, message):
+    with pytest.raises(DataError, match=message):
+        replace(config, **change)
 
 
 def test_config_json_round_trip():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from engpred import synth
-from engpred.aggregate import aggregate_corpus
 from engpred.envelope import EnvelopeModel, annotate_nawp, bimodality_coefficient, fit_envelope
 from engpred.errors import DataError
 from engpred.metrics import srcc
 from engpred.records import WatchEvent, row_to_json
+from engpred.serialize import load_bundle
 from engpred.synth import (
     SynthConfig,
     analytic_correlation_targets,
@@ -25,6 +26,8 @@ from engpred.synth import (
     ridge_oracle,
 )
 from engpred.trainer import split_dataset
+
+from test_aggregate import aggregate_events
 
 
 BASE = SynthConfig(n_videos=120, views_per_video=400, seed=9)
@@ -38,7 +41,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def aggregated(corpus):
     metas = {m.video_id: m for m in corpus.metas}
-    return aggregate_corpus(corpus.events, metas, min_views=1)
+    return aggregate_events(corpus.events, metas, min_views=1)
 
 
 class TestDeterminism:
@@ -202,7 +205,7 @@ class TestPlantedEnvelope:
         )
         c = generate_events(cfg)
         metas = {m.video_id: m for m in c.metas}
-        records = aggregate_corpus(c.events, metas, min_views=1)
+        records = aggregate_events(c.events, metas, min_views=1)
         env = fit_envelope(records, quantile_tau=cfg.envelope_tau, bin_width_s=1.0, min_bin_count=20)
         assert env.slope_a == pytest.approx(cfg.envelope_a, rel=0.05)
         assert env.intercept_b == pytest.approx(cfg.envelope_b, rel=0.05)
@@ -231,7 +234,7 @@ class TestCorrelationTargets:
         c = generate_events(cfg)
         target = analytic_correlation_targets(c.truth)
         metas = {m.video_id: m for m in c.metas}
-        records = aggregate_corpus(c.events, metas, min_views=1)
+        records = aggregate_events(c.events, metas, min_views=1)
         env = EnvelopeModel(cfg.envelope_a, cfg.envelope_b)
         annotated = annotate_nawp(records, env)
         empirical = srcc([r.ecr for r in annotated], [r.nawp for r in annotated])
@@ -251,8 +254,9 @@ class TestFeaturesAndOracle:
         c = generate_events(cfg)
         rows, bundles = generate_features(c.truth, cfg, out_dir=tmp_path)
         assert (tmp_path / "manifest.jsonl").exists()
+        assert bundles == {}
         for row in rows:
-            bundle = bundles[row.video_id]
+            bundle = load_bundle(tmp_path / row.feature_path)
             expected_clips = math.floor(row.duration_s * cfg.frame_rate) // cfg.frames_per_clip
             assert bundle.n_clips == expected_clips
             assert bundle.text_tokens.shape == (cfg.text_tokens_per_video, 6)
@@ -262,6 +266,19 @@ class TestFeaturesAndOracle:
             assert 0.0 <= row.nawp_label <= 1.0
             assert 0.0 <= row.ecr_label <= 1.0
             assert row.awt_label > 0.0
+
+    def test_written_bundles_are_not_kept(self, tmp_path):
+        # 40 default-size bundles hold about 3.6 MB; written ones are dropped as they are made.
+        cfg = SynthConfig(n_videos=40, views_per_video=1, seed=2)
+        truth = generate_events(cfg).truth
+        tracemalloc.start()
+        try:
+            rows, bundles = generate_features(truth, cfg, out_dir=tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 19
+        assert bundles == {} and len(rows) == 40
 
     def test_noiseless_clip_free_recovery_is_exact(self):
         # engaged_ref_p above the latent ceiling means no label saturates at
