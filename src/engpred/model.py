@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -116,17 +117,18 @@ class ModelConfig(JsonFields):
         return min(n_clips, max(1, window))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FeatureBundle:
-    """Precomputed per-clip visual features plus shared text token embeddings."""
+    """Precomputed per-clip visual features plus shared text token embeddings:
+    checked when made, read-only after (its arrays in place, no copy)."""
 
     video_id: str
     n_clips: int
     frame_rate: float
-    clip_features: dict[str, np.ndarray]
+    clip_features: Mapping[str, np.ndarray]
     text_tokens: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.video_id:
             raise DataError("feature bundle has empty video_id")
         if self.n_clips < 1:
@@ -145,6 +147,9 @@ class FeatureBundle:
             raise DataError(f"bundle {self.video_id!r}: text tokens must be (T>=1, D)")
         if not np.all(np.isfinite(self.text_tokens)):
             raise DataError(f"bundle {self.video_id!r}: text tokens have non-finite values")
+        for arr in (*self.clip_features.values(), self.text_tokens):
+            arr.flags.writeable = False
+        object.__setattr__(self, "clip_features", MappingProxyType(dict(self.clip_features)))
 
 
 class ParamSpec(NamedTuple):
@@ -341,8 +346,8 @@ def forward_batch(
     many rows it sees; every other op already works per row or per video.
     Each video's results then equal a pass over that video alone, bit for
     bit. Training steps leave it off: one product per layer is faster.
-    Bundles are validated where they enter (``load_bundle``, ``forward``,
-    ``predict``); here each is only checked to fit the model.
+    A bundle checked its own shapes and values when it was made; here each
+    is only checked to fit the model (``check_bundle``).
     """
     if durations is None:
         durations = [None] * len(bundles)
@@ -392,8 +397,7 @@ def forward(
     config: ModelConfig,
     duration_s: float | None = None,
 ) -> ForwardResult:
-    """Run the network on one video's feature bundle (a batch of one), after validating it."""
-    bundle.validate()
+    """Run the network on one video's feature bundle (a batch of one)."""
     out = forward_batch([bundle], params, config, [duration_s])
     nawp_node = ad.mean_axis(ad.mean_axis(out.nawp_node, 0), 0)
     ecr_node = ad.mean_axis(ad.mean_axis(out.ecr_node, 0), 0)
@@ -418,14 +422,12 @@ def predict(
 
     Each pass runs ``forward_batch(..., per_video=True)``, so every video's
     estimates are bit-identical to ``forward`` on it alone, whatever the
-    chunk size or the other videos of its chunk. Each bundle is validated once.
+    chunk size or the other videos of its chunk.
     """
     if durations is None:
         durations = [None] * len(bundles)
     if len(durations) != len(bundles):
         raise ValueError("predict needs one duration per bundle")
-    for bundle in bundles:
-        bundle.validate()
     estimates: list[tuple[float, float]] = []
     for start in range(0, len(bundles), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK
@@ -434,15 +436,9 @@ def predict(
     return estimates
 
 
-def infer_feature_dims(bundle: FeatureBundle) -> dict[str, int]:
-    """Dimensions of the bundle's arrays of the kinds in ALL_KINDS; others are not model inputs."""
-    dims = {kind: int(arr.shape[1]) for kind, arr in bundle.clip_features.items() if kind in ALL_KINDS}
-    dims[TEXT_KIND] = int(bundle.text_tokens.shape[1])
-    return dims
-
-
 def config_for_bundle(config: ModelConfig, bundle: FeatureBundle) -> ModelConfig:
-    """Copy of ``config`` whose feature dims match the bundle's arrays."""
+    """Copy of ``config`` whose feature dims match the bundle's arrays; other kinds are not model inputs."""
     dims = dict(config.feature_dims)
-    dims.update(infer_feature_dims(bundle))
+    dims.update((kind, arr.shape[1]) for kind, arr in bundle.clip_features.items() if kind in ALL_KINDS)
+    dims[TEXT_KIND] = bundle.text_tokens.shape[1]
     return replace(config, feature_dims=dims)

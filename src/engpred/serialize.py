@@ -8,7 +8,9 @@ with all integers little-endian and array payloads little-endian float64,
 and a rank of at most ``MAX_RANK``.
 An ENGW file is ``b"ENGW" | u32 version`` followed by named arrays until
 EOF. An ENGF file is ``b"ENGF" | u32 version | u32 id_len | video_id |
-u32 n_clips | f64 frame_rate`` followed by named arrays until EOF.
+u32 n_clips | f64 frame_rate`` followed by named arrays until EOF;
+``load_bundle`` returns it as a ``FeatureBundle``, which checks itself as it
+is made.
 """
 
 from __future__ import annotations
@@ -149,15 +151,7 @@ def load_bundle(path: Path | str) -> FeatureBundle:
     if text_key not in arrays:
         raise DataError(f"bundle {video_id!r} is missing text tokens")
     text_tokens = arrays.pop(text_key)
-    bundle = FeatureBundle(
-        video_id=video_id,
-        n_clips=n_clips,
-        frame_rate=frame_rate,
-        clip_features=arrays,
-        text_tokens=text_tokens,
-    )
-    bundle.validate()
-    return bundle
+    return FeatureBundle(video_id, n_clips, frame_rate, clip_features=arrays, text_tokens=text_tokens)
 
 
 def read_manifest(path: Path | str) -> list[ManifestRow]:

@@ -349,31 +349,17 @@ def make_bundle(cfg: SynthConfig, info: VideoTruth, maps, embeddings) -> Feature
     )
 
 
-def generate_features(
-    truth: list[VideoTruth],
-    cfg: SynthConfig,
-    out_dir: Path | str | None = None,
-) -> tuple[list[ManifestRow], dict[str, FeatureBundle]]:
-    """Manifest rows and feature bundles by video id for ``truth``'s videos.
-
-    With ``out_dir``, each bundle is written to ``features/<id>.engf`` as it is
-    made and none is kept, so the mapping is empty and memory stays flat in
-    the corpus size; the manifest follows the last bundle.
-    """
+def generate_features(truth: list[VideoTruth], cfg: SynthConfig, out_dir: Path | str) -> list[ManifestRow]:
+    """Write each video's bundle to ``out_dir/features/<id>.engf`` as it is made,
+    then the manifest, and return its rows; no bundle is kept, so memory stays flat."""
     maps = _feature_maps(cfg)
     embeddings = _text_embeddings(cfg)
-    bundles: dict[str, FeatureBundle] = {}
     rows: list[ManifestRow] = []
-    base = Path(out_dir) if out_dir is not None else None
-    if base is not None:
-        make_dir(base / "features")
+    base = Path(out_dir)
+    make_dir(base / "features")
     for info in truth:
-        bundle = make_bundle(cfg, info, maps, embeddings)
         feature_path = f"features/{info.video_id}.engf"
-        if base is None:
-            bundles[info.video_id] = bundle
-        else:
-            save_bundle(base / feature_path, bundle)
+        save_bundle(base / feature_path, make_bundle(cfg, info, maps, embeddings))
         rows.append(
             ManifestRow(
                 video_id=info.video_id,
@@ -386,9 +372,8 @@ def generate_features(
                 awp_label=info.awt_mean_s / info.duration_s,
             )
         )
-    if base is not None:
-        write_rows(base / "manifest.jsonl", rows)
-    return rows, bundles
+    write_rows(base / "manifest.jsonl", rows)
+    return rows
 
 
 def _video_vector(bundle: FeatureBundle) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 ``train`` reads and checks every feature bundle the manifest names before
 step 0, so a missing, corrupt or mislabelled bundle, or one that does not fit
-the model sized from the first, is a ``DataError`` before any step runs.
+the model sized from the first, is a ``DataError`` before any step runs. A
+bundle checks its values once, as it is read; a step and a prediction pass
+only check that it fits the model.
 Batches group whole videos. A training step packs the batch's clips
 row-wise and records one tape for the whole batch (``model.forward_batch``),
 with attention kept inside each video, so there is no padding and no video

@@ -63,7 +63,7 @@ DESK_TRAIN = TrainConfig(
 def desk_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk_corpus")
     corpus = generate_events(DESK_SYNTH)
-    rows, _ = generate_features(corpus.truth, DESK_SYNTH, out_dir=out)
+    rows = generate_features(corpus.truth, DESK_SYNTH, out_dir=out)
     bundles = {row.video_id: load_bundle(out / row.feature_path) for row in rows}
     return {"dir": out, "corpus": corpus, "rows": rows, "bundles": bundles}
 

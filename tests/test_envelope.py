@@ -198,6 +198,13 @@ class TestDistributionReport:
         assert bc == pytest.approx(brute_bc(list(values)), rel=1e-10)
         assert abs(bc - 5 / 9) < 0.02
 
+    def test_skewed_values_match_brute_force(self):
+        # Both inputs above are symmetric, so their skew term is 0; these are not.
+        right_skewed = np.random.default_rng(3).exponential(size=400)
+        assert bimodality_coefficient(right_skewed) == pytest.approx(brute_bc(list(right_skewed)), rel=1e-10)
+        left_skewed = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -4.0]
+        assert bimodality_coefficient(left_skewed) == pytest.approx(brute_bc(left_skewed), rel=1e-12)
+
     def test_constant_vector_raises(self):
         with pytest.raises(NumericError):
             distribution_report([1.0] * 10, bins=4)

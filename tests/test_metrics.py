@@ -175,6 +175,15 @@ class TestGroupedSrcc:
         assert [g["srcc"] for g in out["groups"]] == [pytest.approx(1.0), pytest.approx(0.5)]
         assert out["average"] == pytest.approx(0.75)
 
+    def test_group_duration_bounds(self):
+        pred = [1, 2, 3, 10, 20, 30]
+        truth = [1, 2, 3, 5, 6, 7]
+        out = grouped_srcc(pred, truth, [11, 12, 13, 25, 26, 27], group_width_s=10)
+        assert [(g["duration_min_s"], g["duration_max_s"], g["n"]) for g in out["groups"]] == [
+            (10, 20, 3),
+            (20, 30, 3),
+        ]
+
     def test_small_groups_skipped(self):
         with pytest.raises(DataError):
             grouped_srcc([1, 2], [1, 2], [10, 11], group_width_s=5)

@@ -409,22 +409,56 @@ class TestPackedBatch:
         with pytest.raises(DataError):
             forward_batch([tiny_bundle(), tiny_bundle(dim=6)], params, TINY)
 
+
+class TestBundleValidByConstruction:
+    """A ``FeatureBundle`` checks itself when it is made and cannot be written into after."""
+
     @pytest.mark.parametrize(
         "where, message",
         [("semantic", "bundle 'v1': semantic has non-finite values"),
          ("text", "bundle 'v1': text tokens have non-finite values")],
     )
-    def test_forward_and_predict_validate_the_bundles_they_are_given(self, where, message):
-        params = init_params(TINY, seed=0)
-        bad = tiny_bundle(seed=1)
+    def test_non_finite_values_refused(self, where, message):
+        good = tiny_bundle(seed=1)
+        clip_features = {kind: arr.copy() for kind, arr in good.clip_features.items()}
+        text_tokens = good.text_tokens.copy()
         if where == "text":
-            bad.text_tokens[-1, 0] = np.inf
+            text_tokens[-1, 0] = np.inf
         else:
-            bad.clip_features[where][2, 1] = np.nan
+            clip_features[where][2, 1] = np.nan
         with pytest.raises(DataError, match=f"^{message}$"):
-            forward(bad, params, TINY)
-        with pytest.raises(DataError, match=f"^{message}$"):
-            predict([tiny_bundle(seed=0), bad], params, TINY)
+            FeatureBundle(good.video_id, good.n_clips, good.frame_rate, clip_features, text_tokens)
+
+    def test_clip_count_mismatch_refused(self):
+        good = tiny_bundle(seed=1, n_clips=5)
+        message = r"^bundle 'v1': semantic has shape \(5, 4\), expected \(6, D\)$"
+        with pytest.raises(DataError, match=message):
+            FeatureBundle(good.video_id, 6, good.frame_rate, dict(good.clip_features), good.text_tokens)
+        with pytest.raises(DataError, match=message):
+            replace(good, n_clips=6)
+        with pytest.raises(DataError, match="^bundle 'v1': n_clips must be >= 1$"):
+            replace(good, n_clips=0)
+
+    def test_arrays_and_mapping_are_read_only(self):
+        clip_features = {"semantic": np.ones((2, 3))}
+        text_tokens = np.ones((1, 3))
+        bundle = FeatureBundle("v0", 2, 16.0, clip_features, text_tokens)
+        # Marked in place: the bundle holds the very arrays it was given.
+        assert bundle.clip_features["semantic"] is clip_features["semantic"] and bundle.text_tokens is text_tokens
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.clip_features["semantic"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.text_tokens[0, 0] = np.nan
+        with pytest.raises(TypeError):
+            bundle.clip_features["semantic"] = np.ones((2, 3))
+        with pytest.raises(TypeError):
+            bundle.clip_features["action"] = np.ones((2, 3))
+        with pytest.raises(AttributeError):
+            bundle.n_clips = 3
+        # The dict it was made from no longer reaches it.
+        clip_features["action"] = np.full((2, 3), np.nan)
+        assert list(bundle.clip_features) == ["semantic"]
+        assert np.all(bundle.clip_features["semantic"] == 1.0) and np.all(bundle.text_tokens == 1.0)
 
 
 # Model variants of the prediction property: every path ``forward_batch`` has.
@@ -559,7 +593,7 @@ def test_config_for_bundle_infers_dims():
 
 def test_config_for_bundle_ignores_arrays_of_other_kinds():
     bundle = tiny_bundle(dim=4, text_dim=4)
-    bundle.clip_features = {"optical_flow": np.zeros((bundle.n_clips, 3)), **bundle.clip_features}
+    bundle = replace(bundle, clip_features={"optical_flow": np.zeros((bundle.n_clips, 3)), **bundle.clip_features})
     cfg = config_for_bundle(ModelConfig(d_model=8), bundle)
     assert list(cfg.feature_dims) == list(ALL_KINDS)
     cfg.validate()

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from engpred.serialize import (
     read_manifest,
     save_bundle,
     save_weights,
+    write_named_arrays,
 )
 from engpred.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -146,6 +148,15 @@ class TestCorruptHeaders:
             load_weights(path)
 
 
+def write_engf(path: Path, video_id: str, n_clips: int, frame_rate: float, arrays: dict) -> None:
+    """An ENGF file written byte by byte (header, then named arrays), so it can
+    hold what no ``FeatureBundle`` would accept."""
+    encoded = video_id.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"ENGF" + _u32(1, len(encoded)) + encoded + _u32(n_clips) + struct.pack("<d", frame_rate))
+        write_named_arrays(f, arrays)
+
+
 def _bundle(rng, n_clips=5, kinds=("semantic", "action")):
     return FeatureBundle(
         video_id="vid-1",
@@ -183,18 +194,30 @@ class TestBundles:
 
     def test_clip_count_mismatch_rejected(self, tmp_path):
         bundle = _bundle(np.random.default_rng(3))
-        bundle.n_clips = 7  # arrays still carry 5 rows
         path = tmp_path / "v.engf"
-        save_bundle(path, bundle)
-        with pytest.raises(DataError):
+        # The arrays still carry 5 rows.
+        write_engf(path, bundle.video_id, 7, bundle.frame_rate,
+                   {**bundle.clip_features, "text_tokens": bundle.text_tokens})
+        with pytest.raises(DataError, match=re.escape("bundle 'vid-1': semantic has shape (5, 6), expected (7, D)")):
             load_bundle(path)
 
-    def test_validate_rejects_non_finite(self):
+    def test_validate_rejects_non_finite(self, tmp_path):
         rng = np.random.default_rng(4)
         bundle = _bundle(rng)
-        bundle.clip_features["semantic"][0, 0] = np.nan
-        with pytest.raises(DataError):
-            bundle.validate()
+        semantic = bundle.clip_features["semantic"].copy()
+        semantic[0, 0] = np.nan
+        path = tmp_path / "v.engf"
+        write_engf(path, bundle.video_id, bundle.n_clips, bundle.frame_rate,
+                   {**bundle.clip_features, "semantic": semantic, "text_tokens": bundle.text_tokens})
+        with pytest.raises(DataError, match="bundle 'vid-1': semantic has non-finite values"):
+            load_bundle(path)
+
+    def test_write_engf_matches_save_bundle(self, tmp_path):
+        bundle = _bundle(np.random.default_rng(5))
+        save_bundle(tmp_path / "saved.engf", bundle)
+        write_engf(tmp_path / "written.engf", bundle.video_id, bundle.n_clips, bundle.frame_rate,
+                   {**bundle.clip_features, "text_tokens": bundle.text_tokens})
+        assert (tmp_path / "written.engf").read_bytes() == (tmp_path / "saved.engf").read_bytes()
 
 
 class TestManifest:
@@ -264,8 +287,9 @@ class TestAtomicWrites:
         "write_json": lambda path: write_json(path, {"a": 1.0, "b": object()}),
         "write_rows": lambda path: write_rows(path, _rows_failing_after_one()),
         "save_weights": lambda path: save_weights(path, {"a": np.ones(2), "b": object()}),
+        # A valid bundle whose id holds a lone surrogate: its UTF-8 encode fails after the header.
         "save_bundle": lambda path: save_bundle(
-            path, FeatureBundle("v0", 1, 16.0, {"semantic": np.ones((1, 2))}, object())
+            path, FeatureBundle("v\ud800", 1, 16.0, {"semantic": np.ones((1, 2))}, np.ones((1, 2)))
         ),
     }
 
@@ -273,7 +297,7 @@ class TestAtomicWrites:
     def test_failed_write_keeps_old_file(self, tmp_path, writer):
         path = tmp_path / "artifact"
         path.write_bytes(b"previous contents\n")
-        with pytest.raises((TypeError, RuntimeError)):
+        with pytest.raises((TypeError, RuntimeError, UnicodeEncodeError)):
             self.FAILING_WRITES[writer](path)
         assert path.read_bytes() == b"previous contents\n"
         assert list(tmp_path.iterdir()) == [path]

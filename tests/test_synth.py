@@ -14,7 +14,7 @@ from engpred.envelope import EnvelopeModel, annotate_nawp, bimodality_coefficien
 from engpred.errors import DataError
 from engpred.metrics import srcc
 from engpred.records import WatchEvent, row_to_json
-from engpred.serialize import load_bundle
+from engpred.serialize import load_bundle, read_manifest
 from engpred.synth import (
     SynthConfig,
     analytic_correlation_targets,
@@ -38,6 +38,12 @@ def corpus():
     return generate_events(BASE)
 
 
+def written_features(truth, cfg, out_dir):
+    """The manifest rows of a feature corpus written to ``out_dir``, and its bundles read back by video id."""
+    rows = generate_features(truth, cfg, out_dir)
+    return rows, {row.video_id: load_bundle(out_dir / row.feature_path) for row in rows}
+
+
 @pytest.fixture(scope="module")
 def aggregated(corpus):
     metas = {m.video_id: m for m in corpus.metas}
@@ -54,11 +60,11 @@ class TestDeterminism:
             row_to_json(r) for r in b.truth_records
         ]
 
-    def test_features_identical(self):
+    def test_features_identical(self, tmp_path):
         cfg = SynthConfig(n_videos=6, views_per_video=5, seed=4, feature_dim=8, text_dim=8)
         c = generate_events(cfg)
-        rows_a, bundles_a = generate_features(c.truth, cfg)
-        rows_b, bundles_b = generate_features(c.truth, cfg)
+        rows_a, bundles_a = written_features(c.truth, cfg, tmp_path / "a")
+        rows_b, bundles_b = written_features(c.truth, cfg, tmp_path / "b")
         assert rows_a == rows_b
         for vid in bundles_a:
             for kind in bundles_a[vid].clip_features:
@@ -252,9 +258,8 @@ class TestFeaturesAndOracle:
     def test_bundle_shapes_and_manifest(self, tmp_path):
         cfg = SynthConfig(n_videos=5, views_per_video=5, seed=2, feature_dim=8, text_dim=6)
         c = generate_events(cfg)
-        rows, bundles = generate_features(c.truth, cfg, out_dir=tmp_path)
-        assert (tmp_path / "manifest.jsonl").exists()
-        assert bundles == {}
+        rows = generate_features(c.truth, cfg, out_dir=tmp_path)
+        assert read_manifest(tmp_path / "manifest.jsonl") == rows
         for row in rows:
             bundle = load_bundle(tmp_path / row.feature_path)
             expected_clips = math.floor(row.duration_s * cfg.frame_rate) // cfg.frames_per_clip
@@ -273,14 +278,14 @@ class TestFeaturesAndOracle:
         truth = generate_events(cfg).truth
         tracemalloc.start()
         try:
-            rows, bundles = generate_features(truth, cfg, out_dir=tmp_path)
+            rows = generate_features(truth, cfg, out_dir=tmp_path)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held < 1 << 19
-        assert bundles == {} and len(rows) == 40
+        assert len(rows) == 40
 
-    def test_noiseless_clip_free_recovery_is_exact(self):
+    def test_noiseless_clip_free_recovery_is_exact(self, tmp_path):
         # engaged_ref_p above the latent ceiling means no label saturates at
         # 1.0, so a near-zero-ridge fit recovers the labels exactly.
         cfg = SynthConfig(
@@ -291,16 +296,16 @@ class TestFeaturesAndOracle:
             engaged_ref_p=1.5,
         )
         c = generate_events(cfg)
-        rows, bundles = generate_features(c.truth, cfg)
+        rows, bundles = written_features(c.truth, cfg, tmp_path)
         ids = [r.video_id for r in rows]
         train_ids, test_ids = split_dataset(ids, 0.9, seed=1)
         out = ridge_oracle(rows, bundles, train_ids, test_ids, ridge_lambda=1e-10)
         assert out["srcc"] >= 1.0 - 1e-6
 
-    def test_default_noise_ceiling(self):
+    def test_default_noise_ceiling(self, tmp_path):
         cfg = SynthConfig(n_videos=300, views_per_video=1, seed=13)
         c = generate_events(cfg)
-        rows, bundles = generate_features(c.truth, cfg)
+        rows, bundles = written_features(c.truth, cfg, tmp_path)
         ids = [r.video_id for r in rows]
         train_ids, test_ids = split_dataset(ids, 0.9, seed=13)
         nawp_oracle = ridge_oracle(rows, bundles, train_ids, test_ids)
@@ -308,10 +313,10 @@ class TestFeaturesAndOracle:
         assert nawp_oracle["srcc"] >= 0.95
         assert ecr_oracle["srcc"] >= 0.95
 
-    def test_shuffled_labels_break_oracle(self):
+    def test_shuffled_labels_break_oracle(self, tmp_path):
         cfg = SynthConfig(n_videos=500, views_per_video=1, seed=17)
         c = generate_events(cfg)
-        rows, bundles = generate_features(c.truth, cfg)
+        rows, bundles = written_features(c.truth, cfg, tmp_path)
         labels = [r.nawp_label for r in rows]
         random.Random(23).shuffle(labels)
         shuffled = [replace(r, nawp_label=l) for r, l in zip(rows, labels)]

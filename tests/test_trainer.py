@@ -43,6 +43,7 @@ from engpred.trainer import (
     train,
 )
 from engpred.optim import AdamState, FlatParams
+from test_serialize import write_engf
 
 
 SMALL_SYNTH = SynthConfig(
@@ -134,9 +135,10 @@ class TestLossValue:
             assert loss_value(p, q, r, s) >= 0.0
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_matches_trainer_tape_loss(self, mode):
+    def test_matches_trainer_tape_loss(self, corpus_dir, mode):
         """The trainer's tape loss over a packed batch is loss_value over the batch."""
-        rows, bundles = generate_features(generate_events(SMALL_SYNTH).truth, SMALL_SYNTH)
+        rows = read_manifest(corpus_dir / "manifest.jsonl")
+        bundles = {row.video_id: load_bundle(corpus_dir / row.feature_path) for row in rows}
         batch = rows[:8]
         cfg = config_for_bundle(SMALL_MODEL, bundles[batch[0].video_id])
         params = init_params(cfg, seed=3)
@@ -453,13 +455,15 @@ class TestBundlesReadBeforeStepZero:
         elif fault == "training_bundle_of_another_dim":
             bundle = load_bundle(paths[late])
             dim = bundle.clip_features["semantic"].shape[1]
-            bundle.clip_features["semantic"] = bundle.clip_features["semantic"][:, :-1]
-            save_bundle(paths[late], bundle)
+            save_bundle(paths[late], replace(
+                bundle, clip_features={**bundle.clip_features, "semantic": bundle.clip_features["semantic"][:, :-1]}))
             message = f"bundle {late!r}: semantic dim {dim - 1} != configured {dim}"
         elif fault == "training_bundle_holding_nan":
             bundle = load_bundle(paths[late])
-            bundle.clip_features["action"][-1, -1] = np.nan
-            save_bundle(paths[late], bundle)
+            action = bundle.clip_features["action"].copy()
+            action[-1, -1] = np.nan
+            write_engf(paths[late], bundle.video_id, bundle.n_clips, bundle.frame_rate,
+                       {**bundle.clip_features, "action": action, "text_tokens": bundle.text_tokens})
             message = f"bundle {late!r}: action has non-finite values"
         else:
             bundle = load_bundle(paths[held_out])
@@ -483,16 +487,16 @@ class TestBundlesReadBeforeStepZero:
 
 
 class TestBundlesValidatedWhereTheyEnter:
-    """``train`` validates each bundle once, at load; a training step validates none."""
+    """``train`` checks each bundle once, as it is made at load; a step and a prediction pass check none."""
 
-    def test_validate_runs_at_load_and_in_held_out_passes_only(self, corpus_dir, monkeypatch):
+    def test_each_bundle_is_checked_once_at_load(self, corpus_dir, monkeypatch):
         calls = []
         where = ["outside"]
-        real_validate = FeatureBundle.validate
+        real_post_init = FeatureBundle.__post_init__
 
         def spy(bundle):
+            real_post_init(bundle)
             calls.append((where[0], bundle.video_id))
-            real_validate(bundle)
 
         def inside(name, fn):
             def wrapped(*args, **kwargs):
@@ -504,17 +508,14 @@ class TestBundlesValidatedWhereTheyEnter:
 
             return wrapped
 
-        monkeypatch.setattr(FeatureBundle, "validate", spy)
+        monkeypatch.setattr(FeatureBundle, "__post_init__", spy)
         monkeypatch.setattr(trainer, "load_bundle", inside("load", trainer.load_bundle))
         monkeypatch.setattr(trainer, "forward_batch", inside("step", trainer.forward_batch))
         monkeypatch.setattr(trainer, "predict", inside("predict", trainer.predict))
         result = train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL)
         assert [row.step for row in result.log_rows] == [3, 6]
-        loaded = [vid for phase, vid in calls if phase == "load"]
-        assert sorted(loaded) == sorted(result.train_ids + result.test_ids)
-        assert [vid for phase, vid in calls if phase == "step"] == []
-        assert [vid for phase, vid in calls if phase == "predict"] == result.test_ids * 2
-        assert [vid for phase, vid in calls if phase == "outside"] == []
+        assert [phase for phase, _ in calls] == ["load"] * len(calls)
+        assert sorted(vid for _, vid in calls) == sorted(result.train_ids + result.test_ids)
 
 
 class TestCheckpointFormat:
