@@ -5,9 +5,9 @@ Design rules:
     data change only between tapes, where ``optim.adam_step`` updates the
     parameters in place. An op may finish buffers it has just made in place,
     one operation of its expression at a time and in order, so no bit moves;
-  - no implicit broadcasting — shapes must match exactly, with explicit
-    row-vector ops (add_rowvec, mul_rowvec, and the bias and affine
-    arguments of linear and layer_norm_rows) for bias/affine patterns;
+  - no implicit broadcasting — shapes must match exactly, with the bias and
+    affine arguments of linear and layer_norm_rows for bias/affine patterns
+    (``add_rowvec`` and ``mul_rowvec`` are in ``tests/reference_ops.py``);
   - every op checks its output for NaN/Inf, and ``linear(..., relu=True)``
     also checks its pre-activation, which the ReLU would map from NaN or
     -inf to 0; so a fused form raises ``NonFiniteError`` exactly when its
@@ -17,7 +17,7 @@ Design rules:
     ``add(·, residual)``, and ``layer_norm_rows(x, gain, bias)`` is
     ``layer_norm_rows`` → ``mul_rowvec`` → ``add_rowvec``, each computing
     the chain's expressions in its order, forward and backward; the
-    unfused ops stay as their references;
+    unfused ops live in ``tests/reference_ops.py`` as their references;
   - ops that run over a packed batch (``attention``, ``segment_mean``) take
     each segment's rows as ``(start, stop)`` bounds, so one op serves every
     video of the batch without padding or cross-video terms; ``linear``
@@ -68,10 +68,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -296,13 +292,9 @@ def attention(
     return _make("attention", value, backward)
 
 
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op} shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g, copy=True)
@@ -320,78 +312,17 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _make("scale", x.data * c, backward)
 
 
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an (m, n) matrix."""
-    _require_shape(x, 2, "add_rowvec")
-    _require_shape(v, 1, "add_rowvec")
-    if x.data.shape[1] != v.data.shape[0]:
-        raise ValueError(f"add_rowvec shape mismatch: {x.data.shape} + {v.data.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g, copy=True)
-        _accumulate(v, g.sum(axis=0))
-
-    return _make("add_rowvec", x.data + v.data[np.newaxis, :], backward)
-
-
-def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Scale every row of an (m, n) matrix elementwise by a length-n vector."""
-    _require_shape(x, 2, "mul_rowvec")
-    _require_shape(v, 1, "mul_rowvec")
-    if x.data.shape[1] != v.data.shape[0]:
-        raise ValueError(f"mul_rowvec shape mismatch: {x.data.shape} * {v.data.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * v.data[np.newaxis, :])
-        _accumulate(v, (g * x.data).sum(axis=0))
-
-    return _make("mul_rowvec", x.data * v.data[np.newaxis, :], backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    _require_shape(x, 2, "transpose")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g.T, copy=True)
-
-    return _make("transpose", x.data.T.copy(), backward)
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ValueError("concat needs at least one tensor")
-    rank = parts[0].data.ndim
-    for p in parts:
-        if p.data.ndim != rank:
-            raise ValueError("concat rank mismatch")
-    if not 0 <= axis < rank:
-        raise ValueError(f"concat axis {axis} out of range for rank {rank}")
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join matrices with equal row counts side by side."""
+    if not parts or any(p.data.ndim != 2 or p.data.shape[0] != parts[0].data.shape[0] for p in parts):
+        raise ValueError(f"concat needs matrices with equal row counts, got {[p.data.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def backward(g: np.ndarray) -> None:
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * rank
-            index[axis] = slice(start, stop)
-            _accumulate(p, g[tuple(index)], copy=True)
+            _accumulate(p, g[:, start:stop], copy=True)
 
-    return _make("concat", np.concatenate([p.data for p in parts], axis=axis), backward)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of a matrix (or leading entries of a vector)."""
-    if x.data.ndim == 0:
-        raise ValueError("slice_rows needs rank >= 1")
-    n = x.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"slice_rows [{start}:{stop}] out of range for {n} rows")
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accumulate(x, full)
-
-    return _make("slice_rows", x.data[start:stop].copy(), backward)
+    return _make("concat", np.concatenate([p.data for p in parts], axis=1), backward)
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
@@ -425,15 +356,6 @@ def segment_mean(x: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
     return _make("segment_mean", value, backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    return _make("relu", np.where(mask, x.data, 0.0), backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-|x|) never overflows, so both branches are safe.
     e = np.exp(-np.abs(x.data))
@@ -445,20 +367,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make("sigmoid", value, backward)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix."""
-    _require_shape(x, 2, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * value).sum(axis=1, keepdims=True)
-        _accumulate(x, (g - dot) * value)
-
-    return _make("softmax_rows", value, backward)
-
-
 def layer_norm_rows(
     x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-12
 ) -> Tensor:
@@ -467,7 +375,7 @@ def layer_norm_rows(
     Without gain and bias there is no affine. With both (length-n vectors
     for an (m, n) matrix) this is one op with the arithmetic, values and
     gradients of the chain ``layer_norm_rows`` → ``mul_rowvec`` →
-    ``add_rowvec``.
+    ``add_rowvec`` (references in ``tests/reference_ops.py``).
     """
     _require_shape(x, 2, "layer_norm_rows")
     if (gain is None) != (bias is None):

@@ -131,6 +131,10 @@ class FeatureBundle:
     def __post_init__(self) -> None:
         if not self.video_id:
             raise DataError("feature bundle has empty video_id")
+        try:
+            "".join((self.video_id, *self.clip_features)).encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"bundle {self.video_id!r}: id and kind names must be UTF-8 text") from None
         if self.n_clips < 1:
             raise DataError(f"bundle {self.video_id!r}: n_clips must be >= 1")
         if self.frame_rate <= 0 or not math.isfinite(self.frame_rate):
@@ -309,7 +313,7 @@ def _fuse_clips(
         parts.append(
             Tensor(np.concatenate([np.full((b.n_clips, 1), d / 60.0) for b, d in zip(bundles, durations)]))
         )
-    h = ad.concat(parts, axis=1)
+    h = ad.concat(parts)
     for i in range(FUSION_LAYERS):
         h = _linear_layer(params, f"fusion.{i}", h, relu=i < FUSION_LAYERS - 1, rows=rows)
     return h

@@ -270,7 +270,6 @@ class TrainResult:
     predictions: list[PredictionRow] = field(default_factory=list)
     final_srcc_nawp: float | None = None
     final_srcc_ecr: float | None = None
-    checkpoint_path: Path | None = None
 
 
 def _batch_loss_node(out: BatchResult, y1, y2, mode: str) -> Tensor:
@@ -415,8 +414,7 @@ def train(
     )
 
     if out_dir is not None:
-        checkpoint_path = out_dir / "checkpoint.engw"
-        save_checkpoint(checkpoint_path, params, state, end_step, train_cfg, model_cfg, label_scale)
+        save_checkpoint(out_dir / "checkpoint.engw", params, state, end_step, train_cfg, model_cfg, label_scale)
         write_rows(out_dir / "train_log.jsonl", log_rows)
         write_rows(out_dir / "test_predictions.jsonl", predictions)
         summary = {
@@ -430,7 +428,6 @@ def train(
             "final_srcc_ecr": result.final_srcc_ecr,
         }
         write_json(out_dir / "train_summary.json", summary)
-        result.checkpoint_path = checkpoint_path
     return result
 
 

@@ -155,37 +155,28 @@ def test_criterion_3_envelope_recovery():
 
 def test_criterion_4_gradient_correctness():
     with criterion(4, "primitive and full-model gradients match finite differences"):
-        # Primitives: 20 seeded instances each, tolerance 1e-6.
+        # The ops the model runs, composed as it composes them: 20 seeded instances, tolerance 1e-6.
+        rows, keys = [(0, 2), (2, 5)], [(0, 1), (1, 4)]
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            a = Tensor(_rand(rng, 3, 4))
-            b = Tensor(_rand(rng, 4, 3))
-            v = Tensor(_rand(rng, 3))
-            t_mat = _rand(rng, 3, 3)
-            t_vec = _rand(rng, 3)
+            x, w, b, r = (Tensor(_rand(rng, *shape)) for shape in [(5, 3), (3, 4), (4,), (5, 4)])
+            gain, bias, text = (Tensor(_rand(rng, *shape)) for shape in [(4,), (4,), (4, 4)])
+            t_mat, t_vec = _rand(rng, 5, 4), _rand(rng, 8)
+
+            def attended():
+                h = ad.layer_norm_rows(ad.linear(x, w, b, relu=True, residual=r, rows=rows), gain, bias)
+                return ad.add(h, ad.attention(h, text, text, rows, keys))
+
+            def head():
+                h = attended()
+                pooled = ad.gather_rows(ad.segment_mean(h, rows), [1, 0, 1])
+                joined = ad.concat([pooled, ad.gather_rows(h, [4, 0, 2])])
+                return ad.mean_axis(ad.scale(ad.sigmoid(joined), 0.5), 0)
+
             checks = [
-                (lambda: ad.squared_error(ad.matmul(a, b), t_mat), [a, b]),
-                (lambda: ad.squared_error(ad.softmax_rows(ad.matmul(a, b)), t_mat), [a, b]),
-                (lambda: ad.squared_error(ad.layer_norm_rows(ad.matmul(a, b)), t_mat), [a, b]),
-                (
-                    lambda: ad.squared_error(
-                        ad.mean_axis(ad.sigmoid(ad.add_rowvec(ad.matmul(a, b), v)), 0), t_vec
-                    ),
-                    [a, b, v],
-                ),
-                (
-                    lambda: ad.squared_error(
-                        ad.mul_rowvec(ad.relu(ad.transpose(ad.matmul(a, b))), v), t_mat
-                    ),
-                    [a, b, v],
-                ),
-                (
-                    lambda: ad.squared_error(
-                        ad.concat([ad.slice_rows(a, 0, 2), ad.slice_rows(a, 1, 3)], axis=0),
-                        _rand(np.random.default_rng(seed + 500), 4, 4),
-                    ),
-                    [a],
-                ),
+                (lambda: ad.squared_error(ad.linear(x, w, b, relu=True, residual=r, rows=rows), t_mat), [x, w, b, r]),
+                (lambda: ad.squared_error(attended(), t_mat), [x, w, b, r, gain, bias, text]),
+                (lambda: ad.squared_error(head(), t_vec), [x, w, b, r, gain, bias, text]),
             ]
             for build, tensors in checks:
                 check_gradients(build, tensors, rel_tol=1e-6)

@@ -74,6 +74,16 @@ class TestFitEnvelope:
         with pytest.raises(FitError):
             fit_envelope([])
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_quantile_tau_at_its_bounds_refused(self, tau):
+        with pytest.raises(DataError, match=r"quantile_tau must lie in \(0, 1\)"):
+            fit_envelope(_collinear_records(0.5, 6.0), quantile_tau=tau, min_bin_count=3)
+
+    def test_zero_ceiling_refused(self):
+        # No video of either bin is watched: the fitted line is exactly 0.
+        with pytest.raises(FitError, match="fitted ceiling is non-positive"):
+            fit_envelope([_record(f"v{i}", 10.5 + i % 2, 0.0) for i in range(6)], min_bin_count=3)
+
     def test_quantile_uses_linear_interpolation(self):
         # One bin with AWTs 0..9: the 0.97 quantile interpolates to 8.73.
         records = [_record(f"a{i}", 20.5, float(i)) for i in range(10)]
@@ -119,6 +129,10 @@ class TestNawp:
         bad = EnvelopeModel(slope_a=-1.0, intercept_b=5.0)
         with pytest.raises(NumericError):
             nawp(1.0, 10.0, bad)
+
+    def test_zero_ceiling_raises(self):
+        with pytest.raises(NumericError, match="ceiling is non-positive"):
+            nawp(1.0, 10.0, EnvelopeModel(slope_a=0.0, intercept_b=0.0))
 
     def test_bad_duration_raises(self):
         with pytest.raises(DataError):
@@ -213,6 +227,10 @@ class TestDistributionReport:
         with pytest.raises(NumericError):
             bimodality_coefficient([1.0, 2.0, 3.0])
 
+    def test_four_samples_are_enough(self):
+        values = [0.0, 1.0, 1.0, 3.0]
+        assert bimodality_coefficient(values) == pytest.approx(brute_bc(values), rel=1e-12)
+
     def test_histogram_counts_and_edges(self):
         rng = np.random.default_rng(1)
         values = rng.random(500)
@@ -223,6 +241,10 @@ class TestDistributionReport:
         assert report.metric_name == "nawp"
         assert len(report.counts) == 16
         assert len(edges) == 17
+
+    def test_bins_at_their_bounds(self):
+        for bins in (1, MAX_BINS):
+            assert len(distribution_report([0.1, 0.9] * 5, bins=bins).counts) == bins
 
     @pytest.mark.parametrize("bins", [0, -1, MAX_BINS + 1, 10**12])
     def test_bins_out_of_range_raise_before_any_histogram(self, bins):
@@ -244,6 +266,10 @@ class TestMetricCorrelation:
             for i, v in enumerate([0.1, 0.5, 0.9, 0.3])
         ]
         assert metric_correlation(records)["srcc_ecr_nawp"] == pytest.approx(-1.0)
+
+    def test_three_records_are_enough(self):
+        records = [_record(f"v{i}", 30.0, 5.0, ecr=v, nawp_value=v) for i, v in enumerate([0.1, 0.5, 0.9])]
+        assert metric_correlation(records)["srcc_ecr_nawp"] == pytest.approx(1.0)
 
     def test_requires_nawp(self):
         records = [_record(f"v{i}", 30.0, 5.0) for i in range(5)]

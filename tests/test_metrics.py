@@ -137,6 +137,10 @@ class TestRmseTopk:
         with pytest.raises(DataError):
             rmse_topk([1.0, 2.0], [1.0, 2.0], 10.0)
 
+    def test_k_zero_is_in_range_and_selects_nothing(self):
+        with pytest.raises(DataError, match=r"^top-0.0% of 3 samples selects nothing$"):
+            topk_indices([0.1, 0.2, 0.3], 0.0)
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e308, 100.5, -1.0, -1e308])
     def test_k_not_finite_or_past_100_raises(self, k):
         with pytest.raises(DataError, match="top-K percent"):
@@ -193,6 +197,14 @@ class TestGroupedSrcc:
         truth = [1, 2, 3, 1, 2, 3]
         out = grouped_srcc(pred, truth, [11, 12, 13, 25, 26, 27], group_width_s=10)
         assert len(out["groups"]) == 1
+
+    def test_constant_truth_group_skipped(self):
+        out = grouped_srcc([1, 2, 3, 1, 2, 3], [1, 2, 3, 4, 4, 4], [11, 12, 13, 25, 26, 27], group_width_s=10)
+        assert [(g["duration_min_s"], g["n"]) for g in out["groups"]] == [(10, 3)]
+
+    def test_zero_width_refused(self):
+        with pytest.raises(DataError, match="^group_width_s must be finite and positive$"):
+            grouped_srcc([1, 2, 3], [1, 2, 3], [11, 12, 13], group_width_s=0.0)
 
 
 class TestBruteForceSweep:

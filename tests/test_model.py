@@ -439,6 +439,12 @@ class TestBundleValidByConstruction:
         with pytest.raises(DataError, match="^bundle 'v1': n_clips must be >= 1$"):
             replace(good, n_clips=0)
 
+    @pytest.mark.parametrize("video_id, kind", [("v\ud800", "semantic"), ("vidéo", "sem\udc00")])
+    def test_names_utf8_cannot_encode_refused(self, video_id, kind):
+        with pytest.raises(DataError, match=r"id and kind names must be UTF-8 text$"):
+            FeatureBundle(video_id, 1, 16.0, {kind: np.ones((1, 2))}, np.ones((1, 2)))
+        assert FeatureBundle("vidéo 🎬", 1, 16.0, {"sémantique": np.ones((1, 2))}, np.ones((1, 2)))
+
     def test_arrays_and_mapping_are_read_only(self):
         clip_features = {"semantic": np.ones((2, 3))}
         text_tokens = np.ones((1, 3))

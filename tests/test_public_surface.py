@@ -1,9 +1,11 @@
 """The names engpred offers resolve: every entry of ``engpred.__all__``, and every
-engpred name a file under ``benchmarks/`` imports or reads from an imported
-engpred module. The benchmark files are parsed, never run."""
+engpred name a file under ``benchmarks/`` imports or reads from an imported engpred
+module. Each ``autodiff`` function is used by another engpred module or by the
+benchmark. The files are parsed, never run."""
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -31,13 +33,15 @@ def _engpred_names(path: Path) -> set[tuple[str, str]]:
                 if alias.name.split(".")[0] == "engpred":
                     # ``import engpred.cli`` binds ``engpred``; ``import engpred.cli as cli`` binds ``cli``.
                     modules[alias.asname or "engpred"] = alias.name if alias.asname else "engpred"
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "engpred":
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "engpred"):
+            # A relative import is one from the ``engpred`` package, whose modules all sit at its top level.
+            module = ".".join(filter(None, ["engpred" if node.level else "", node.module]))
             for alias in node.names:
-                value = getattr(importlib.import_module(node.module), alias.name, None)
-                if isinstance(value, types.ModuleType):  # ``from engpred import records``
+                value = getattr(importlib.import_module(module), alias.name, None)
+                if isinstance(value, types.ModuleType):  # ``from engpred import records``, ``from . import autodiff``
                     modules[alias.asname or alias.name] = value.__name__
                 else:
-                    names.add((node.module, alias.name))
+                    names.add((module, alias.name))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             names.add((modules[node.value.id], node.attr))
@@ -55,3 +59,16 @@ def test_both_kinds_of_use_are_found():
 @pytest.mark.parametrize("module, name", BENCH_NAMES, ids=[f"{m}.{n}" for m, n in BENCH_NAMES])
 def test_every_engpred_name_the_benchmarks_use_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+SRC_NAMES = set().union(
+    *(_engpred_names(path) for path in Path(engpred.__file__).parent.glob("*.py") if path.name != "autodiff.py")
+)
+
+
+def test_every_autodiff_function_is_used_by_a_stage_or_the_benchmark():
+    assert {("engpred.autodiff", "linear"), ("engpred.autodiff", "Tape")} <= SRC_NAMES
+    used = {name for module, name in SRC_NAMES.union(BENCH_NAMES) if module == "engpred.autodiff"}
+    # An op only tests call belongs beside them, as the references in ``tests/reference_ops.py`` do.
+    assert [name for name, f in inspect.getmembers(engpred.autodiff, inspect.isfunction)
+            if f.__module__ == "engpred.autodiff" and name[0] != "_" and name not in used] == []
