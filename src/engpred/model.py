@@ -145,11 +145,11 @@ class FeatureBundle:
                     f"bundle {self.video_id!r}: {kind} has shape {arr.shape}, "
                     f"expected ({self.n_clips}, D)"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DataError(f"bundle {self.video_id!r}: {kind} has non-finite values")
         if self.text_tokens.ndim != 2 or self.text_tokens.shape[0] < 1:
             raise DataError(f"bundle {self.video_id!r}: text tokens must be (T>=1, D)")
-        if not np.all(np.isfinite(self.text_tokens)):
+        if not np.isfinite(self.text_tokens).all():
             raise DataError(f"bundle {self.video_id!r}: text tokens have non-finite values")
         for arr in (*self.clip_features.values(), self.text_tokens):
             arr.flags.writeable = False

@@ -10,7 +10,8 @@ An ENGW file is ``b"ENGW" | u32 version`` followed by named arrays until
 EOF. An ENGF file is ``b"ENGF" | u32 version | u32 id_len | video_id |
 u32 n_clips | f64 frame_rate`` followed by named arrays until EOF;
 ``load_bundle`` returns it as a ``FeatureBundle``, which checks itself as it
-is made.
+is made. Both readers read a file with one ``read()`` and return its arrays
+as read-only views of those bytes.
 """
 
 from __future__ import annotations
@@ -39,26 +40,40 @@ def _write_u32(f: IO[bytes], value: int) -> None:
 
 
 class _Reader:
-    """Reads a binary file front to back.
+    """Reads a whole file with one ``read()`` of its size, then parses its bytes front to back.
 
     Every length the file declares is checked against the bytes left in it
-    before anything is read, so a corrupt length gives a DataError, never an
-    allocation of that size.
+    before anything is sliced or viewed, so a corrupt length gives a
+    DataError, never an allocation of that size. A file with no size, such as
+    a device, reads as empty.
     """
 
-    def __init__(self, f: IO[bytes]) -> None:
-        self.f = f
-        self.left = os.fstat(f.fileno()).st_size - f.tell()
+    def __init__(self, path: Path | str, what: str) -> None:
+        with open_input(path, what) as f:
+            self.buf = f.read(os.fstat(f.fileno()).st_size)
+        self.pos = 0
+
+    @property
+    def left(self) -> int:
+        return len(self.buf) - self.pos
+
+    def skip(self, n: int, what: str) -> int:
+        """The offset of the next ``n`` bytes, which the reader then moves past."""
+        if n > len(self.buf) - self.pos:
+            raise DataError(f"truncated file while reading {what}")
+        at = self.pos
+        self.pos += n
+        return at
 
     def read(self, n: int, what: str) -> bytes:
-        buf = self.f.read(n) if n <= self.left else b""
-        if len(buf) != n:
-            raise DataError(f"truncated file while reading {what}")
-        self.left -= n
-        return buf
+        at = self.skip(n, what)
+        return self.buf[at : at + n]
 
     def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.read(4, what))[0]
+        return struct.unpack_from("<I", self.buf, self.skip(4, what))[0]
+
+    def f64(self, what: str) -> float:
+        return struct.unpack_from("<d", self.buf, self.skip(8, what))[0]
 
     def text(self, what: str) -> str:
         """A u32 byte length, then that many bytes of UTF-8."""
@@ -86,13 +101,14 @@ def read_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
     while r.left:
         name = r.text("array name")
         rank = r.u32(f"rank of {name!r}")
-        raw_dims = r.read(4 * rank, f"dims of {name!r}")
+        dims_at = r.skip(4 * rank, f"dims of {name!r}")
         if rank > MAX_RANK:
             raise DataError(f"array {name!r} declares rank {rank}, above {MAX_RANK}")
-        dims = struct.unpack(f"<{rank}I", raw_dims)
-        payload = r.read(8 * math.prod(dims), f"data of {name!r}")
+        dims = struct.unpack_from(f"<{rank}I", r.buf, dims_at)
+        count = math.prod(dims)
+        data_at = r.skip(8 * count, f"data of {name!r}")
         try:
-            arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+            arr = np.frombuffer(r.buf, dtype="<f8", count=count, offset=data_at).reshape(dims)
         except ValueError as exc:  # a zero dim beside dims whose product numpy cannot index
             raise DataError(f"array {name!r} has shape {dims}, too big to index") from exc
         if name in arrays:
@@ -109,15 +125,14 @@ def save_weights(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_weights(path: Path | str) -> dict[str, np.ndarray]:
-    with open_input(path, "weights file") as f:
-        r = _Reader(f)
-        magic = r.read(4, "magic")
-        if magic != WEIGHTS_MAGIC:
-            raise DataError(f"not a weights file (magic {magic!r})")
-        version = r.u32("version")
-        if version != FORMAT_VERSION:
-            raise DataError(f"unsupported weights format version {version}")
-        return read_named_arrays(r)
+    r = _Reader(path, "weights file")
+    magic = r.read(4, "magic")
+    if magic != WEIGHTS_MAGIC:
+        raise DataError(f"not a weights file (magic {magic!r})")
+    version = r.u32("version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"unsupported weights format version {version}")
+    return read_named_arrays(r)
 
 
 def save_bundle(path: Path | str, bundle: FeatureBundle) -> None:
@@ -135,18 +150,17 @@ def save_bundle(path: Path | str, bundle: FeatureBundle) -> None:
 
 
 def load_bundle(path: Path | str) -> FeatureBundle:
-    with open_input(path, "feature bundle") as f:
-        r = _Reader(f)
-        magic = r.read(4, "magic")
-        if magic != FEATURES_MAGIC:
-            raise DataError(f"not a feature bundle (magic {magic!r})")
-        version = r.u32("version")
-        if version != FORMAT_VERSION:
-            raise DataError(f"unsupported bundle format version {version}")
-        video_id = r.text("video_id")
-        n_clips = r.u32("n_clips")
-        (frame_rate,) = struct.unpack("<d", r.read(8, "frame_rate"))
-        arrays = read_named_arrays(r)
+    r = _Reader(path, "feature bundle")
+    magic = r.read(4, "magic")
+    if magic != FEATURES_MAGIC:
+        raise DataError(f"not a feature bundle (magic {magic!r})")
+    version = r.u32("version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"unsupported bundle format version {version}")
+    video_id = r.text("video_id")
+    n_clips = r.u32("n_clips")
+    frame_rate = r.f64("frame_rate")
+    arrays = read_named_arrays(r)
     text_key = TEXT_KIND + "_tokens"
     if text_key not in arrays:
         raise DataError(f"bundle {video_id!r} is missing text tokens")

@@ -1,10 +1,15 @@
 """Joint NAWP+ECR training with cosine-annealed Adam, plus ablation modes.
 
-``train`` reads and checks every feature bundle the manifest names before
-step 0, so a missing, corrupt or mislabelled bundle, or one that does not fit
-the model sized from the first, is a ``DataError`` before any step runs. A
-bundle checks its values once, as it is read; a step and a prediction pass
-only check that it fits the model.
+``train`` streams its feature bundles and keeps none, so the memory it holds
+does not grow with the corpus. Before step 0 a check pass reads every bundle
+the manifest names, checks it, and drops it: a missing, corrupt or
+mislabelled bundle, or one that does not fit the model sized from the first,
+is a ``DataError`` before any step runs. Each step then reads its own batch's
+bundles, and each evaluation reads the held-out split ``PREDICT_CHUNK``
+bundles at a time. Every read checks the bundle's id, and a bundle checks its
+values as it is made, so one changed on disk after the check pass is still a
+``DataError``. Every read goes through this module's ``load_bundle`` name,
+looked up at call time.
 Batches group whole videos. A training step packs the batch's clips
 row-wise and records one tape for the whole batch (``model.forward_batch``),
 with attention kept inside each video, so there is no padding and no video
@@ -42,6 +47,7 @@ from .autodiff import Tape, Tensor
 from .errors import DataError, NumericError
 from .metrics import srcc
 from .model import (
+    PREDICT_CHUNK,
     BatchResult,
     FeatureBundle,
     ModelConfig,
@@ -141,16 +147,13 @@ def _batch_ids(train_ids: list[str], cfg: TrainConfig, step: int) -> list[str]:
     return [train_ids[i] for i in perm[start : start + cfg.batch_size]]
 
 
-def _load_bundles(manifest_dir: Path, rows: list[ManifestRow]) -> dict[str, FeatureBundle]:
-    """Every bundle the manifest names, read in manifest order and keyed by video id."""
-    bundles = {}
-    for row in rows:
-        path = manifest_dir / row.feature_path
-        bundle = load_bundle(path)
-        if bundle.video_id != row.video_id:
-            raise DataError(f"bundle {path} carries id {bundle.video_id!r}")
-        bundles[row.video_id] = bundle
-    return bundles
+def _read_bundle(data_dir: Path, row: ManifestRow) -> FeatureBundle:
+    """The bundle ``row`` names, read from disk and refused unless it carries the row's id."""
+    path = data_dir / row.feature_path
+    bundle = load_bundle(path)
+    if bundle.video_id != row.video_id:
+        raise DataError(f"bundle {path} carries id {bundle.video_id!r}")
+    return bundle
 
 
 def config_hash(train_cfg: TrainConfig, model_cfg: ModelConfig) -> bytes:
@@ -287,17 +290,23 @@ def _batch_loss_node(out: BatchResult, y1, y2, mode: str) -> Tensor:
 
 
 def _predict(
-    bundles: list[FeatureBundle],
-    durations: list[float],
+    data_dir: Path,
+    rows: list[ManifestRow],
     params: dict[str, Tensor],
     model_cfg: ModelConfig,
     label_scale: tuple[float, float],
 ) -> list[PredictionRow]:
-    estimates = predict(bundles, params, model_cfg, durations)
-    return [
-        PredictionRow(bundle.video_id, nawp * label_scale[0], ecr * label_scale[1])
-        for bundle, (nawp, ecr) in zip(bundles, estimates)
-    ]
+    """The held-out predictions, read and predicted ``PREDICT_CHUNK`` videos at a time."""
+    predictions = []
+    for start in range(0, len(rows), PREDICT_CHUNK):
+        chunk = rows[start : start + PREDICT_CHUNK]
+        bundles = [_read_bundle(data_dir, row) for row in chunk]
+        estimates = predict(bundles, params, model_cfg, [row.duration_s for row in chunk])
+        predictions += [
+            PredictionRow(row.video_id, nawp * label_scale[0], ecr * label_scale[1])
+            for row, (nawp, ecr) in zip(chunk, estimates)
+        ]
+    return predictions
 
 
 def _safe_srcc(pred, truth) -> float | None:
@@ -321,25 +330,27 @@ def train(
 ) -> TrainResult:
     """Run the training loop over a labeled feature manifest."""
     manifest_path = Path(manifest_path)
-    rows = read_manifest(manifest_path)
-    ids = sorted(row.video_id for row in rows)
-    durations = {row.video_id: row.duration_s for row in rows}
+    rows = {row.video_id: row for row in read_manifest(manifest_path)}
+    ids = sorted(rows)
     train_ids, test_ids = split_dataset(ids, train_cfg.split_ratio, train_cfg.seed)
     if len(test_ids) < 2:
         raise DataError(
             f"the held-out split has {len(test_ids)} video of {len(ids)} at split_ratio "
             f"{train_cfg.split_ratio}; evaluation needs at least 2"
         )
-    bundles = _load_bundles(manifest_path.parent, rows)
+    data_dir = manifest_path.parent
 
+    # The check pass: every bundle is read and checked, then dropped.
     model_cfg = replace(model_cfg, duration_as_input=train_cfg.duration_as_input or model_cfg.duration_as_input)
-    model_cfg = config_for_bundle(model_cfg, bundles[ids[0]])
-    for vid in ids:
-        check_bundle(bundles[vid], model_cfg, durations[vid])
+    for i, vid in enumerate(ids):
+        bundle = _read_bundle(data_dir, rows[vid])
+        if i == 0:
+            model_cfg = config_for_bundle(model_cfg, bundle)
+        check_bundle(bundle, model_cfg, rows[vid].duration_s)
 
     target_key = f"{train_cfg.target}_label"
-    y1_raw = {row.video_id: getattr(row, target_key) for row in rows}
-    y2_raw = {row.video_id: row.ecr_label for row in rows}
+    y1_raw = {vid: getattr(row, target_key) for vid, row in rows.items()}
+    y2_raw = {vid: row.ecr_label for vid, row in rows.items()}
     if missing := [vid for vid in ids if y1_raw[vid] is None]:
         raise DataError(f"manifest row {missing[0]!r} is missing {target_key!r}")
     if train_cfg.target == "nawp":
@@ -372,14 +383,15 @@ def train(
     log_rows: list[TrainLogRow] = []
     schedule_total = max(train_cfg.iterations - 1, 1)
     truth = ([y1_raw[vid] for vid in test_ids], [y2_raw[vid] for vid in test_ids])
-    held_out = ([bundles[vid] for vid in test_ids], [durations[vid] for vid in test_ids])
+    held_out = [rows[vid] for vid in test_ids]
     for step in range(start_step, end_step):
         lr = cosine_lr(min(step, schedule_total), schedule_total, train_cfg.lr_max, train_cfg.lr_min)
         batch = _batch_ids(train_ids, train_cfg, step)
         y1 = [y1_raw[vid] / label_scale[0] for vid in batch]
         y2 = [y2_raw[vid] / label_scale[1] for vid in batch]
         with Tape() as tape:
-            out = forward_batch([bundles[vid] for vid in batch], params, model_cfg, [durations[vid] for vid in batch])
+            out = forward_batch([_read_bundle(data_dir, rows[vid]) for vid in batch], params, model_cfg,
+                                [rows[vid].duration_s for vid in batch])
             node = _batch_loss_node(out, y1, y2, train_cfg.mode)
         params.grad.fill(0.0)
         tape.backward(node)
@@ -391,13 +403,13 @@ def train(
         if done % train_cfg.eval_interval == 0 or done == end_step:
             if out_dir is not None and done < end_step:
                 save_checkpoint(out_dir / "checkpoint.engw", params, state, done, train_cfg, model_cfg, label_scale)
-            predictions = _predict(*held_out, params, model_cfg, label_scale)
+            predictions = _predict(data_dir, held_out, params, model_cfg, label_scale)
             scores = _scores(predictions, truth)
             log_rows.append(TrainLogRow(done, lr, batch_loss, *scores))
     # The last step's evaluation is the final pass; a run resumed at the last
     # step runs no step and makes it here.
     if start_step == end_step:
-        predictions = _predict(*held_out, params, model_cfg, label_scale)
+        predictions = _predict(data_dir, held_out, params, model_cfg, label_scale)
         scores = _scores(predictions, truth)
     final_nawp, final_ecr = scores
     result = TrainResult(

@@ -142,6 +142,14 @@ class TestCorruptHeaders:
         path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(MAX_RANK, *[1] * MAX_RANK) + b"\0" * 8)
         assert load_weights(path)["a"].shape == (1,) * MAX_RANK
 
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs a procfs file")
+    @pytest.mark.parametrize("loader", [load_bundle, load_weights])
+    def test_file_of_no_size_reads_as_empty(self, loader):
+        # A procfs file reports size 0 but has text; reading by size, as for an
+        # endless device such as /dev/zero, reads nothing.
+        with pytest.raises(DataError, match="truncated file while reading magic"):
+            loader("/proc/self/status")
+
     def test_zero_size_shape_too_big_to_index_rejected(self, tmp_path):
         path = tmp_path / "w.engw"
         path.write_bytes(b"ENGW" + _u32(1) + _u32(1) + b"a" + _u32(3, 0, 2**32 - 1, 2**32 - 1))

@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -487,9 +488,9 @@ class TestBundlesReadBeforeStepZero:
 
 
 class TestBundlesValidatedWhereTheyEnter:
-    """``train`` checks each bundle once, as it is made at load; a step and a prediction pass check none."""
+    """``train`` checks a bundle as it is made, inside each read; a step and a prediction pass check none."""
 
-    def test_each_bundle_is_checked_once_at_load(self, corpus_dir, monkeypatch):
+    def test_every_bundle_is_checked_at_load_before_the_first_step(self, corpus_dir, monkeypatch):
         calls = []
         where = ["outside"]
         real_post_init = FeatureBundle.__post_init__
@@ -508,14 +509,96 @@ class TestBundlesValidatedWhereTheyEnter:
 
             return wrapped
 
+        checked_at_first_step = []
+        real_adam = trainer.adam_step
+
+        def recording_adam(params, state, lr):
+            if not checked_at_first_step:
+                checked_at_first_step.extend(vid for _, vid in calls)
+            real_adam(params, state, lr)
+
         monkeypatch.setattr(FeatureBundle, "__post_init__", spy)
         monkeypatch.setattr(trainer, "load_bundle", inside("load", trainer.load_bundle))
         monkeypatch.setattr(trainer, "forward_batch", inside("step", trainer.forward_batch))
         monkeypatch.setattr(trainer, "predict", inside("predict", trainer.predict))
+        monkeypatch.setattr(trainer, "adam_step", recording_adam)
         result = train(corpus_dir / "manifest.jsonl", DESK_TRAIN, DESK_MODEL)
         assert [row.step for row in result.log_rows] == [3, 6]
         assert [phase for phase, _ in calls] == ["load"] * len(calls)
-        assert sorted(vid for _, vid in calls) == sorted(result.train_ids + result.test_ids)
+        ids = sorted(result.train_ids + result.test_ids)
+        assert sorted(checked_at_first_step[: len(ids)]) == ids
+        batches = sum(len(trainer._batch_ids(result.train_ids, DESK_TRAIN, step))
+                      for step in range(DESK_TRAIN.iterations))
+        assert len(calls) == len(ids) + batches + len(result.test_ids) * len(result.log_rows)
+
+
+class TestStreamedBundles:
+    """``train`` keeps no bundle: each step and each evaluation reads its own."""
+
+    @staticmethod
+    def _peak_mib(manifest: Path) -> float:
+        tracemalloc.start()
+        try:
+            train(manifest, TrainConfig(iterations=3), ModelConfig(d_model=4))
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_held_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        peaks = {}
+        for n_videos in (40, 160):
+            cfg = SynthConfig(n_videos=n_videos, views_per_video=2, seed=1)
+            generate_features(generate_events(cfg).truth, cfg, out_dir=tmp_path / str(n_videos))
+            peaks[n_videos] = self._peak_mib(tmp_path / str(n_videos) / "manifest.jsonl")
+        # Kept bundles would hold about 93 KiB per video, 11 MiB more at 160 videos.
+        assert abs(peaks[160] - peaks[40]) < 1.0, peaks
+
+    @pytest.mark.parametrize("entry", ["library", "cli"])
+    @pytest.mark.parametrize("fault", ["holding_nan", "of_another_video"])
+    def test_bundle_changed_after_the_check_pass_is_a_data_error(self, corpus_dir, tmp_path, capsys, monkeypatch,
+                                                                 fault, entry):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copy)
+        paths = {row.video_id: copy / row.feature_path for row in read_manifest(copy / "manifest.jsonl")}
+        train_ids, test_ids = split_dataset(sorted(paths), SMALL_TRAIN.split_ratio, SMALL_TRAIN.seed)
+        # A video of the first epoch's last batch, which runs before the first evaluation.
+        last_slot = math.ceil(len(train_ids) / SMALL_TRAIN.batch_size) - 1
+        late = trainer._batch_ids(train_ids, SMALL_TRAIN, last_slot)[-1]
+        assert 0 < last_slot < SMALL_TRAIN.eval_interval
+        assert late not in trainer._batch_ids(train_ids, SMALL_TRAIN, 0)
+        bad = paths[late]
+        if fault == "holding_nan":
+            bundle = load_bundle(bad)
+            action = bundle.clip_features["action"].copy()
+            action[-1, -1] = np.nan
+            changed = tmp_path / "changed.engf"
+            write_engf(changed, bundle.video_id, bundle.n_clips, bundle.frame_rate,
+                       {**bundle.clip_features, "action": action, "text_tokens": bundle.text_tokens})
+            message = f"bundle {late!r}: action has non-finite values"
+        else:
+            changed = paths[test_ids[0]]
+            message = f"bundle {bad} carries id {test_ids[0]!r}"
+        steps = []
+        real_adam = trainer.adam_step
+
+        def changing_adam(params, state, lr):
+            real_adam(params, state, lr)
+            steps.append(state.t)
+            if state.t == 1:
+                bad.write_bytes(changed.read_bytes())
+
+        monkeypatch.setattr(trainer, "adam_step", changing_adam)
+        if entry == "library":
+            with pytest.raises(DataError, match=re.escape(message)):
+                train(copy / "manifest.jsonl", SMALL_TRAIN, SMALL_MODEL)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**SMALL_TRAIN.to_dict(), "d_model": 8, "frames_per_clip": 4,
+                                          "max_clips": 64}))
+            code = cli.main(["train", "--manifest", str(copy / "manifest.jsonl"), "--out-dir", str(tmp_path / "run"),
+                             "--config", str(config)])
+            assert (code, capsys.readouterr().err) == (cli.EXIT_DATA, f"data error: {message}\n")
+        assert steps == list(range(1, last_slot + 1))
 
 
 class TestCheckpointFormat:
